@@ -1,10 +1,12 @@
 """ditplan: planning and what-if simulation for long-context video DiT
 training and inference.
 
-The package is a numpy-backed analytical toolkit, not a runtime: it
+The package is a pure-Python analytical toolkit, not a runtime: it
 accounts memory, selects recomputation/offload strategies, costs
 communication, estimates step time and MFU, and plans inference-side
-schedules (diffusion cache, VAE tiling, temporal windows).
+schedules (diffusion cache, VAE tiling, temporal windows). numpy is
+imported only when a caller asks for an array (VAE blend weights,
+window multiplicity).
 """
 
 from .buckets import (

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     train = plan_subs.add_parser("train", help="enumerate, balance and rank training plans")
     _add_common(train, config_required=True)
     train.add_argument("--offload", default="auto", choices=("auto", "off", "optimizer-only"))
-    train.add_argument("--workers", type=int, default=1, help="candidate evaluation threads")
     train.add_argument("--chunk-table", default=None, help="chunk table JSON (default: built-in)")
 
     infer = plan_subs.add_parser("infer", help="diffusion cache schedule")
@@ -112,6 +112,12 @@ def _parse_triple(text: str, flag: str) -> tuple[int, int, int]:
     return (t, h, w)
 
 
+def _finite(value: float, flag: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {value}", flag)
+    return value
+
+
 def _chunks_from(args: argparse.Namespace):
     table = getattr(args, "chunk_table", None)
     return load_chunk_table(table) if table else BUILTIN_CHUNKS
@@ -119,9 +125,7 @@ def _chunks_from(args: argparse.Namespace):
 
 def _cmd_plan_train(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    report = run_train_plan(
-        config, chunks=_chunks_from(args), offload_mode=args.offload, workers=args.workers
-    )
+    report = run_train_plan(config, chunks=_chunks_from(args), offload_mode=args.offload)
     _write_out(render(report, args.format), args.out)
     require_feasible(report)
     return EXIT_OK
@@ -150,7 +154,7 @@ def _cmd_plan_infer(args: argparse.Namespace) -> int:
 def _cmd_plan_recompute(args: argparse.Namespace) -> int:
     chunks = _chunks_from(args)
     ref = (chunks.ref_batch, chunks.ref_seqlen, chunks.ref_hidden, chunks.ref_heads, chunks.ref_tp)
-    required = int(args.required_mb * MIB)
+    required = int(_finite(args.required_mb, "--required-mb") * MIB)
     plan = plan_recompute(chunks, required, *ref)
     lines = [
         f"{'chunk':<28} {'retained_mib':>12} {'latency_ms':>10} {'ratio':>8} {'selected':>9}"
@@ -179,7 +183,7 @@ def _cmd_plan_windows(args: argparse.Namespace) -> int:
         "stride": plan.stride,
         "num_clips": plan.num_clips,
         "clips": [list(c) for c in plan.clips],
-        "multiplicity": plan.multiplicity().tolist(),
+        "multiplicity": list(plan.coverage),
     }
     _emit_json(payload, args.out)
     return EXIT_OK
@@ -211,9 +215,10 @@ def _cmd_buckets_check(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if not config.buckets:
         raise ConfigError("config has no buckets", "buckets")
-    report = check_token_balance(config.buckets, args.tolerance, arch=config.model)
+    tolerance = _finite(args.tolerance, "--tolerance")
+    report = check_token_balance(config.buckets, tolerance, arch=config.model)
     payload = {
-        "tolerance": args.tolerance,
+        "tolerance": tolerance,
         "balanced": report.balanced,
         "max_deviation": round(report.max_deviation, 6),
         "buckets": [
@@ -354,3 +359,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -13,12 +13,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
+from itertools import accumulate, product
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 CACHE_MODES = ("dit-layer-cache", "attention-cache")
+
+# Input size caps: coverage lists and tile lists grow linearly with them,
+# so an unbounded value would exhaust memory before any output is written.
+MAX_WINDOW_LATENT = 2**16
+MAX_VAE_TILES = 2**16
 
 # Fraction of a full step a cached step still costs. 0.25 reproduces the
 # observed ~1.67x speedup of rear-layer caching at 50 steps / warmup 10 /
@@ -106,13 +115,8 @@ class TilePlan:
         size): per-axis linear ramps up across the overlap with the
         previous tile and down across the next."""
         size = self.tiles[0].size
-        profile: np.ndarray | float = 1.0
-        for axis in range(3):
-            ramp = _axis_ramp(size[axis], self.overlap[axis])
-            shape = [1, 1, 1]
-            shape[axis] = size[axis]
-            profile = profile * ramp.reshape(shape)
-        return np.asarray(profile)
+        t, h, w = (_axis_ramp(size[a], self.overlap[a]) for a in range(3))
+        return t[:, None, None] * h[None, :, None] * w[None, None, :]
 
     @staticmethod
     def _slices(tile: Tile) -> tuple[slice, slice, slice]:
@@ -120,6 +124,7 @@ class TilePlan:
 
     def total_weight(self) -> np.ndarray:
         """Sum of raw tile profiles over the latent (the normalizer)."""
+        import numpy as np
         profile = self.tile_profile()
         total = np.zeros(self.latent, dtype=np.float64)
         for tile in self.tiles:
@@ -132,6 +137,7 @@ class TilePlan:
         Equals one everywhere by construction; exposed so consumers can
         verify the cover without materializing per-tile maps.
         """
+        import numpy as np
         profile = self.tile_profile()
         total = self.total_weight()
         acc = np.zeros(self.latent, dtype=np.float64)
@@ -147,6 +153,7 @@ class TilePlan:
         every position; with at most two tiles meeting per axis the ramps
         already do, so normalization is the identity there.
         """
+        import numpy as np
         profile = self.tile_profile()
         total = self.total_weight()
         for tile in self.tiles:
@@ -161,6 +168,7 @@ class TilePlan:
 
 
 def _axis_ramp(size: int, overlap: int) -> np.ndarray:
+    import numpy as np
     ramp = np.ones(size, dtype=np.float64)
     edge = min(overlap, size)
     if edge > 0:
@@ -172,14 +180,15 @@ def _axis_ramp(size: int, overlap: int) -> np.ndarray:
     return ramp
 
 
-def _axis_starts(extent: int, size: int, overlap: int) -> list[int]:
+def _axis_count(extent: int, size: int, stride: int) -> int:
+    """Spans of ``size`` every ``stride`` that cover ``extent``, the last end-aligned."""
     if size >= extent:
-        return [0]
-    stride = size - overlap
-    starts = list(range(0, extent - size + 1, stride))
-    if starts[-1] + size < extent:
-        starts.append(extent - size)
-    return starts
+        return 1
+    return -(-(extent - size) // stride) + 1
+
+
+def _axis_starts(extent: int, size: int, stride: int) -> list[int]:
+    return [min(k * stride, extent - size) for k in range(_axis_count(extent, size, stride))]
 
 
 def plan_vae_tiles(
@@ -194,6 +203,8 @@ def plan_vae_tiles(
     end-aligned, and tiles round-robin across devices. Speedup is
     num_tiles / ceil(num_tiles / devices), linear while tiles spread
     evenly. A tile larger than the latent degenerates to a single tile.
+    Plans of more than ``MAX_VAE_TILES`` tiles are rejected before any
+    tile is built.
     """
     if devices < 1:
         raise ConfigError("devices must be >= 1", "vae.devices")
@@ -205,21 +216,16 @@ def plan_vae_tiles(
         if latent[axis] < 1:
             raise ConfigError("latent dims must be >= 1", f"vae.latent[{axis}]")
     clamped = tuple(min(tile[a], latent[a]) for a in range(3))
-    axis_starts = [_axis_starts(latent[a], clamped[a], overlap[a]) for a in range(3)]
-    tiles = []
-    index = 0
-    for t0 in axis_starts[0]:
-        for h0 in axis_starts[1]:
-            for w0 in axis_starts[2]:
-                tiles.append(
-                    Tile(start=(t0, h0, w0), size=clamped, device=index % devices)
-                )
-                index += 1
-    num_tiles = len(tiles)
+    strides = [clamped[a] - overlap[a] for a in range(3)]
+    num_tiles = math.prod(_axis_count(latent[a], clamped[a], strides[a]) for a in range(3))
+    if num_tiles > MAX_VAE_TILES:
+        raise ConfigError(f"{num_tiles} tiles exceed the cap of {MAX_VAE_TILES}", "vae.tile")
+    starts = product(*(_axis_starts(latent[a], clamped[a], strides[a]) for a in range(3)))
+    tiles = tuple(Tile(start, clamped, index % devices) for index, start in enumerate(starts))
     speedup = num_tiles / math.ceil(num_tiles / devices)
     return TilePlan(
         latent=latent,
-        tiles=tuple(tiles),
+        tiles=tiles,
         overlap=overlap,
         devices=devices,
         parallel_speedup=speedup,
@@ -237,16 +243,24 @@ class WindowPlan:
     def num_clips(self) -> int:
         return len(self.clips)
 
-    def multiplicity(self) -> np.ndarray:
-        """How many clips cover each latent index."""
-        counts = np.zeros(self.n_prime, dtype=np.int64)
+    @cached_property
+    def coverage(self) -> tuple[int, ...]:
+        """How many clips cover each latent index, from a difference array
+        over the clips: O(n_prime + clips)."""
+        delta = [0] * (self.n_prime + 1)
         for start, end in self.clips:
-            counts[start:end] += 1
-        return counts
+            delta[start] += 1
+            delta[end] -= 1
+        return tuple(accumulate(delta[:-1]))
+
+    def multiplicity(self) -> np.ndarray:
+        """:attr:`coverage` as an int64 array."""
+        import numpy as np
+        return np.array(self.coverage, dtype=np.int64)
 
     def averaging_weights(self, index: int) -> float:
         """Eq. weight 1/|S(i)| applied to every clip covering ``index``."""
-        count = int(self.multiplicity()[index])
+        count = self.coverage[index]
         if count == 0:
             raise ConfigError(f"index {index} uncovered", "windows")
         return 1.0 / count
@@ -258,10 +272,13 @@ def plan_temporal_windows(n_prime: int, n: int, s: int) -> WindowPlan:
     Clip k covers [k*s, k*s + n); the final clip is clamped to end at
     n_prime so the whole latent is covered. The clip count is
     ceil((n_prime - n) / s) + 1. Strides past the window length would
-    leave uncovered gaps and are rejected.
+    leave uncovered gaps and are rejected, as are latents longer than
+    ``MAX_WINDOW_LATENT``.
     """
     if n_prime < 1 or n < 1:
         raise ConfigError("lengths must be >= 1", "windows")
+    if n_prime > MAX_WINDOW_LATENT:
+        raise ConfigError(f"{n_prime} exceeds the cap of {MAX_WINDOW_LATENT}", "windows.n_prime")
     if n > n_prime:
         raise ConfigError(f"window {n} longer than latent {n_prime}", "windows.n")
     if s < 1:
@@ -271,12 +288,8 @@ def plan_temporal_windows(n_prime: int, n: int, s: int) -> WindowPlan:
             f"stride {s} exceeds window {n}: indices between clips would go uncovered",
             "windows.stride",
         )
-    r = math.ceil((n_prime - n) / s) + 1
-    clips = []
-    for k in range(r):
-        start = min(k * s, n_prime - n)
-        clips.append((start, start + n))
-    return WindowPlan(n_prime=n_prime, window=n, stride=s, clips=tuple(clips))
+    clips = tuple((start, start + n) for start in _axis_starts(n_prime, n, s))
+    return WindowPlan(n_prime=n_prime, window=n, stride=s, clips=clips)
 
 
 def dit_parallel_latency(

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -121,16 +120,9 @@ def _bucket_doc(bucket: Bucket) -> list[int]:
     return [bucket.batch, bucket.frames, bucket.height, bucket.width]
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    stage: str
-    bucket_kind: str
-    bucket: Bucket
-    par: ParallelConfig
-
-
 def _evaluate_candidate(
-    cand: _Candidate,
+    bucket: Bucket,
+    par: ParallelConfig,
     config: PlanningConfig,
     chunks: ChunkTable,
     vae: VaeSpec,
@@ -142,8 +134,6 @@ def _evaluate_candidate(
     ``feasible=False`` plus a diagnostic instead of timings.
     """
     arch, cluster, dtypes = config.model, config.cluster, config.dtypes
-    par = cand.par
-    bucket = cand.bucket
     shape = token_count(bucket, vae, arch)
     B, S = bucket.batch, shape.tokens
     s_shard = S // par.cp if par.cp > 1 else S
@@ -326,14 +316,12 @@ def run_train_plan(
     chunks: ChunkTable | None = None,
     vae: VaeSpec = VaeSpec(),
     offload_mode: str = "auto",
-    workers: int = 1,
     balance_tolerance: float = 0.01,
 ) -> PlanReport:
     """Enumerate, balance, simulate and rank plans for every stage bucket.
 
     Output is deterministic for identical input: candidates are evaluated
-    independently (optionally across ``workers`` threads) and a final
-    sort fixes the order.
+    independently and a final sort fixes the order.
     """
     if offload_mode not in OFFLOAD_MODES:
         raise ConfigError(f"offload mode must be one of {OFFLOAD_MODES}", "offload")
@@ -361,11 +349,9 @@ def run_train_plan(
             StageScenario(name=f"bucket-{b.label()}", video_bucket=b) for b in config.buckets
         ]
 
-    candidates: list[_Candidate] = []
-    stage_keys: list[tuple[str, str, Bucket]] = []
+    groups: list[tuple[str, str, Bucket, list[ParallelConfig]]] = []
     for stage in stages:
         for kind, bucket in stage.buckets():
-            stage_keys.append((stage.name, kind, bucket))
             if pinned is not None:
                 pars = [pinned]
             else:
@@ -381,26 +367,12 @@ def run_train_plan(
                 )
                 if not pars:
                     warnings.append(f"no parallel candidates for {stage.name}/{kind}")
-            candidates.extend(
-                _Candidate(stage=stage.name, bucket_kind=kind, bucket=bucket, par=p)
-                for p in pars
-            )
-
-    def job(cand: _Candidate) -> tuple[_Candidate, dict[str, Any]]:
-        return cand, _evaluate_candidate(cand, config, chunks, vae, offload_mode)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, candidates))
-    else:
-        results = [job(c) for c in candidates]
+            groups.append((stage.name, kind, bucket, pars))
 
     stage_docs = []
-    for stage_name, kind, bucket in stage_keys:
+    for stage_name, kind, bucket, pars in groups:
         entries = [
-            entry
-            for cand, entry in results
-            if cand.stage == stage_name and cand.bucket_kind == kind and cand.bucket == bucket
+            _evaluate_candidate(bucket, par, config, chunks, vae, offload_mode) for par in pars
         ]
         feasible = [e for e in entries if e["feasible"]]
         infeasible = [e for e in entries if not e["feasible"]]

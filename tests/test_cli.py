@@ -1,9 +1,28 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ditplan
 from ditplan.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from ditplan.presets import reference_config_path
+
+SRC = Path(ditplan.__file__).resolve().parents[1]
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports ditplan from this source tree."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
 
 
 @pytest.fixture()
@@ -40,6 +59,21 @@ def test_plan_train_byte_identical_runs(ref_config, tmp_path):
     main(["plan", "train", "--config", ref_config, "--out", str(a)])
     main(["plan", "train", "--config", ref_config, "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_plan_train_same_stage_twice_keeps_its_own_plans(ref_config, tmp_path):
+    doc = json.loads(Path(ref_config).read_text())
+    doc["stages"] = [doc["stages"][0]]
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    once.write_text(json.dumps(doc))
+    doc["stages"] *= 2
+    twice.write_text(json.dumps(doc))
+    reports = []
+    for path in (once, twice):
+        out = tmp_path / f"{path.stem}.report.json"
+        assert main(["plan", "train", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        reports.append(json.loads(out.read_text())["stages"])
+    assert reports[1] == reports[0] * 2
 
 
 def test_plan_train_infeasible_exit_code(tmp_path):
@@ -182,3 +216,72 @@ def test_emit_empty_report():
     assert csv_text.splitlines()[0].startswith("stage,")
     assert len(csv_text.splitlines()) == 1  # header only
     assert render(empty, "table")  # header lines, no rows
+
+
+def test_python_m_runs_the_cli():
+    proc = _python("-m", "ditplan.cli", "plan", "infer", "--steps", "10")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["total_steps"] == 10
+    assert doc["per_step_full"] == [1] * 10
+
+
+# Modules no subcommand needs; each costs start-up time on every cold call.
+_COLD_PROBE = """
+import contextlib, io, json, sys
+from ditplan.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+heavy = ("numpy", "concurrent.futures", "logging")
+print(json.dumps({"code": code, "loaded": [m for m in heavy if m in sys.modules]}))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "train", "--config", "REF"],
+        ["plan", "infer", "--steps", "10"],
+        ["plan", "recompute", "--required-mb", "400"],
+        ["plan", "windows", "--n-prime", "32", "--n", "8", "--stride", "4"],
+        ["plan", "vae-tiles", "--latent", "8,64,64", "--tile", "4,32,32", "--overlap", "0,8,8"],
+        ["buckets", "check", "--config", "REF"],
+        ["simulate", "--config", "REF", "--stage", "t2v-29x320"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv[:2] if not a.startswith("-")),
+)
+def test_subcommands_load_no_numpy_or_thread_pool(argv, ref_config):
+    argv = [ref_config if a == "REF" else a for a in argv]
+    proc = _python("-c", _COLD_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"code": EXIT_OK, "loaded": []}
+
+
+def test_plan_windows_latent_cap(capsys):
+    from ditplan.inference import MAX_WINDOW_LATENT
+
+    argv = ["plan", "windows", "--n-prime", str(MAX_WINDOW_LATENT + 1), "--n", "8", "--stride", "4"]
+    assert main(argv) == EXIT_CONFIG
+    assert "windows.n_prime" in capsys.readouterr().err
+
+
+def test_plan_vae_tiles_count_cap(capsys):
+    from ditplan.inference import MAX_VAE_TILES
+
+    argv = ["plan", "vae-tiles", "--latent", f"1,1,{MAX_VAE_TILES + 1}", "--tile", "1,1,1"]
+    assert main(argv) == EXIT_CONFIG
+    assert "vae.tile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["plan", "recompute"], "--required-mb"),
+        (["buckets", "check", "--config", "REF"], "--tolerance"),
+    ],
+)
+def test_non_finite_float_flags_rejected(argv, flag, value, ref_config, capsys):
+    argv = [ref_config if a == "REF" else a for a in argv]
+    assert main([*argv, f"{flag}={value}"]) == EXIT_CONFIG
+    assert f"{flag}: expected a finite number" in capsys.readouterr().err

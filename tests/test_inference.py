@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from ditplan.errors import ConfigError
 from ditplan.inference import (
+    MAX_VAE_TILES,
+    MAX_WINDOW_LATENT,
     composite_speedup,
     dit_parallel_latency,
     plan_cache,
@@ -125,6 +127,14 @@ def test_tiles_overlap_must_be_smaller_than_tile():
         plan_vae_tiles((8, 64, 64), (4, 32, 32), (4, 0, 0))
 
 
+def test_tiles_count_capped_before_tiles_are_built():
+    plan = plan_vae_tiles((1, 1, MAX_VAE_TILES), (1, 1, 1), (0, 0, 0))
+    assert len(plan.tiles) == MAX_VAE_TILES
+    with pytest.raises(ConfigError) as info:
+        plan_vae_tiles((1, 1, MAX_VAE_TILES + 1), (1, 1, 1), (0, 0, 0))
+    assert info.value.path == "vae.tile"
+
+
 # ---------------------------------------------------------------------------
 # Temporal windows
 # ---------------------------------------------------------------------------
@@ -157,6 +167,12 @@ def test_windows_stride_beyond_window_rejected():
         plan_temporal_windows(32, 8, 9)
 
 
+def test_windows_latent_capped():
+    with pytest.raises(ConfigError) as info:
+        plan_temporal_windows(MAX_WINDOW_LATENT + 1, 1, 1)
+    assert info.value.path == "windows.n_prime"
+
+
 def test_windows_averaging_weights():
     plan = plan_temporal_windows(32, 8, 4)
     assert plan.averaging_weights(0) == 1.0
@@ -184,8 +200,13 @@ def test_windows_exhaustive_small_sweep():
             for s in range(1, n + 1):
                 plan = plan_temporal_windows(n_prime, n, s)
                 assert plan.num_clips == math.ceil((n_prime - n) / s) + 1
-                mult = plan.multiplicity()
-                assert mult.min() >= 1
+                mult = plan.multiplicity().tolist()
+                expected = [
+                    sum(1 for start, end in plan.clips if start <= i < end)
+                    for i in range(n_prime)
+                ]
+                assert mult == expected
+                assert min(mult) >= 1
                 covered = np.zeros(n_prime, dtype=bool)
                 for start, end in plan.clips:
                     assert 0 <= start <= end <= n_prime
