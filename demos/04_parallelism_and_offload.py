@@ -45,7 +45,7 @@ raw, exposed = dp_comm(13.4e9, dtypes, 8, 16, 4, 50e9, first_fwd_window_ms=700, 
 print(f"  P=13.4e9, tp=8, dp=16: raw {raw:.1f} ms/step, exposed {exposed:.1f} ms under wide windows")
 
 print()
-print("== candidate enumeration, ranked by exposed communication ==")
+print("== candidate enumeration (tp ascending, then cp) ==")
 for bucket, label in [
     (Bucket(1, 125, 720, 1280), "115k tokens"),
     (Bucket(1, 253, 720, 1280), "230k tokens"),

@@ -3,8 +3,11 @@
 The analytical model composes compute (attention O(S^2 H) + linears
 O(S H^2)), recomputation re-runs, exposed communication and exposed
 offload time. MFU counts only model forward+backward FLOPs against the
-aggregate hardware peak.
+aggregate hardware peak. The multi-stage sweep runs the same evaluator
+as `plan train` (and `ditplan simulate`) with the layout pinned.
 """
+
+from dataclasses import replace
 
 from ditplan import (
     Bucket,
@@ -17,7 +20,7 @@ from ditplan import (
 )
 from ditplan.memory import BUILTIN_CHUNKS, chunk_retained_bytes
 from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT, load_reference_config
-from ditplan.simulate import simulate_stages
+from ditplan.report import run_train_plan
 
 dtypes = DTypePolicy()
 par = ParallelConfig(tp=8, cp=1, dp=2)
@@ -42,18 +45,18 @@ print("  (cluster-scale reported utilization is ~0.36; the desk-scale model")
 print("   lands in the same neighborhood without claiming to reproduce it)")
 
 print()
-print("== multi-stage sweep on the shipped reference recipe ==")
+print("== multi-stage sweep on the shipped reference recipe, layout pinned ==")
 config = load_reference_config()
-results = simulate_stages(
-    list(config.stages), config.model, config.cluster, par, config.dtypes, overlap=config.overlap
-)
+config = replace(config, parallel=replace(config.parallel, tp=par.tp, cp=par.cp, dp=par.dp))
+report = run_train_plan(config)
 print(f"  {'stage':<16} {'kind':<6} {'bucket':<16} {'tokens':>8} {'step':>10} {'mfu':>6} {'peak':>8}")
-for r in results:
-    bucket_label = "x".join(str(v) for v in r.bucket.key())
+for stage in report.document["stages"]:
+    (plan,) = stage["plans"]
+    bucket_label = "x".join(str(v) for v in stage["bucket"])
     print(
-        f"  {r.stage:<16} {r.bucket_kind:<6} {bucket_label:<16} {r.estimate.tokens:>8,} "
-        f"{r.estimate.step_time_ms / 1e3:>8.2f} s {r.estimate.mfu:>6.3f} "
-        f"{r.estimate.peak_mem_bytes / 1e9:>6.1f} GB"
+        f"  {stage['stage']:<16} {stage['bucket_kind']:<6} {bucket_label:<16} "
+        f"{plan['tokens_per_batch']:>8,} {plan['timing']['step_time_ms'] / 1e3:>8.2f} s "
+        f"{plan['mfu']:>6.3f} {plan['memory']['peak_gb']:>6.1f} GB"
     )
 print("  image stages are cheap; the long-video stages dominate wall clock,")
-print("  and their auto-selected recompute plans keep every rank inside 64 GB.")
+print("  and their balanced offload/recompute plans keep every rank inside 64 GB.")

@@ -98,6 +98,6 @@ from .recompute import (
     plan_recompute,
 )
 from .report import PlanReport, emit, render, run_train_plan
-from .simulate import StepEstimate, estimate_step, flops_per_microstep, simulate_stages
+from .simulate import StepEstimate, estimate_step, flops_per_microstep
 
 __version__ = "0.1.0"

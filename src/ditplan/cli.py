@@ -8,19 +8,19 @@ Exit codes: 0 success, 2 config error, 3 infeasible, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 
 from .buckets import check_token_balance
-from .config import ParallelConfig, load_config
+from .config import load_config
 from .errors import ConfigError, InfeasibleError, PlanningError
 from .inference import plan_cache, plan_temporal_windows, plan_vae_tiles
 from .memory import BUILTIN_CHUNKS, MIB, chunk_retained_bytes, load_chunk_table
 from .recompute import memory_latency_ratio, plan_recompute
 from .report import render, require_feasible, run_train_plan
-from .simulate import simulate_stages
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,7 +43,6 @@ def _add_common(parser: argparse.ArgumentParser, config_required: bool = False) 
     parser.add_argument("--config", required=config_required, help="planning config JSON")
     parser.add_argument("--out", default=None, help="write output here instead of stdout")
     parser.add_argument("--format", default="json", choices=("json", "table", "csv"))
-    parser.add_argument("--seed", type=int, default=0, help="reserved; no stochastic behavior yet")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,55 +247,29 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise ConfigError(f"no stage named {args.stage!r}", "stages")
     if not stages:
         raise ConfigError("config has no stages", "stages")
-    par = config.parallel.pinned or ParallelConfig(
-        tp=min(config.cluster.devices_per_node, 8),
-        cp=1,
-        dp=max(
-            1, config.cluster.total_devices // min(config.cluster.devices_per_node, 8)
-        ),
-        zero_stage=config.parallel.zero_stage,
-        grad_accum=config.parallel.grad_accum,
-    )
-    results = simulate_stages(
-        stages,
-        config.model,
-        config.cluster,
-        par,
-        config.dtypes,
-        chunks=_chunks_from(args),
-        overlap=config.overlap,
-    )
+    parallel = config.parallel
+    if parallel.pinned is None:
+        tp = min(config.cluster.devices_per_node, 8)
+        parallel = dataclasses.replace(
+            parallel, tp=tp, cp=1, dp=max(1, config.cluster.total_devices // tp)
+        )
+    config = dataclasses.replace(config, parallel=parallel, stages=tuple(stages))
+    report = run_train_plan(config, chunks=_chunks_from(args), offload_mode="auto")
     rows = []
-    for r in results:
-        est = r.estimate
+    for doc in report.document["stages"]:
+        if not doc["plans"]:
+            bucket = "x".join(str(v) for v in doc["bucket"])
+            diagnostic = doc["infeasible"][0]["diagnostic"]
+            raise InfeasibleError(f"{doc['stage']}/{doc['bucket_kind']} {bucket}: {diagnostic}")
+        entry = doc["plans"][0]
         rows.append(
             {
-                "stage": r.stage,
-                "bucket_kind": r.bucket_kind,
-                "bucket": list(r.bucket.key()),
-                "parallel": {"tp": par.tp, "cp": par.cp, "dp": par.dp},
-                "tokens_per_batch": est.tokens,
-                "recompute": {
-                    "selected": list(r.recompute.selected) if r.recompute else []
-                },
-                "offload": {"optimizer_offloaded": False, "activation_set": []},
-                "memory": {
-                    "params_gb": round(est.memory.params / 1e9, 3),
-                    "grads_gb": round(est.memory.grads / 1e9, 3),
-                    "optimizer_gb": round(est.memory.optimizer / 1e9, 3),
-                    "activations_gb": round(est.memory.activations_peak / 1e9, 3),
-                    "peak_gb": round(est.peak_mem_bytes / 1e9, 3),
-                },
-                "timing": {
-                    "t_compute_ms": round(est.t_compute_ms, 3),
-                    "t_recompute_ms": round(est.t_recompute_ms, 3),
-                    "t_exposed_comm_ms": round(est.t_exposed_comm_ms, 3),
-                    "t_exposed_offload_ms": round(est.t_exposed_offload_ms, 3),
-                    "step_time_ms": round(est.step_time_ms, 3),
-                },
-                "step_time_ms": round(est.step_time_ms, 3),
-                "mfu": round(est.mfu, 3),
-                "peak_gb": round(est.peak_mem_bytes / 1e9, 3),
+                "stage": doc["stage"],
+                "bucket_kind": doc["bucket_kind"],
+                "bucket": doc["bucket"],
+                **entry,
+                "step_time_ms": entry["timing"]["step_time_ms"],
+                "peak_gb": entry["memory"]["peak_gb"],
             }
         )
     if args.format == "csv":
@@ -319,7 +292,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
         _write_out("\n".join(lines) + "\n", args.out)
     else:
-        _emit_json({"parallel": {"tp": par.tp, "cp": par.cp, "dp": par.dp}, "stages": rows}, args.out)
+        par = {"tp": parallel.tp, "cp": parallel.cp, "dp": parallel.dp}
+        _emit_json({"parallel": par, "stages": rows}, args.out)
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .buckets import Bucket, VaeSpec, token_count
 from .config import ClusterSpec, DTypePolicy, ModelArch, OverlapConfig, ParallelConfig
-from .errors import ConfigError
+from .errors import ConfigError, InfeasibleError
 
 CP_TOKEN_GATE = 200_000
 
@@ -167,19 +167,9 @@ def build_comm_plan(
     """Cost every communication class for one candidate layout.
 
     ``S`` is the full per-sample sequence; CP shards it, so TP-SP inside a
-    CP group only sees S/cp tokens.
+    CP group only sees S/cp tokens. A layout the CP gate rejects raises
+    :class:`InfeasibleError` carrying the gate's diagnostic.
     """
-    s_shard = S // par.cp if par.cp > 1 else S
-    tp_raw, tp_exposed = tp_sp_layer_comm(
-        B,
-        s_shard,
-        arch.hidden_size,
-        par.tp,
-        dtypes.act_bytes,
-        cluster.intra_node_bw,
-        overlap.tp_sp_fraction,
-        overlap.collective_latency_ms,
-    )
     gate = cp_gate_and_comm(
         B * S,
         B,
@@ -191,7 +181,18 @@ def build_comm_plan(
         overlap.collective_latency_ms,
     )
     if gate.violation is not None:
-        raise ConfigError(gate.violation, "parallel.cp")
+        raise InfeasibleError(gate.violation)
+    s_shard = S // par.cp if par.cp > 1 else S
+    tp_raw, tp_exposed = tp_sp_layer_comm(
+        B,
+        s_shard,
+        arch.hidden_size,
+        par.tp,
+        dtypes.act_bytes,
+        cluster.intra_node_bw,
+        overlap.tp_sp_fraction,
+        overlap.collective_latency_ms,
+    )
     dp_raw, dp_exposed = dp_comm(
         P,
         dtypes,
@@ -222,54 +223,44 @@ def enumerate_parallel_configs(
     arch: ModelArch,
     cluster: ClusterSpec,
     bucket: Bucket,
-    dtypes: DTypePolicy = DTypePolicy(),
-    overlap: OverlapConfig = OverlapConfig(),
     vae: VaeSpec = VaeSpec(),
     zero_stage: str = "optimizer-partitioned",
     grad_accum: int = 1,
 ) -> list[ParallelConfig]:
-    """All placement-rule-respecting (tp, cp, dp) splits, ranked by exposed comm.
+    """All placement-rule-respecting (tp, cp, dp) splits, by ascending tp then cp.
 
     TP stays inside a node (divisor of devices_per_node, must divide H);
-    CP takes power-of-two degrees only above the token gate; DP absorbs
-    the rest. Lower CP ranks first on ties, keeping context parallelism
-    minimally viable.
+    CP takes power-of-two degrees only above the token gate, keeping
+    context parallelism minimally viable; DP absorbs the rest.
     """
-    from .config import resolved_param_count
-
-    shape = token_count(bucket, vae, arch)
-    P = resolved_param_count(arch)
+    tokens_batch = token_count(bucket, vae, arch).tokens_batch
     total = cluster.total_devices
-    candidates: list[tuple[tuple[float, int, int], ParallelConfig]] = []
+    candidates: list[ParallelConfig] = []
     for tp in _divisors(cluster.devices_per_node):
         if arch.hidden_size % tp != 0:
             continue
         cp = 1
         while tp * cp <= total:
-            if cp > 1 and shape.tokens_batch <= CP_TOKEN_GATE:
+            if cp > 1 and tokens_batch <= CP_TOKEN_GATE:
                 break
             # A further doubling is viable only while the previous degree
             # still leaves per-rank shards above the gate; once shards fit
             # TP-SP alone, higher CP is not minimally viable.
-            if cp > 1 and shape.tokens_batch / (cp // 2) <= CP_TOKEN_GATE:
+            if cp > 1 and tokens_batch / (cp // 2) <= CP_TOKEN_GATE:
                 break
             if total % (tp * cp) == 0:
                 dp = total // (tp * cp)
-                par = ParallelConfig(
-                    tp=tp,
-                    cp=cp,
-                    dp=dp,
-                    zero_stage=zero_stage if dp > 1 else "none",
-                    grad_accum=grad_accum,
+                candidates.append(
+                    ParallelConfig(
+                        tp=tp,
+                        cp=cp,
+                        dp=dp,
+                        zero_stage=zero_stage if dp > 1 else "none",
+                        grad_accum=grad_accum,
+                    )
                 )
-                plan = build_comm_plan(
-                    arch, cluster, dtypes, par, bucket.batch, shape.tokens, P, overlap
-                )
-                exposed = plan.exposed_ms_per_step(grad_accum)
-                candidates.append(((round(exposed, 6), cp, tp), par))
             cp *= 2
-    candidates.sort(key=lambda item: item[0])
-    return [par for _, par in candidates]
+    return candidates
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ write bandwidth, capping the per-device PCIe rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .config import ClusterSpec
 from .errors import ConfigError
@@ -137,9 +137,8 @@ NO_OFFLOAD = OffloadPlan(
 
 @dataclass(frozen=True)
 class StrategyPlan:
-    """Result of balancing offload, recomputation and context parallelism."""
+    """Result of balancing offload and recomputation for one layout."""
 
-    cp: int
     recompute: RecomputePlan
     offload: ActivationOffloadPlan
     feasible: bool
@@ -151,10 +150,10 @@ class StrategyPlan:
 
 
 def balance_strategies(
-    deficit_for_cp: Callable[[int], int],
+    deficit: int,
     chunks: ChunkTable | Sequence[ChunkSpec],
     cluster: ClusterSpec,
-    cp_candidates: Sequence[int],
+    cp: int,
     block_compute_ms: float,
     num_layers: int,
     B: int = 1,
@@ -168,88 +167,82 @@ def balance_strategies(
 
     In order: (1) offload whatever transfers hide fully under block
     compute, compute-expensive attention chunks first so their costly
-    recomputation is avoided; (2) recompute the rest of the deficit;
-    (3) only if that still falls short, step context parallelism up to
-    the next gated degree and retry. ``deficit_for_cp`` maps a CP degree
-    to the remaining per-layer deficit at that degree; ``S`` is the full
-    sequence (sharded by cp internally).
+    recomputation is avoided; (2) recompute the rest of the deficit.
+    ``deficit`` is the per-layer shortfall at context-parallel degree
+    ``cp``; ``S`` is the full sequence (sharded by cp internally).
     """
     chunk_list = chunks.chunks if isinstance(chunks, ChunkTable) else tuple(chunks)
-    if not cp_candidates:
-        raise ConfigError("no context-parallel candidates", "parallel.cp")
     bw = effective_pcie_bw(cluster, cluster.devices_per_numa)
-    last_diag = None
-    for cp in sorted(cp_candidates):
-        deficit = deficit_for_cp(cp)
-        s_shard = S // cp
-        if deficit <= 0:
-            return StrategyPlan(
-                cp=cp,
-                recompute=plan_recompute(chunk_list, 0, B, s_shard, H, A, tp),
-                offload=plan_activation_offload(
-                    chunk_list, block_compute_ms, bw, 0, B, s_shard, H, A, tp
-                ),
-                feasible=True,
-            )
-
-        # (1) offload only what hides completely: attention-class first,
-        # then by bytes, stopping at the deficit.
-        sized = [
-            (c, chunk_retained_bytes(c, B, s_shard, H, A, tp))
-            for c in chunk_list
-            if c.offloadable
-        ]
-        overlappable = [
-            (c, size)
-            for c, size in sized
-            if size >= threshold_bytes and size / bw * 1e3 <= block_compute_ms
-        ]
-        overlappable.sort(key=lambda item: (not item[0].is_attention_class, -item[1], item[0].name))
-        offload_sel: list[ChunkSpec] = []
-        offload_bytes = 0
-        for chunk, size in overlappable:
-            if offload_bytes >= deficit:
-                break
-            offload_sel.append(chunk)
-            offload_bytes += size
-
-        # (2) recompute whatever deficit remains.
-        remaining = max(0, deficit - offload_bytes)
-        recompute = plan_recompute(
-            chunk_list,
-            remaining,
-            B,
-            s_shard,
-            H,
-            A,
-            tp,
-            exclude=[c.name for c in offload_sel],
+    s_shard = S // cp
+    if deficit <= 0:
+        return StrategyPlan(
+            recompute=plan_recompute(chunk_list, 0, B, s_shard, H, A, tp),
+            offload=plan_activation_offload(
+                chunk_list, block_compute_ms, bw, 0, B, s_shard, H, A, tp
+            ),
+            feasible=True,
         )
-        transfer_ms = offload_bytes / bw * 1e3 if offload_bytes else 0.0
-        offload = ActivationOffloadPlan(
-            selected=tuple(sorted(c.name for c in offload_sel)),
-            bytes_per_layer=offload_bytes,
-            transfer_ms_per_layer=transfer_ms,
-            exposed_ms_per_layer_per_direction=max(0.0, transfer_ms - block_compute_ms),
-            deficit_covered=offload_bytes + recompute.bytes_saved_per_layer >= deficit,
-        )
-        host_needed = offload_bytes * num_layers
-        if host_needed > cluster.host_mem:
-            last_diag = (
+
+    # (1) offload only what hides completely: attention-class first,
+    # then by bytes, stopping at the deficit.
+    sized = [
+        (c, chunk_retained_bytes(c, B, s_shard, H, A, tp))
+        for c in chunk_list
+        if c.offloadable
+    ]
+    overlappable = [
+        (c, size)
+        for c, size in sized
+        if size >= threshold_bytes and size / bw * 1e3 <= block_compute_ms
+    ]
+    overlappable.sort(key=lambda item: (not item[0].is_attention_class, -item[1], item[0].name))
+    offload_sel: list[ChunkSpec] = []
+    offload_bytes = 0
+    for chunk, size in overlappable:
+        if offload_bytes >= deficit:
+            break
+        offload_sel.append(chunk)
+        offload_bytes += size
+
+    # (2) recompute whatever deficit remains.
+    remaining = max(0, deficit - offload_bytes)
+    recompute = plan_recompute(
+        chunk_list,
+        remaining,
+        B,
+        s_shard,
+        H,
+        A,
+        tp,
+        exclude=[c.name for c in offload_sel],
+    )
+    transfer_ms = offload_bytes / bw * 1e3 if offload_bytes else 0.0
+    offload = ActivationOffloadPlan(
+        selected=tuple(sorted(c.name for c in offload_sel)),
+        bytes_per_layer=offload_bytes,
+        transfer_ms_per_layer=transfer_ms,
+        exposed_ms_per_layer_per_direction=max(0.0, transfer_ms - block_compute_ms),
+        deficit_covered=offload_bytes + recompute.bytes_saved_per_layer >= deficit,
+    )
+    host_needed = offload_bytes * num_layers
+    if host_needed > cluster.host_mem:
+        return StrategyPlan(
+            recompute,
+            offload,
+            feasible=False,
+            diagnostic=(
                 f"cp={cp}: offloaded activations ({host_needed / 1e9:.1f} GB) "
                 f"exceed host memory ({cluster.host_mem / 1e9:.1f} GB)"
-            )
-            continue
-        if recompute.feasible and offload.deficit_covered:
-            return StrategyPlan(cp=cp, recompute=recompute, offload=offload, feasible=True)
-        last_diag = (
-            f"cp={cp}: deficit {deficit / MIB:.0f} MiB/layer exceeds offloadable "
-            f"+ recomputable savings {(offload_bytes + recompute.bytes_saved_per_layer) / MIB:.0f} MiB/layer"
+            ),
         )
-    return StrategyPlan(
-        cp=max(cp_candidates),
-        recompute=plan_recompute(chunk_list, 0, B, S, H, A, tp),
-        offload=plan_activation_offload(chunk_list, block_compute_ms, bw, 0, B, S, H, A, tp),
-        feasible=False,
-        diagnostic=last_diag or "no feasible strategy combination",
-    )
+    if not (recompute.feasible and offload.deficit_covered):
+        return StrategyPlan(
+            recompute,
+            offload,
+            feasible=False,
+            diagnostic=(
+                f"cp={cp}: deficit {deficit / MIB:.0f} MiB/layer exceeds offloadable "
+                f"+ recomputable savings {(offload_bytes + recompute.bytes_saved_per_layer) / MIB:.0f} MiB/layer"
+            ),
+        )
+    return StrategyPlan(recompute, offload, feasible=True)

@@ -4,7 +4,7 @@
 parallel layouts, balances offload/recompute per candidate and simulates
 the step, producing one ranked report. Emission is byte-stable: fixed key
 order, floats at three decimals, so identical configs yield identical
-bytes regardless of worker count.
+bytes.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .buckets import Bucket, VaeSpec, check_token_balance, token_count
-from .comm import build_comm_plan, cp_gate_and_comm, enumerate_parallel_configs
+from .buckets import Bucket, VaeSpec, check_token_balance, snap_bucket, token_count
+from .comm import build_comm_plan, enumerate_parallel_configs
 from .config import (
     ParallelConfig,
     PlanningConfig,
@@ -152,28 +152,31 @@ def _evaluate_candidate(
         "tokens_per_batch": shape.tokens_batch,
     }
 
-    gate = cp_gate_and_comm(
-        shape.tokens_batch,
-        B,
-        S,
-        arch.hidden_size,
-        par.cp,
-        dtypes.act_bytes,
-        cluster.inter_node_bw,
-        config.overlap.collective_latency_ms,
-    )
-    if gate.violation is not None:
-        return {**base, "feasible": False, "diagnostic": gate.violation}
-
-    states = model_states_bytes(P, dtypes, par)
-    full_act = activation_per_layer(
-        chunks, B, s_shard, arch.hidden_size, arch.num_heads, par.tp
-    )
     fwd_flops = flops_per_microstep(arch, B, S)
     eff_share = config.overlap.efficiency * cluster.peak_flops_per_device * par.tp * par.cp
     fwd_microstep_ms = fwd_flops / eff_share * 1e3
     block_compute_ms = fwd_microstep_ms / L
     bwd_window_ms = 2 * fwd_microstep_ms
+    try:
+        comm = build_comm_plan(
+            arch,
+            cluster,
+            dtypes,
+            par,
+            B,
+            S,
+            P,
+            config.overlap,
+            first_fwd_window_ms=fwd_microstep_ms,
+            last_bwd_window_ms=bwd_window_ms,
+        )
+    except InfeasibleError as exc:
+        return {**base, "feasible": False, "diagnostic": str(exc)}
+
+    states = model_states_bytes(P, dtypes, par)
+    full_act = activation_per_layer(
+        chunks, B, s_shard, arch.hidden_size, arch.num_heads, par.tp
+    )
     pcie = effective_pcie_bw(cluster, cluster.devices_per_numa)
 
     attempts: list[tuple[bool, bool]]  # (offload_optimizer, offload_activations)
@@ -198,10 +201,10 @@ def _evaluate_candidate(
 
         if act_off:
             strategy = balance_strategies(
-                lambda _cp: required,
+                required,
                 chunks,
                 cluster,
-                [par.cp],
+                par.cp,
                 block_compute_ms,
                 L,
                 B,
@@ -241,18 +244,6 @@ def _evaluate_candidate(
             activation_transfer_ms_per_layer=act_plan.transfer_ms_per_layer,
             activation_exposed_ms_per_microstep=act_plan.exposed_ms_per_layer * L,
             effective_pcie_bw=pcie,
-        )
-        comm = build_comm_plan(
-            arch,
-            cluster,
-            dtypes,
-            par,
-            B,
-            S,
-            P,
-            config.overlap,
-            first_fwd_window_ms=fwd_microstep_ms,
-            last_bwd_window_ms=bwd_window_ms,
         )
         try:
             est = estimate_step(
@@ -346,7 +337,8 @@ def run_train_plan(
         if not config.buckets:
             raise ConfigError("config has neither stages nor buckets", "stages")
         stages = [
-            StageScenario(name=f"bucket-{b.label()}", video_bucket=b) for b in config.buckets
+            StageScenario(name=f"bucket-{b.label()}", video_bucket=snap_bucket(b, vae, arch))
+            for b in config.buckets
         ]
 
     groups: list[tuple[str, str, Bucket, list[ParallelConfig]]] = []
@@ -359,8 +351,6 @@ def run_train_plan(
                     arch,
                     cluster,
                     bucket,
-                    config.dtypes,
-                    config.overlap,
                     vae,
                     zero_stage=config.parallel.zero_stage,
                     grad_accum=config.parallel.grad_accum,

@@ -14,14 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .buckets import Bucket, VaeSpec, token_count
-from .comm import CommPlan, build_comm_plan
+from .comm import CommPlan
 from .config import (
     ClusterSpec,
     DTypePolicy,
     ModelArch,
-    OverlapConfig,
     ParallelConfig,
-    StageScenario,
     estimate_param_count,
     resolved_param_count,
 )
@@ -187,90 +185,3 @@ def estimate_step(
         efficiency=efficiency,
         tokens=shape.tokens_batch,
     )
-
-
-@dataclass(frozen=True)
-class StageEstimate:
-    stage: str
-    bucket_kind: str
-    bucket: Bucket
-    estimate: StepEstimate
-    recompute: RecomputePlan | None = None
-
-
-def simulate_stages(
-    stages: list[StageScenario] | tuple[StageScenario, ...],
-    arch: ModelArch,
-    cluster: ClusterSpec,
-    par: ParallelConfig,
-    dtypes: DTypePolicy = DTypePolicy(),
-    chunks: ChunkTable | None = None,
-    overlap: OverlapConfig = OverlapConfig(),
-    vae: VaeSpec = VaeSpec(),
-    auto_recompute: bool = True,
-) -> list[StageEstimate]:
-    """One estimate per stage bucket (images and videos reported separately).
-
-    With ``auto_recompute``, each bucket gets the minimal recompute plan
-    that fits device memory; buckets that cannot fit even with full
-    recomputation propagate :class:`MemoryOverflowError`.
-    """
-    from .memory import BUILTIN_CHUNKS
-    from .recompute import plan_recompute
-
-    chunks = chunks or BUILTIN_CHUNKS
-    results = []
-    for stage in stages:
-        for kind, bucket in stage.buckets():
-            shape = token_count(bucket, vae, arch)
-            s_shard = shape.tokens // par.cp if par.cp > 1 else shape.tokens
-            recompute = None
-            if auto_recompute:
-                states = model_states_bytes(resolved_param_count(arch), dtypes, par)
-                full = activation_per_layer(
-                    chunks, bucket.batch, s_shard, arch.hidden_size, arch.num_heads, par.tp
-                )
-                budget = cluster.device_mem - states.total
-                deficit = full - budget / max(1, arch.num_layers)
-                required = max(0, int(deficit))
-                recompute = plan_recompute(
-                    chunks,
-                    required,
-                    bucket.batch,
-                    s_shard,
-                    arch.hidden_size,
-                    arch.num_heads,
-                    par.tp,
-                )
-            comm = build_comm_plan(
-                arch,
-                cluster,
-                dtypes,
-                par,
-                bucket.batch,
-                shape.tokens,
-                resolved_param_count(arch),
-                overlap,
-            )
-            estimate = estimate_step(
-                arch,
-                bucket,
-                par,
-                cluster,
-                dtypes,
-                recompute=recompute,
-                comm=comm,
-                chunks=chunks,
-                efficiency=overlap.efficiency,
-                vae=vae,
-            )
-            results.append(
-                StageEstimate(
-                    stage=stage.name,
-                    bucket_kind=kind,
-                    bucket=bucket,
-                    estimate=estimate,
-                    recompute=recompute,
-                )
-            )
-    return results

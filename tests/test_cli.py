@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ import pytest
 
 import ditplan
 from ditplan.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from ditplan.config import load_config
 from ditplan.presets import reference_config_path
+from ditplan.report import render, run_train_plan
 
 SRC = Path(ditplan.__file__).resolve().parents[1]
 
@@ -190,7 +193,90 @@ def test_simulate_stage_filter(ref_config, capsys):
     assert code == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("stage,")
-    assert len(lines) == 3  # header + image + video rows
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    # image row first, then video in the 115,200-token regime
+    assert [(r["stage"], r["bucket_kind"]) for r in rows] == [
+        ("joint-125x960", "image"),
+        ("joint-125x960", "video"),
+    ]
+    assert [int(r["tokens_per_batch"]) for r in rows] == [3600, 32 * 60 * 60]
+    assert float(rows[1]["step_time_ms"]) > float(rows[0]["step_time_ms"])
+
+
+def _write_config(tmp_path, doc, name="config.json") -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_simulate_matches_plan_train_at_same_layout(tmp_path, capsys):
+    doc = json.loads(reference_config_path().read_text())
+    doc["parallel"].update(tp=8, cp=1, dp=2)
+    config = _write_config(tmp_path, doc)
+    assert main(["simulate", "--config", config]) == EXIT_OK
+    simulated = json.loads(capsys.readouterr().out)
+    assert simulated["parallel"] == {"tp": 8, "cp": 1, "dp": 2}
+    assert main(["plan", "train", "--config", config]) == EXIT_OK
+    planned = json.loads(capsys.readouterr().out)
+    entries = {(s["stage"], s["bucket_kind"]): s["plans"] for s in planned["stages"]}
+    assert len(simulated["stages"]) == len(entries)
+    for row in simulated["stages"]:
+        (entry,) = entries[(row["stage"], row["bucket_kind"])]
+        assert row["timing"] == entry["timing"]
+        assert row["memory"] == entry["memory"]
+        assert row["recompute"]["selected"] == entry["recompute"]["selected"]
+        assert row["offload"]["activation_set"] == entry["offload"]["activation_set"]
+        assert (row["step_time_ms"], row["peak_gb"], row["mfu"]) == (
+            entry["timing"]["step_time_ms"],
+            entry["memory"]["peak_gb"],
+            entry["mfu"],
+        )
+
+
+def test_simulate_validates_config(tmp_path, capsys):
+    doc = json.loads(reference_config_path().read_text())
+    doc["model"]["num_heads"] = 7
+    assert main(["simulate", "--config", _write_config(tmp_path, doc)]) == EXIT_CONFIG
+    assert "num_heads does not divide hidden_size" in capsys.readouterr().err
+
+
+def test_simulate_pinned_cp_below_gate_is_infeasible(tmp_path, capsys):
+    doc = json.loads(reference_config_path().read_text())
+    doc["parallel"].update(tp=8, cp=2, dp=1)
+    argv = ["simulate", "--config", _write_config(tmp_path, doc), "--stage", "t2v-29x320"]
+    assert main(argv) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "t2v-29x320/video 1x29x320x320: cp=2 rejected: 3200 tokens is below the 200000" in (
+        captured.err
+    )
+
+
+def test_plan_train_stages_less_config_plans_snapped_buckets(tmp_path, capsys):
+    doc = json.loads(reference_config_path().read_text())
+    del doc["stages"]
+    assert main(["plan", "train", "--config", _write_config(tmp_path, doc)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert sum(len(s["plans"]) for s in report["stages"]) == 20
+    by_name = {s["stage"]: s["bucket"] for s in report["stages"]}
+    # the stage keeps the input label; the plan uses the snapped bucket
+    assert by_name["bucket-{1,29,480,854}"] == [1, 29, 480, 848]
+
+
+# sha256 prefixes of the reference report, pinned so that refactors of the
+# planner cannot change a byte of it unnoticed.
+REFERENCE_REPORT_SHA256 = {
+    "json": "ffd9cc65af109de6",
+    "csv": "4ed4959a01a6adef",
+    "table": "8d1126265f570187",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(REFERENCE_REPORT_SHA256))
+def test_plan_train_reference_report_bytes(fmt):
+    report = run_train_plan(load_config(reference_config_path()))
+    digest = hashlib.sha256(render(report, fmt).encode()).hexdigest()
+    assert digest.startswith(REFERENCE_REPORT_SHA256[fmt])
 
 
 def test_simulate_unknown_stage(ref_config):

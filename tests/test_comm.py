@@ -12,6 +12,7 @@ from ditplan.comm import (
     tp_sp_layer_comm,
 )
 from ditplan.config import DTypePolicy, ModelArch, OverlapConfig, ParallelConfig
+from ditplan.errors import InfeasibleError
 from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT
 
 DT = DTypePolicy()
@@ -114,6 +115,13 @@ def test_comm_plan_composition():
     )
 
 
+def test_comm_plan_rejects_cp_below_gate():
+    par = ParallelConfig(tp=8, cp=2, dp=1)
+    with pytest.raises(InfeasibleError) as err:
+        build_comm_plan(TABLE2_FIT, REFERENCE_CLUSTER, DT, par, 1, 115_200, 13.4e9)
+    assert str(err.value) == cp_gate_and_comm(115_200, 1, 115_200, 3072, 2, 2, 50e9).violation
+
+
 def test_enumerate_gates_cp_for_short_sequences():
     configs = enumerate_parallel_configs(
         TABLE2_FIT, REFERENCE_CLUSTER, Bucket(1, 125, 720, 1280)
@@ -179,3 +187,27 @@ def test_sync_audit_respects_arch_list():
     )
     report = sync_audit(arch, ParallelConfig(tp=2))
     assert report.flagged() == ("final_proj",)
+
+
+def test_plan_train_costs_comm_once_per_candidate(monkeypatch):
+    import ditplan.comm
+    import ditplan.report
+    from ditplan.config import load_config
+    from ditplan.presets import reference_config_path
+
+    calls = {"build_comm_plan": 0, "cp_gate_and_comm": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(ditplan.report, "build_comm_plan")
+    counting(ditplan.comm, "cp_gate_and_comm")
+    report = ditplan.report.run_train_plan(load_config(reference_config_path()))
+    candidates = report.feasible_count + report.infeasible_count
+    assert calls == {"build_comm_plan": candidates, "cp_gate_and_comm": candidates}

@@ -2,13 +2,13 @@ import pytest
 
 from ditplan.buckets import Bucket
 from ditplan.comm import CommPlan, build_comm_plan
-from ditplan.config import DTypePolicy, ModelArch, OverlapConfig, ParallelConfig, StageScenario
+from ditplan.config import DTypePolicy, ModelArch, OverlapConfig, ParallelConfig
 from ditplan.errors import ConfigError, MemoryOverflowError
 from ditplan.memory import BUILTIN_CHUNKS
 from ditplan.offload import NO_OFFLOAD, OffloadPlan
 from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT
 from ditplan.recompute import RecomputePlan, plan_recompute
-from ditplan.simulate import estimate_step, flops_per_microstep, simulate_stages
+from ditplan.simulate import estimate_step, flops_per_microstep
 
 DT = DTypePolicy()
 REF_BUCKET = Bucket(1, 125, 720, 1280)  # 115,200 tokens
@@ -236,28 +236,3 @@ def test_mfu_invariant_under_joint_rescaling():
         recompute=plan, comm=comm2, chunks=chunks2, enforce_capacity=False,
     )
     assert est2.mfu == pytest.approx(est.mfu, rel=1e-9)
-
-
-def test_simulate_stages_image_and_video_reported_jointly():
-    stage = StageScenario(
-        name="joint-125x960",
-        image_bucket=Bucket(1, 1, 960, 960),
-        video_bucket=Bucket(1, 125, 960, 960),
-        global_batch=256,
-        step_count=10_000,
-        learning_rate=4e-5,
-    )
-    results = simulate_stages(
-        [stage], TABLE2_FIT, REFERENCE_CLUSTER, ParallelConfig(tp=8, cp=1, dp=2)
-    )
-    kinds = [(r.stage, r.bucket_kind) for r in results]
-    assert kinds == [("joint-125x960", "image"), ("joint-125x960", "video")]
-    video = results[1].estimate
-    assert video.tokens == 32 * 60 * 60  # the 115,200-token regime
-    image = results[0].estimate
-    assert image.tokens == 3600
-    assert video.step_time_ms > image.step_time_ms
-
-
-def test_simulate_empty_stage_list():
-    assert simulate_stages([], TABLE2_FIT, REFERENCE_CLUSTER, ParallelConfig()) == []
