@@ -2,12 +2,21 @@ import pytest
 
 from ditplan.buckets import Bucket
 from ditplan.comm import CommPlan, build_comm_plan
-from ditplan.config import DTypePolicy, ModelArch, OverlapConfig, ParallelConfig
+from ditplan.config import (
+    DTypePolicy,
+    ModelArch,
+    OverlapConfig,
+    ParallelConfig,
+    ParallelSection,
+    PlanningConfig,
+    StageScenario,
+)
 from ditplan.errors import ConfigError, MemoryOverflowError
 from ditplan.memory import BUILTIN_CHUNKS
 from ditplan.offload import NO_OFFLOAD, OffloadPlan
 from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT
 from ditplan.recompute import RecomputePlan, plan_recompute
+from ditplan.report import run_train_plan
 from ditplan.simulate import estimate_step, flops_per_microstep
 
 DT = DTypePolicy()
@@ -236,3 +245,28 @@ def test_mfu_invariant_under_joint_rescaling():
         recompute=plan, comm=comm2, chunks=chunks2, enforce_capacity=False,
     )
     assert est2.mfu == pytest.approx(est.mfu, rel=1e-9)
+
+
+def test_simulate_stages_image_and_video_reported_jointly():
+    # simulate pins its layout and runs plan train's evaluator over the stage
+    stage = StageScenario(
+        name="joint-125x960",
+        image_bucket=Bucket(1, 1, 960, 960),
+        video_bucket=Bucket(1, 125, 960, 960),
+        global_batch=256,
+        step_count=10_000,
+        learning_rate=4e-5,
+    )
+    config = PlanningConfig(
+        model=TABLE2_FIT,
+        cluster=REFERENCE_CLUSTER,
+        parallel=ParallelSection(tp=8, cp=1, dp=2),
+        stages=(stage,),
+    )
+    docs = run_train_plan(config).document["stages"]
+    kinds = [(d["stage"], d["bucket_kind"]) for d in docs]
+    assert kinds == [("joint-125x960", "image"), ("joint-125x960", "video")]
+    (image,), (video,) = (d["plans"] for d in docs)
+    assert video["tokens_per_batch"] == 32 * 60 * 60  # the 115,200-token regime
+    assert image["tokens_per_batch"] == 3600
+    assert video["timing"]["step_time_ms"] > image["timing"]["step_time_ms"]
