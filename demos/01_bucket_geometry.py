@@ -6,13 +6,11 @@ then 1x2x2 patchify turns the latent into tokens. Buckets are chosen so
 different shape classes carry near-equal token counts per batch.
 """
 
-from ditplan import Bucket, VaeSpec, assign_bucket, check_token_balance, latent_shape, token_count
-
-vae = VaeSpec()
+from ditplan import Bucket, assign_bucket, check_token_balance, latent_shape, token_count
 
 print("== latent shapes ==")
 for frames, h, w in [(125, 720, 1280), (29, 640, 640), (1, 640, 640)]:
-    t_lat, h_lat, w_lat = latent_shape(frames, h, w, vae)
+    t_lat, h_lat, w_lat = latent_shape(frames, h, w)
     print(f"  {frames:>3} x {h} x {w}  ->  latent {t_lat} x {h_lat} x {w_lat}")
 
 print()
@@ -37,7 +35,7 @@ print("  flags it rather than silently rescaling the batch dimension.")
 
 print()
 print("== the 115k-token regime ==")
-shape = token_count(Bucket(1, 125, 720, 1280), vae)
+shape = token_count(Bucket(1, 125, 720, 1280))
 print(f"  125-frame 1280x720 video -> {shape.tokens:,} tokens per sample")
 
 print()

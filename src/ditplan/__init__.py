@@ -14,7 +14,6 @@ from .buckets import (
     BucketBalanceReport,
     BucketTransform,
     LatentShape,
-    VaeSpec,
     assign_bucket,
     check_token_balance,
     latent_shape,
@@ -97,7 +96,7 @@ from .recompute import (
     memory_latency_ratio,
     plan_recompute,
 )
-from .report import PlanReport, emit, render, run_train_plan
+from .report import PlanReport, render, run_train_plan
 from .simulate import StepEstimate, estimate_step, flops_per_microstep
 
 __version__ = "0.1.0"

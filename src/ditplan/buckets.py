@@ -10,24 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import ModelArch
+from .config import VAE_SPATIAL_RATIO, VAE_TEMPORAL_RATIO, ModelArch
 from .errors import ConfigError, DimensionError, SampleTooShortError
-
-
-@dataclass(frozen=True)
-class VaeSpec:
-    """Causal video VAE compression: 1 + T/temporal_ratio frames,
-    height/width divided by spatial_ratio."""
-
-    temporal_ratio: int = 4
-    spatial_ratio: int = 8
-    latent_channels: int = 8
-
-    def __post_init__(self):
-        if self.temporal_ratio < 1 or self.spatial_ratio < 1:
-            raise ConfigError("compression ratios must be >= 1", "vae")
-        if self.latent_channels < 1:
-            raise ConfigError("latent_channels must be >= 1", "vae.latent_channels")
 
 
 @dataclass(frozen=True)
@@ -62,34 +46,34 @@ class LatentShape:
     tokens_batch: int
 
 
-def latent_shape(frames: int, height: int, width: int, vae: VaeSpec = VaeSpec()) -> tuple[int, int, int]:
+def latent_shape(frames: int, height: int, width: int) -> tuple[int, int, int]:
     """Pre-patchify latent dims of a (frames, height, width) video.
 
     The leading frame is kept whole, the remaining frames compress by
-    ``temporal_ratio``; spatial dims must divide by ``spatial_ratio``.
+    ``VAE_TEMPORAL_RATIO``; spatial dims must divide by ``VAE_SPATIAL_RATIO``.
     """
     if frames < 1:
         raise DimensionError("frames must be >= 1", "frames")
-    if (frames - 1) % vae.temporal_ratio != 0:
+    if (frames - 1) % VAE_TEMPORAL_RATIO != 0:
         raise DimensionError(
-            f"frames-1 must be divisible by the temporal ratio {vae.temporal_ratio}", "frames"
+            f"frames-1 must be divisible by the temporal ratio {VAE_TEMPORAL_RATIO}", "frames"
         )
-    if height % vae.spatial_ratio != 0:
+    if height % VAE_SPATIAL_RATIO != 0:
         raise DimensionError(
-            f"height {height} not divisible by spatial ratio {vae.spatial_ratio}", "height"
+            f"height {height} not divisible by spatial ratio {VAE_SPATIAL_RATIO}", "height"
         )
-    if width % vae.spatial_ratio != 0:
+    if width % VAE_SPATIAL_RATIO != 0:
         raise DimensionError(
-            f"width {width} not divisible by spatial ratio {vae.spatial_ratio}", "width"
+            f"width {width} not divisible by spatial ratio {VAE_SPATIAL_RATIO}", "width"
         )
-    t_lat = 1 + (frames - 1) // vae.temporal_ratio
-    return (t_lat, height // vae.spatial_ratio, width // vae.spatial_ratio)
+    t_lat = 1 + (frames - 1) // VAE_TEMPORAL_RATIO
+    return (t_lat, height // VAE_SPATIAL_RATIO, width // VAE_SPATIAL_RATIO)
 
 
-def token_count(bucket: Bucket, vae: VaeSpec = VaeSpec(), arch: ModelArch | None = None) -> LatentShape:
+def token_count(bucket: Bucket, arch: ModelArch | None = None) -> LatentShape:
     """Tokens per sample (post-patchify, ceiling division) and per batch."""
     patch = (arch.patch_t, arch.patch_h, arch.patch_w) if arch is not None else (1, 2, 2)
-    t_lat, h_lat, w_lat = latent_shape(bucket.frames, bucket.height, bucket.width, vae)
+    t_lat, h_lat, w_lat = latent_shape(bucket.frames, bucket.height, bucket.width)
     tokens = (
         math.ceil(t_lat / patch[0]) * math.ceil(h_lat / patch[1]) * math.ceil(w_lat / patch[2])
     )
@@ -104,7 +88,7 @@ def snap_to_multiple(value: int, multiple: int) -> int:
     return max(multiple, snapped)
 
 
-def snap_bucket(bucket: Bucket, vae: VaeSpec = VaeSpec(), arch: ModelArch | None = None) -> Bucket:
+def snap_bucket(bucket: Bucket, arch: ModelArch | None = None) -> Bucket:
     """Round bucket height/width to the nearest VAE-and-patch-compatible size.
 
     Published bucket lists include entries such as 480x854 that no 8x
@@ -113,8 +97,8 @@ def snap_bucket(bucket: Bucket, vae: VaeSpec = VaeSpec(), arch: ModelArch | None
     """
     patch_h = arch.patch_h if arch is not None else 2
     patch_w = arch.patch_w if arch is not None else 2
-    grain_h = vae.spatial_ratio * patch_h
-    grain_w = vae.spatial_ratio * patch_w
+    grain_h = VAE_SPATIAL_RATIO * patch_h
+    grain_w = VAE_SPATIAL_RATIO * patch_w
     height = snap_to_multiple(bucket.height, grain_h)
     width = snap_to_multiple(bucket.width, grain_w)
     if (height, width) == (bucket.height, bucket.width):
@@ -188,9 +172,7 @@ class BucketBalanceReport:
 def check_token_balance(
     buckets: list[Bucket] | tuple[Bucket, ...],
     tolerance: float = 0.01,
-    vae: VaeSpec = VaeSpec(),
     arch: ModelArch | None = None,
-    snap_nondivisible: bool = True,
 ) -> BucketBalanceReport:
     """Flag bucket pairs whose per-batch token counts diverge beyond tolerance.
 
@@ -200,8 +182,8 @@ def check_token_balance(
     """
     entries = []
     for bucket in buckets:
-        snapped = snap_bucket(bucket, vae, arch) if snap_nondivisible else bucket
-        shape = token_count(snapped, vae, arch)
+        snapped = snap_bucket(bucket, arch)
+        shape = token_count(snapped, arch)
         entries.append(
             BucketBalanceEntry(
                 bucket=bucket, snapped=snapped, tokens=shape.tokens, tokens_batch=shape.tokens_batch

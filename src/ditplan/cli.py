@@ -2,7 +2,11 @@
 
 Subcommands: ``plan train``, ``plan infer``, ``plan recompute``,
 ``plan windows``, ``plan vae-tiles``, ``buckets check``, ``simulate``.
-Exit codes: 0 success, 2 config error, 3 infeasible, 4 I/O error.
+Every subcommand takes ``--out``; ``--config`` goes to the three that read
+a planning config (``plan train``, ``buckets check``, ``simulate``) and
+``--format`` to the two with more than one emitter (``plan train``,
+``simulate``). Exit codes: 0 success, 2 config error, 3 infeasible, 4 I/O
+error.
 """
 
 from __future__ import annotations
@@ -10,12 +14,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 from .buckets import check_token_balance
-from .config import load_config
+from .config import finite_number, load_config, require_valid
 from .errors import ConfigError, InfeasibleError, PlanningError
 from .inference import plan_cache, plan_temporal_windows, plan_vae_tiles
 from .memory import BUILTIN_CHUNKS, MIB, chunk_retained_bytes, load_chunk_table
@@ -39,10 +42,14 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _write_out(json.dumps(payload, indent=2) + "\n", out)
 
 
-def _add_common(parser: argparse.ArgumentParser, config_required: bool = False) -> None:
-    parser.add_argument("--config", required=config_required, help="planning config JSON")
+def _add_common(
+    parser: argparse.ArgumentParser, config: bool = False, formats: bool = False
+) -> None:
+    if config:
+        parser.add_argument("--config", required=True, help="planning config JSON")
     parser.add_argument("--out", default=None, help="write output here instead of stdout")
-    parser.add_argument("--format", default="json", choices=("json", "table", "csv"))
+    if formats:
+        parser.add_argument("--format", default="json", choices=("json", "table", "csv"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan_subs = plan.add_subparsers(dest="plan_command", required=True)
 
     train = plan_subs.add_parser("train", help="enumerate, balance and rank training plans")
-    _add_common(train, config_required=True)
+    _add_common(train, config=True, formats=True)
     train.add_argument("--offload", default="auto", choices=("auto", "off", "optimizer-only"))
     train.add_argument("--chunk-table", default=None, help="chunk table JSON (default: built-in)")
 
@@ -89,11 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
     buckets = subs.add_parser("buckets", help="bucket utilities")
     bucket_subs = buckets.add_subparsers(dest="bucket_command", required=True)
     check = bucket_subs.add_parser("check", help="token-balance check across buckets")
-    _add_common(check, config_required=True)
+    _add_common(check, config=True)
     check.add_argument("--tolerance", type=float, default=0.01)
 
     sim = subs.add_parser("simulate", help="per-stage step estimates")
-    _add_common(sim, config_required=True)
+    _add_common(sim, config=True, formats=True)
     sim.add_argument("--stage", default=None, help="only this stage name")
     sim.add_argument("--chunk-table", default=None)
 
@@ -111,15 +118,8 @@ def _parse_triple(text: str, flag: str) -> tuple[int, int, int]:
     return (t, h, w)
 
 
-def _finite(value: float, flag: str) -> float:
-    if not math.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {value}", flag)
-    return value
-
-
 def _chunks_from(args: argparse.Namespace):
-    table = getattr(args, "chunk_table", None)
-    return load_chunk_table(table) if table else BUILTIN_CHUNKS
+    return load_chunk_table(args.chunk_table) if args.chunk_table else BUILTIN_CHUNKS
 
 
 def _cmd_plan_train(args: argparse.Namespace) -> int:
@@ -153,7 +153,7 @@ def _cmd_plan_infer(args: argparse.Namespace) -> int:
 def _cmd_plan_recompute(args: argparse.Namespace) -> int:
     chunks = _chunks_from(args)
     ref = (chunks.ref_batch, chunks.ref_seqlen, chunks.ref_hidden, chunks.ref_heads, chunks.ref_tp)
-    required = int(_finite(args.required_mb, "--required-mb") * MIB)
+    required = int(finite_number(args.required_mb, "--required-mb") * MIB)
     plan = plan_recompute(chunks, required, *ref)
     lines = [
         f"{'chunk':<28} {'retained_mib':>12} {'latency_ms':>10} {'ratio':>8} {'selected':>9}"
@@ -212,9 +212,10 @@ def _cmd_plan_vae_tiles(args: argparse.Namespace) -> int:
 
 def _cmd_buckets_check(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    require_valid(config)
     if not config.buckets:
         raise ConfigError("config has no buckets", "buckets")
-    tolerance = _finite(args.tolerance, "--tolerance")
+    tolerance = finite_number(args.tolerance, "--tolerance")
     report = check_token_balance(config.buckets, tolerance, arch=config.model)
     payload = {
         "tolerance": tolerance,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .buckets import Bucket, VaeSpec, token_count
+from .buckets import Bucket, token_count
 from .config import ClusterSpec, DTypePolicy, ModelArch, OverlapConfig, ParallelConfig
 from .errors import ConfigError, InfeasibleError
 
@@ -223,7 +223,6 @@ def enumerate_parallel_configs(
     arch: ModelArch,
     cluster: ClusterSpec,
     bucket: Bucket,
-    vae: VaeSpec = VaeSpec(),
     zero_stage: str = "optimizer-partitioned",
     grad_accum: int = 1,
 ) -> list[ParallelConfig]:
@@ -233,7 +232,7 @@ def enumerate_parallel_configs(
     CP takes power-of-two degrees only above the token gate, keeping
     context parallelism minimally viable; DP absorbs the rest.
     """
-    tokens_batch = token_count(bucket, vae, arch).tokens_batch
+    tokens_batch = token_count(bucket, arch).tokens_batch
     total = cluster.total_devices
     candidates: list[ParallelConfig] = []
     for tp in _divisors(cluster.devices_per_node):

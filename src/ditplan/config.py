@@ -10,6 +10,7 @@ every problem at once.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -20,6 +21,14 @@ ADALN_MODES = ("shared-weights", "per-block-dedicated")
 ZERO_STAGES = ("none", "optimizer-partitioned")
 
 _DTYPE_WIDTHS = (1, 2, 4, 8)
+
+# The causal video VAE every planned model sits behind: the leading frame
+# stays whole and the rest compress by the temporal ratio, height and width
+# divide by the spatial ratio, and each latent pixel carries this many
+# channels.
+VAE_TEMPORAL_RATIO = 4
+VAE_SPATIAL_RATIO = 8
+VAE_LATENT_CHANNELS = 8
 
 
 @dataclass(frozen=True)
@@ -221,9 +230,7 @@ class ParamCountEstimate:
     embedding_head: float
 
 
-def estimate_param_count(
-    arch: ModelArch, latent_channels: int = 8
-) -> ParamCountEstimate:
+def estimate_param_count(arch: ModelArch) -> ParamCountEstimate:
     """Estimate parameters from dims when the true count is not supplied.
 
     Per transformer block: 4*H^2 attention (QKV + output projection) plus
@@ -239,7 +246,7 @@ def estimate_param_count(
         adaln = arch.num_layers * 6 * h2
     else:
         adaln = 6 * h2
-    in_features = arch.patch_volume * latent_channels
+    in_features = arch.patch_volume * VAE_LATENT_CHANNELS
     embedding_head = 2 * in_features * arch.hidden_size
     return ParamCountEstimate(
         total=float(transformer + adaln + embedding_head),
@@ -323,6 +330,14 @@ class PlanningConfig:
     fitted_fields: tuple[str, ...] = ()
 
 
+def require_valid(config: PlanningConfig) -> None:
+    """Raise :class:`ConfigError` listing every :func:`validate` violation of
+    the config's pinned layout, or of tp=cp=dp=1 when none is pinned."""
+    violations = validate(config.model, config.cluster, config.parallel.pinned or ParallelConfig())
+    if violations:
+        raise ConfigError("; ".join(violations), "config")
+
+
 # ---------------------------------------------------------------------------
 # Strict JSON ingestion. Unknown keys are rejected with the offending path.
 # ---------------------------------------------------------------------------
@@ -372,15 +387,37 @@ def _reject_unknown(obj: Mapping[str, Any], allowed: Iterable[str], path: str) -
             raise ConfigError("unknown key", f"{path}.{key}" if path else key)
 
 
+def finite_number(value: Any, path: str) -> int | float:
+    """``value`` unchanged when it is a finite JSON number; bools, strings,
+    nulls, NaN and infinities raise :class:`ConfigError` at ``path``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError("expected a number", path)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"expected a finite number, got {value}", path)
+    return value
+
+
+def integer_value(value: Any, path: str) -> int:
+    """``value`` as an int when it is a whole JSON number, else a :class:`ConfigError`."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError("expected an integer", path)
+
+
 def _int_fields(obj: Mapping[str, Any], names: Iterable[str], path: str) -> dict[str, int]:
-    out = {}
-    for name in names:
-        if name in obj:
-            value = obj[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
-                raise ConfigError("expected an integer", f"{path}.{name}")
-            out[name] = int(value)
-    return out
+    return {name: integer_value(obj[name], f"{path}.{name}") for name in names if name in obj}
+
+
+def _float_fields(obj: Mapping[str, Any], names: Iterable[str], path: str) -> dict[str, float]:
+    return {
+        name: float(finite_number(obj[name], f"{path}.{name}")) for name in names if name in obj
+    }
 
 
 def _parse_bucket(entry: Any, path: str) -> "Bucket":
@@ -388,11 +425,7 @@ def _parse_bucket(entry: Any, path: str) -> "Bucket":
 
     if not isinstance(entry, (list, tuple)) or len(entry) != 4:
         raise ConfigError("bucket must be [batch, frames, height, width]", path)
-    values = []
-    for i, v in enumerate(entry):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v):
-            raise ConfigError("expected an integer", f"{path}[{i}]")
-        values.append(int(v))
+    values = [integer_value(v, f"{path}[{i}]") for i, v in enumerate(entry)]
     try:
         return Bucket(*values)
     except ConfigError as exc:
@@ -418,8 +451,8 @@ def parse_config(doc: Mapping[str, Any]) -> PlanningConfig:
     )
     if "adaln_mode" in model_doc:
         model_kwargs["adaln_mode"] = model_doc["adaln_mode"]
-    if "param_count" in model_doc and model_doc["param_count"] is not None:
-        model_kwargs["param_count"] = float(model_doc["param_count"])
+    if model_doc.get("param_count") is not None:
+        model_kwargs.update(_float_fields(model_doc, ("param_count",), "model"))
     if "extra_unpartitioned_layers" in model_doc:
         layers = model_doc["extra_unpartitioned_layers"]
         if not isinstance(layers, (list, tuple)) or not all(isinstance(x, str) for x in layers):
@@ -434,9 +467,9 @@ def parse_config(doc: Mapping[str, Any]) -> PlanningConfig:
         raise ConfigError("missing required key", f"cluster.{missing[0]}")
     cluster = ClusterSpec(
         **_int_fields(cluster_doc, ("num_nodes", "devices_per_node", "devices_per_numa"), "cluster"),
-        **{
-            k: float(cluster_doc[k])
-            for k in (
+        **_float_fields(
+            cluster_doc,
+            (
                 "device_mem",
                 "peak_flops_per_device",
                 "intra_node_bw",
@@ -444,8 +477,9 @@ def parse_config(doc: Mapping[str, Any]) -> PlanningConfig:
                 "pcie_bw_per_device",
                 "host_write_bw_per_numa",
                 "host_mem",
-            )
-        },
+            ),
+            "cluster",
+        ),
     )
 
     dtypes = DTypePolicy()
@@ -471,7 +505,7 @@ def parse_config(doc: Mapping[str, Any]) -> PlanningConfig:
     if "overlap" in doc:
         ov_doc = _require_mapping(doc["overlap"], "overlap")
         _reject_unknown(ov_doc, _OVERLAP_KEYS, "overlap")
-        overlap = OverlapConfig(**{k: float(ov_doc[k]) for k in _OVERLAP_KEYS if k in ov_doc})
+        overlap = OverlapConfig(**_float_fields(ov_doc, _OVERLAP_KEYS, "overlap"))
 
     buckets: list[Any] = []
     if "buckets" in doc:
@@ -489,15 +523,16 @@ def parse_config(doc: Mapping[str, Any]) -> PlanningConfig:
             path = f"stages[{i}]"
             stage_doc = _require_mapping(entry, path)
             _reject_unknown(stage_doc, _STAGE_KEYS, path)
-            if "name" not in stage_doc or not isinstance(stage_doc["name"], str):
+            if not isinstance(stage_doc.get("name"), str):
                 raise ConfigError("stage needs a string name", f"{path}.name")
+            if any(stage.name == stage_doc["name"] for stage in stages):
+                raise ConfigError(f"duplicate stage name {stage_doc['name']!r}", f"{path}.name")
             kwargs: dict[str, Any] = {"name": stage_doc["name"]}
             for which in ("image_bucket", "video_bucket"):
                 if which in stage_doc and stage_doc[which] is not None:
                     kwargs[which] = _parse_bucket(stage_doc[which], f"{path}.{which}")
             kwargs.update(_int_fields(stage_doc, ("global_batch", "step_count"), path))
-            if "learning_rate" in stage_doc:
-                kwargs["learning_rate"] = float(stage_doc["learning_rate"])
+            kwargs.update(_float_fields(stage_doc, ("learning_rate",), path))
             stages.append(StageScenario(**kwargs))
 
     return PlanningConfig(
@@ -514,11 +549,9 @@ def parse_config(doc: Mapping[str, Any]) -> PlanningConfig:
 def load_config(path: str | Path) -> PlanningConfig:
     """Parse a planning config from a JSON file."""
     try:
-        text = Path(path).read_text()
+        doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", str(path)) from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an int too long to convert
         raise ConfigError(f"invalid JSON: {exc}", str(path)) from exc
     return parse_config(doc)

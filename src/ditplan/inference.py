@@ -162,10 +162,6 @@ class TilePlan:
             weight[slices] = profile / total[slices]
             yield weight
 
-    def weight_maps(self) -> list[np.ndarray]:
-        """Eager weight maps; prefer :meth:`iter_weight_maps` for many tiles."""
-        return list(self.iter_weight_maps())
-
 
 def _axis_ramp(size: int, overlap: int) -> np.ndarray:
     import numpy as np

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .config import DTypePolicy, ParallelConfig
+from .config import DTypePolicy, ParallelConfig, finite_number, integer_value
 from .errors import ConfigError, MalformedTimelineError
 
 MIB = 1024 * 1024
@@ -63,6 +63,9 @@ def chunk_retained_bytes(chunk: ChunkSpec, B: int, S: int, H: int, A: int, tp: i
     return round(raw)
 
 
+_CHUNK_TABLE_REFS = ("ref_batch", "ref_seqlen", "ref_hidden", "ref_heads", "ref_tp")
+
+
 @dataclass(frozen=True)
 class ChunkTable:
     """A named set of chunks plus the shape their latencies were profiled at."""
@@ -78,6 +81,9 @@ class ChunkTable:
         names = [c.name for c in self.chunks]
         if len(names) != len(set(names)):
             raise ConfigError("duplicate chunk names", "chunks")
+        for name in _CHUNK_TABLE_REFS:
+            if getattr(self, name) < 1:
+                raise ConfigError("must be >= 1", name)
 
     def by_name(self, name: str) -> ChunkSpec:
         for chunk in self.chunks:
@@ -113,24 +119,24 @@ def load_chunk_table(path: str | Path) -> ChunkTable:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read chunk table: {exc}", str(path)) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid JSON: {exc}", str(path)) from exc
-    if not isinstance(doc, dict) or "chunks" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("chunks"), list):
         raise ConfigError("expected an object with a 'chunks' array", str(path))
     chunks = []
     for i, entry in enumerate(doc["chunks"]):
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ConfigError("chunk entry needs a name", f"chunks[{i}]")
+        where = f"chunks[{i}]"
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise ConfigError("chunk entry needs a string name", where)
         known = {"name", "coeff_bsh", "coeff_bas", "fwd_latency_ms", "recomputable", "offloadable"}
         unknown = set(entry) - known
         if unknown:
-            raise ConfigError("unknown key", f"chunks[{i}].{sorted(unknown)[0]}")
+            raise ConfigError("unknown key", f"{where}.{sorted(unknown)[0]}")
+        for key in ("coeff_bsh", "coeff_bas", "fwd_latency_ms"):
+            if key in entry:
+                finite_number(entry[key], f"{where}.{key}")
         chunks.append(ChunkSpec(**entry))
-    meta = {
-        k: doc[k]
-        for k in ("ref_batch", "ref_seqlen", "ref_hidden", "ref_heads", "ref_tp")
-        if k in doc
-    }
+    meta = {k: integer_value(doc[k], k) for k in _CHUNK_TABLE_REFS if k in doc}
     return ChunkTable(chunks=tuple(chunks), **meta)
 
 

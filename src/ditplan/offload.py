@@ -18,7 +18,7 @@ from .memory import MIB, ChunkSpec, ChunkTable, chunk_retained_bytes
 from .recompute import RecomputePlan, plan_recompute
 
 # Tensors below this size are not worth an offload round trip.
-DEFAULT_OFFLOAD_THRESHOLD_BYTES = 64 * MIB
+OFFLOAD_THRESHOLD_BYTES = 64 * MIB
 
 
 def plan_optimizer_offload(
@@ -73,23 +73,18 @@ def plan_activation_offload(
     H: int = 3072,
     A: int = 24,
     tp: int = 8,
-    exclude: Sequence[str] = (),
-    threshold_bytes: int = DEFAULT_OFFLOAD_THRESHOLD_BYTES,
 ) -> ActivationOffloadPlan:
     """Stage the largest offload-eligible activations until the deficit is covered.
 
-    ``exclude`` holds chunks already recomputed (the two sets must stay
-    disjoint). Each direction's transfer overlaps one adjacent block's
-    compute; the shortfall is exposed, per layer, per direction.
+    Each direction's transfer overlaps one adjacent block's compute; the
+    shortfall is exposed, per layer, per direction.
     """
     chunk_list = chunks.chunks if isinstance(chunks, ChunkTable) else tuple(chunks)
-    excluded = set(exclude)
     eligible = [
         c
         for c in chunk_list
         if c.offloadable
-        and c.name not in excluded
-        and chunk_retained_bytes(c, B, S, H, A, tp) >= threshold_bytes
+        and chunk_retained_bytes(c, B, S, H, A, tp) >= OFFLOAD_THRESHOLD_BYTES
     ]
     eligible.sort(key=lambda c: (-chunk_retained_bytes(c, B, S, H, A, tp), c.name))
     selected: list[ChunkSpec] = []
@@ -114,24 +109,16 @@ class OffloadPlan:
     """Combined optimizer + activation offload outcome for one layout."""
 
     optimizer_offloaded: bool
-    optimizer_transfer_ms: float
     optimizer_exposed_ms: float
     activation_offload_set: tuple[str, ...]
-    activation_bytes_per_layer: int
-    activation_transfer_ms_per_layer: float
     activation_exposed_ms_per_microstep: float
-    effective_pcie_bw: float
 
 
 NO_OFFLOAD = OffloadPlan(
     optimizer_offloaded=False,
-    optimizer_transfer_ms=0.0,
     optimizer_exposed_ms=0.0,
     activation_offload_set=(),
-    activation_bytes_per_layer=0,
-    activation_transfer_ms_per_layer=0.0,
     activation_exposed_ms_per_microstep=0.0,
-    effective_pcie_bw=0.0,
 )
 
 
@@ -161,7 +148,6 @@ def balance_strategies(
     H: int = 3072,
     A: int = 24,
     tp: int = 8,
-    threshold_bytes: int = DEFAULT_OFFLOAD_THRESHOLD_BYTES,
 ) -> StrategyPlan:
     """Cover a per-layer memory deficit with the cheapest mix of techniques.
 
@@ -193,7 +179,7 @@ def balance_strategies(
     overlappable = [
         (c, size)
         for c, size in sized
-        if size >= threshold_bytes and size / bw * 1e3 <= block_compute_ms
+        if size >= OFFLOAD_THRESHOLD_BYTES and size / bw * 1e3 <= block_compute_ms
     ]
     overlappable.sort(key=lambda item: (not item[0].is_attention_class, -item[1], item[0].name))
     offload_sel: list[ChunkSpec] = []

@@ -14,17 +14,16 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
-from .buckets import Bucket, VaeSpec, check_token_balance, snap_bucket, token_count
+from .buckets import Bucket, check_token_balance, snap_bucket, token_count
 from .comm import build_comm_plan, enumerate_parallel_configs
 from .config import (
     ParallelConfig,
     PlanningConfig,
     StageScenario,
+    require_valid,
     resolved_param_count,
-    validate,
 )
 from .errors import ConfigError, InfeasibleError, MemoryOverflowError
 from .memory import BUILTIN_CHUNKS, ChunkTable, activation_per_layer, model_states_bytes
@@ -125,7 +124,6 @@ def _evaluate_candidate(
     par: ParallelConfig,
     config: PlanningConfig,
     chunks: ChunkTable,
-    vae: VaeSpec,
     offload_mode: str,
 ) -> dict[str, Any]:
     """Balance strategies for one candidate and simulate it.
@@ -134,7 +132,7 @@ def _evaluate_candidate(
     ``feasible=False`` plus a diagnostic instead of timings.
     """
     arch, cluster, dtypes = config.model, config.cluster, config.dtypes
-    shape = token_count(bucket, vae, arch)
+    shape = token_count(bucket, arch)
     B, S = bucket.batch, shape.tokens
     s_shard = S // par.cp if par.cp > 1 else S
     P = resolved_param_count(arch)
@@ -230,20 +228,16 @@ def _evaluate_candidate(
                 continue
             act_plan = ActivationOffloadPlan((), 0, 0.0, 0.0, True)
 
-        opt_transfer = opt_exposed = 0.0
+        opt_exposed = 0.0
         if opt_off:
-            opt_transfer, opt_exposed = plan_optimizer_offload(
+            _, opt_exposed = plan_optimizer_offload(
                 states.optimizer, pcie, fwd_microstep_ms, bwd_window_ms
             )
         offload = OffloadPlan(
             optimizer_offloaded=opt_off,
-            optimizer_transfer_ms=opt_transfer,
             optimizer_exposed_ms=opt_exposed,
             activation_offload_set=act_plan.selected,
-            activation_bytes_per_layer=act_plan.bytes_per_layer,
-            activation_transfer_ms_per_layer=act_plan.transfer_ms_per_layer,
             activation_exposed_ms_per_microstep=act_plan.exposed_ms_per_layer * L,
-            effective_pcie_bw=pcie,
         )
         try:
             est = estimate_step(
@@ -257,7 +251,6 @@ def _evaluate_candidate(
                 comm=comm,
                 chunks=chunks,
                 efficiency=config.overlap.efficiency,
-                vae=vae,
             )
         except MemoryOverflowError as exc:
             last_diag = str(exc)
@@ -305,9 +298,7 @@ def _evaluate_candidate(
 def run_train_plan(
     config: PlanningConfig,
     chunks: ChunkTable | None = None,
-    vae: VaeSpec = VaeSpec(),
     offload_mode: str = "auto",
-    balance_tolerance: float = 0.01,
 ) -> PlanReport:
     """Enumerate, balance, simulate and rank plans for every stage bucket.
 
@@ -318,18 +309,16 @@ def run_train_plan(
         raise ConfigError(f"offload mode must be one of {OFFLOAD_MODES}", "offload")
     chunks = chunks or BUILTIN_CHUNKS
     arch, cluster = config.model, config.cluster
+    require_valid(config)
     pinned = config.parallel.pinned
-    violations = validate(arch, cluster, pinned or ParallelConfig(tp=1, cp=1, dp=1))
-    if violations:
-        raise ConfigError("; ".join(violations), "config")
 
     warnings: list[str] = []
     if len(config.buckets) >= 2:
-        balance = check_token_balance(config.buckets, balance_tolerance, vae, arch)
+        balance = check_token_balance(config.buckets, arch=arch)
         for left, right, dev in balance.flagged:
             warnings.append(
                 f"bucket imbalance: {left} vs {right} differ by {dev * 100:.1f}% "
-                f"(tolerance {balance_tolerance * 100:.1f}%)"
+                f"(tolerance {balance.tolerance * 100:.1f}%)"
             )
 
     stages: list[StageScenario] = list(config.stages)
@@ -337,7 +326,7 @@ def run_train_plan(
         if not config.buckets:
             raise ConfigError("config has neither stages nor buckets", "stages")
         stages = [
-            StageScenario(name=f"bucket-{b.label()}", video_bucket=snap_bucket(b, vae, arch))
+            StageScenario(name=f"bucket-{b.label()}", video_bucket=snap_bucket(b, arch))
             for b in config.buckets
         ]
 
@@ -351,7 +340,6 @@ def run_train_plan(
                     arch,
                     cluster,
                     bucket,
-                    vae,
                     zero_stage=config.parallel.zero_stage,
                     grad_accum=config.parallel.grad_accum,
                 )
@@ -362,7 +350,7 @@ def run_train_plan(
     stage_docs = []
     for stage_name, kind, bucket, pars in groups:
         entries = [
-            _evaluate_candidate(bucket, par, config, chunks, vae, offload_mode) for par in pars
+            _evaluate_candidate(bucket, par, config, chunks, offload_mode) for par in pars
         ]
         feasible = [e for e in entries if e["feasible"]]
         infeasible = [e for e in entries if not e["feasible"]]
@@ -522,14 +510,6 @@ def render(report: PlanReport, format: str = "json") -> str:
             lines.append(f"warning: {warning}")
         return "\n".join(lines) + "\n"
     raise ConfigError(f"unknown format {format!r}", "format")
-
-
-def emit(report: PlanReport, format: str = "json", path: str | Path | None = None) -> str:
-    """Render and optionally write a report. Returns the rendered text."""
-    text = render(report, format)
-    if path is not None:
-        Path(path).write_text(text)
-    return text
 
 
 def require_feasible(report: PlanReport) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .buckets import Bucket, VaeSpec, token_count
+from .buckets import Bucket, token_count
 from .comm import CommPlan
 from .config import (
     ClusterSpec,
@@ -33,8 +33,6 @@ BACKWARD_FLOPS_FACTOR = 2.0  # backward = 2x forward, standard
 
 @dataclass(frozen=True)
 class StepEstimate:
-    flops_per_microstep_fwd: float
-    flops_per_step: float
     t_compute_ms: float
     t_recompute_ms: float
     t_exposed_comm_ms: float
@@ -42,8 +40,6 @@ class StepEstimate:
     peak_mem_bytes: float
     memory: MemoryBreakdown
     mfu: float
-    efficiency: float
-    tokens: int
 
     @property
     def step_time_ms(self) -> float:
@@ -98,7 +94,6 @@ def estimate_step(
     comm: CommPlan | None = None,
     chunks: ChunkTable | None = None,
     efficiency: float = 0.5,
-    vae: VaeSpec = VaeSpec(),
     enforce_capacity: bool = True,
 ) -> StepEstimate:
     """Simulate one optimizer step of one bucket under a full strategy.
@@ -120,8 +115,7 @@ def estimate_step(
             f"chunks both recomputed and offloaded: {sorted(overlap_names)}", "plan"
         )
 
-    shape = token_count(bucket, vae, arch)
-    B, S = bucket.batch, shape.tokens
+    B, S = bucket.batch, token_count(bucket, arch).tokens
     s_shard = S // par.cp if par.cp > 1 else S
 
     fwd_flops = flops_per_microstep(arch, B, S)
@@ -173,8 +167,6 @@ def estimate_step(
     )
     mfu = ideal_ms / step_ms if step_ms > 0 else 0.0
     return StepEstimate(
-        flops_per_microstep_fwd=fwd_flops,
-        flops_per_step=(1 + BACKWARD_FLOPS_FACTOR) * fwd_flops * par.grad_accum * par.dp,
         t_compute_ms=t_compute,
         t_recompute_ms=t_recompute,
         t_exposed_comm_ms=t_comm,
@@ -182,6 +174,4 @@ def estimate_step(
         peak_mem_bytes=peak,
         memory=memory,
         mfu=mfu,
-        efficiency=efficiency,
-        tokens=shape.tokens_batch,
     )

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from ditplan.buckets import Bucket, VaeSpec, token_count
+from ditplan.buckets import Bucket, token_count
 from ditplan.comm import CommPlan, build_comm_plan, cp_gate_and_comm
 from ditplan.config import DTypePolicy, ParallelConfig, parse_config
 from ditplan.inference import plan_cache, plan_temporal_windows, plan_vae_tiles
@@ -65,10 +65,9 @@ def test_criterion_2_model_state_figure():
 
 
 def test_criterion_3_token_geometry():
-    vae = VaeSpec()
-    a = token_count(Bucket(1, 125, 320, 320), vae).tokens
-    b = token_count(Bucket(1, 29, 640, 640), vae).tokens
-    c = token_count(Bucket(1, 125, 720, 1280), vae).tokens
+    a = token_count(Bucket(1, 125, 320, 320)).tokens
+    b = token_count(Bucket(1, 29, 640, 640)).tokens
+    c = token_count(Bucket(1, 125, 720, 1280)).tokens
     assert a == b == 12_800
     assert c == 115_200
     _ok(3, "12,800-token buckets agree; 125-frame 1280x720 gives exactly 115,200 tokens")

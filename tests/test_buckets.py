@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from ditplan.buckets import (
     Bucket,
-    VaeSpec,
     assign_bucket,
     check_token_balance,
     latent_shape,
@@ -14,60 +13,58 @@ from ditplan.buckets import (
 )
 from ditplan.errors import DimensionError, SampleTooShortError
 
-VAE = VaeSpec()
-
 
 def test_latent_shape_reference_video():
     # 125 frames at 1280x720: temporal 1 + 124/4 = 32, spatial /8
-    assert latent_shape(125, 720, 1280, VAE) == (32, 90, 160)
+    assert latent_shape(125, 720, 1280) == (32, 90, 160)
 
 
 def test_latent_shape_single_frame():
-    assert latent_shape(1, 640, 640, VAE) == (1, 80, 80)
+    assert latent_shape(1, 640, 640) == (1, 80, 80)
 
 
 def test_latent_shape_29_frames():
-    assert latent_shape(29, 320, 320, VAE) == (8, 40, 40)
+    assert latent_shape(29, 320, 320) == (8, 40, 40)
 
 
 def test_latent_shape_errors_name_axis():
     with pytest.raises(DimensionError) as err:
-        latent_shape(29, 320, 322, VAE)
+        latent_shape(29, 320, 322)
     assert "width" in str(err.value)
     with pytest.raises(DimensionError) as err:
-        latent_shape(29, 321, 320, VAE)
+        latent_shape(29, 321, 320)
     assert "height" in str(err.value)
     with pytest.raises(DimensionError) as err:
-        latent_shape(30, 320, 320, VAE)
+        latent_shape(30, 320, 320)
     assert "frames" in str(err.value)
 
 
 def test_token_count_balanced_pair():
     # both shapes collapse to 12,800 tokens under 1x2x2 patchify
-    a = token_count(Bucket(1, 29, 640, 640), VAE)
-    b = token_count(Bucket(1, 125, 320, 320), VAE)
+    a = token_count(Bucket(1, 29, 640, 640))
+    b = token_count(Bucket(1, 125, 320, 320))
     assert a.tokens == 12_800
     assert b.tokens == 12_800
     assert a.tokens_batch == b.tokens_batch == 12_800
 
 
 def test_token_count_115k_regime():
-    shape = token_count(Bucket(1, 125, 720, 1280), VAE)
+    shape = token_count(Bucket(1, 125, 720, 1280))
     assert shape.tokens == 32 * 45 * 80 == 115_200
 
 
 def test_token_count_minimal():
-    shape = token_count(Bucket(1, 1, 16, 16), VAE)
+    shape = token_count(Bucket(1, 1, 16, 16))
     assert shape.tokens == 1
 
 
 def test_token_count_single_image():
-    assert token_count(Bucket(1, 1, 320, 320), VAE).tokens == 400
+    assert token_count(Bucket(1, 1, 320, 320)).tokens == 400
 
 
 def test_token_count_batch_scaling():
-    one = token_count(Bucket(1, 29, 320, 320), VAE)
-    eight = token_count(Bucket(8, 29, 320, 320), VAE)
+    one = token_count(Bucket(1, 29, 320, 320))
+    eight = token_count(Bucket(8, 29, 320, 320))
     assert eight.tokens == one.tokens
     assert eight.tokens_batch == 8 * one.tokens_batch == 25_600
 
@@ -80,18 +77,18 @@ def test_token_count_batch_scaling():
 def test_tokens_linear_in_batch(b, frames_q, hw):
     frames = 1 + 4 * frames_q
     h, w = hw
-    single = token_count(Bucket(1, frames, h, w), VAE)
-    batched = token_count(Bucket(b, frames, h, w), VAE)
+    single = token_count(Bucket(1, frames, h, w))
+    batched = token_count(Bucket(b, frames, h, w))
     assert batched.tokens_batch == b * single.tokens_batch
 
 
 @given(frames_q=st.integers(min_value=0, max_value=30), steps=st.integers(min_value=1, max_value=8))
 def test_latent_monotone_in_each_dim(frames_q, steps):
     frames = 1 + 4 * frames_q
-    base = latent_shape(frames, 320, 320, VAE)
-    longer = latent_shape(frames + 4 * steps, 320, 320, VAE)
-    taller = latent_shape(frames, 320 + 8 * steps, 320, VAE)
-    wider = latent_shape(frames, 320, 320 + 8 * steps, VAE)
+    base = latent_shape(frames, 320, 320)
+    longer = latent_shape(frames + 4 * steps, 320, 320)
+    taller = latent_shape(frames, 320 + 8 * steps, 320)
+    wider = latent_shape(frames, 320, 320 + 8 * steps)
     assert longer[0] > base[0] and longer[1:] == base[1:]
     assert taller[1] > base[1]
     assert wider[2] > base[2]
@@ -143,7 +140,7 @@ def test_snap_to_multiple():
 
 
 def test_snap_bucket_rounds_nondivisible():
-    snapped = snap_bucket(Bucket(1, 29, 480, 854), VAE)
+    snapped = snap_bucket(Bucket(1, 29, 480, 854))
     assert (snapped.height, snapped.width) == (480, 848)
 
 

@@ -64,19 +64,16 @@ def test_plan_train_byte_identical_runs(ref_config, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_plan_train_same_stage_twice_keeps_its_own_plans(ref_config, tmp_path):
+def test_duplicate_stage_names_rejected(ref_config, tmp_path, capsys):
     doc = json.loads(Path(ref_config).read_text())
-    doc["stages"] = [doc["stages"][0]]
-    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
-    once.write_text(json.dumps(doc))
-    doc["stages"] *= 2
-    twice.write_text(json.dumps(doc))
-    reports = []
-    for path in (once, twice):
-        out = tmp_path / f"{path.stem}.report.json"
-        assert main(["plan", "train", "--config", str(path), "--out", str(out)]) == EXIT_OK
-        reports.append(json.loads(out.read_text())["stages"])
-    assert reports[1] == reports[0] * 2
+    doc["stages"].append(dict(doc["stages"][0]))
+    config = _write_config(tmp_path, doc)
+    last = len(doc["stages"]) - 1
+    for argv in (["plan", "train"], ["simulate"]):
+        assert main([*argv, "--config", config]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"stages[{last}].name: duplicate stage name 't2i-320'" in captured.err
 
 
 def test_plan_train_infeasible_exit_code(tmp_path):
@@ -100,6 +97,16 @@ def test_config_error_exit_code(tmp_path):
 
 def test_missing_config_file_exit_code(tmp_path):
     assert main(["plan", "train", "--config", str(tmp_path / "absent.json")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "payload", [b"\xff\xfe{", b'{"model": ' + b"1" * 5000 + b"}"], ids=["bad-utf8", "long-int"]
+)
+def test_undecodable_config_exit_code(payload, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload)
+    assert main(["plan", "train", "--config", str(path)]) == EXIT_CONFIG
+    assert "invalid JSON" in capsys.readouterr().err
 
 
 def test_unwritable_output_exit_code(ref_config, tmp_path):
@@ -184,6 +191,16 @@ def test_buckets_check(ref_config, capsys):
     assert labels[(8, 29, 320, 320)] == 25_600
     snapped = {tuple(b["bucket"]): tuple(b["snapped"]) for b in doc["buckets"]}
     assert snapped[(1, 29, 480, 854)] == (1, 29, 480, 848)
+
+
+def test_buckets_check_validates_config(tmp_path, capsys):
+    doc = json.loads(reference_config_path().read_text())
+    doc["model"]["num_heads"] = 7
+    argv = ["buckets", "check", "--config", _write_config(tmp_path, doc)]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "num_heads does not divide hidden_size" in captured.err
 
 
 def test_simulate_stage_filter(ref_config, capsys):
@@ -277,6 +294,52 @@ def test_plan_train_reference_report_bytes(fmt):
     report = run_train_plan(load_config(reference_config_path()))
     digest = hashlib.sha256(render(report, fmt).encode()).hexdigest()
     assert digest.startswith(REFERENCE_REPORT_SHA256[fmt])
+
+
+# sha256 prefixes of the other reference outputs, pinned the same way.
+CLI_OUTPUT_SHA256 = {
+    "simulate-json": (["simulate", "--config", "REF"], "b080c29c115971fc"),
+    "simulate-csv": (["simulate", "--config", "REF", "--format", "csv"], "db9d287169d76dcb"),
+    "simulate-table": (["simulate", "--config", "REF", "--format", "table"], "35648158c82325ee"),
+    "buckets-check": (["buckets", "check", "--config", "REF", "--tolerance", "0.01"], "b5721e04a1025678"),
+    "plan-recompute": (["plan", "recompute", "--required-mb", "400"], "1f4bce15396049cc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_OUTPUT_SHA256))
+def test_cli_reference_output_bytes(name, ref_config, capsys):
+    argv, prefix = CLI_OUTPUT_SHA256[name]
+    assert main([ref_config if a == "REF" else a for a in argv]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest.startswith(prefix)
+
+
+# Valid calls of the subcommands that take neither --config nor --format,
+# plus buckets check, which takes --config but always writes JSON.
+_UNREAD_FLAG_CALLS = {
+    "plan-infer": ["plan", "infer", "--steps", "10"],
+    "plan-recompute": ["plan", "recompute", "--required-mb", "400"],
+    "plan-windows": ["plan", "windows", "--n-prime", "32", "--n", "8", "--stride", "4"],
+    "plan-vae-tiles": ["plan", "vae-tiles", "--latent", "8,64,64", "--tile", "4,32,32"],
+    "buckets-check": ["buckets", "check", "--config", "REF"],
+}
+
+
+@pytest.mark.parametrize(
+    "name, flag, value",
+    [
+        (name, flag, value)
+        for name in sorted(_UNREAD_FLAG_CALLS)
+        for flag, value in (("--config", "REF"), ("--format", "table"))
+        if flag not in _UNREAD_FLAG_CALLS[name]
+    ],
+)
+def test_unread_flags_are_usage_errors(name, flag, value, ref_config, capsys):
+    argv = [*_UNREAD_FLAG_CALLS[name], flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main([ref_config if a == "REF" else a for a in argv])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_simulate_unknown_stage(ref_config):

@@ -81,7 +81,7 @@ def _assert_cover_and_unit_weights(plan):
         coverage[slices] += 1
     assert coverage.min() >= 1
     total = np.zeros(plan.latent, dtype=np.float64)
-    for weight in plan.weight_maps():
+    for weight in plan.iter_weight_maps():
         total += weight
     assert np.allclose(total, 1.0, atol=1e-12)
 
@@ -105,7 +105,7 @@ def test_tiles_zero_overlap_disjoint_cover():
         slices = tuple(slice(tile.start[a], tile.start[a] + tile.size[a]) for a in range(3))
         coverage[slices] += 1
     assert coverage.min() == coverage.max() == 1
-    for weight in plan.weight_maps():
+    for weight in plan.iter_weight_maps():
         assert set(np.unique(weight)) <= {0.0, 1.0}
 
 

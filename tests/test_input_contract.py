@@ -1,0 +1,120 @@
+"""Malformed numbers in configs and chunk tables are config errors (exit 2)."""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ditplan.cli import EXIT_CONFIG, main
+from ditplan.presets import reference_config_path
+
+REFERENCE_PATH = reference_config_path()
+REFERENCE = json.loads(REFERENCE_PATH.read_text())
+CHUNK_TABLE = {"chunks": [{"name": "gelu", "coeff_bsh": 8, "fwd_latency_ms": 0.64}]}
+
+
+def _replaced(doc, keys, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return doc
+
+
+def _path(keys):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("cluster", "device_mem"), "x"),
+        (("overlap", "efficiency"), None),
+        (("stages", 0, "learning_rate"), "fast"),
+        (("model", "param_count"), "big"),
+        (("cluster", "device_mem"), math.inf),
+        (("cluster", "inter_node_bw"), math.nan),
+        (("overlap", "collective_latency_ms"), math.nan),
+        (("cluster", "peak_flops_per_device"), math.inf),
+        (("chunks", 0, "coeff_bsh"), "8"),
+        (("chunks", 0, "coeff_bsh"), math.nan),
+        (("ref_seqlen",), "long"),
+        (("ref_seqlen",), 0),
+    ],
+)
+def test_malformed_number_is_config_error_naming_its_path(keys, value, tmp_path):
+    path = tmp_path / "input.json"
+    if keys[0] in ("chunks", "ref_seqlen"):
+        path.write_text(json.dumps(_replaced(CHUNK_TABLE, keys, value)))
+        argv = ["plan", "train", "--config", str(REFERENCE_PATH), "--chunk-table", str(path)]
+    else:
+        path.write_text(json.dumps(_replaced(REFERENCE, keys, value)))
+        argv = ["plan", "train", "--config", str(path)]
+    code, out, err = _run(argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(f"config error: {_path(keys)}: ")
+
+
+def _field_paths(node, prefix=()):
+    """Every dict value and list element below the root, as key tuples."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+FIELD_PATHS = list(_field_paths(REFERENCE))
+
+
+def _mutant(original, kind):
+    """The replacement ``kind`` stands for, given the field's current value."""
+    if not isinstance(kind, tuple):
+        return kind
+    if isinstance(original, bool) or not isinstance(original, (int, float)):
+        return "x"
+    scaled = original * kind[1]
+    return round(scaled) if isinstance(original, int) else scaled
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.sampled_from(FIELD_PATHS),
+    kind=st.one_of(
+        st.sampled_from(["x", None, True, False, math.nan, math.inf, -math.inf, 0, -1]),
+        st.floats(min_value=1e-3, max_value=1e3).map(lambda factor: ("scale", factor)),
+    ),
+)
+def test_one_bad_field_never_crashes_or_prints_non_finite(keys, kind):
+    """Replace one field of the reference config with a string, null, bool,
+    NaN, +-Infinity, 0, -1 or 1e-3..1e3 times its value (rounded for
+    integers). ``plan train`` and ``simulate`` must exit 0, 2, 3 or 4 and
+    print no NaN or Infinity. Overflow from extreme finite values such as
+    ``inter_node_bw: 1e-300`` is out of scope: nothing here goes below
+    1e-3 or above 1e3 times a reference value."""
+    original = REFERENCE
+    for key in keys:
+        original = original[key]
+    doc = _replaced(REFERENCE, keys, _mutant(original, kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["plan", "train"], ["simulate"]):
+            code, out, _ = _run([*argv, "--config", str(path)])
+            assert code in (0, 2, 3, 4)
+            assert "NaN" not in out and "Infinity" not in out

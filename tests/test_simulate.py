@@ -203,7 +203,7 @@ def test_overflow_error_names_gap():
 def test_disjointness_enforced():
     par = ParallelConfig(tp=8, cp=1, dp=2)
     recompute = RecomputePlan(("gelu",), 0, 0.64, True)
-    offload = OffloadPlan(False, 0.0, 0.0, ("gelu",), 0, 0.0, 0.0, 20e9)
+    offload = OffloadPlan(False, 0.0, ("gelu",), 0.0)
     with pytest.raises(ConfigError):
         estimate_step(
             TABLE2_FIT, REF_BUCKET, par, REFERENCE_CLUSTER, DT,
