@@ -9,13 +9,13 @@ inside a NUMA domain.
 
 from ditplan import (
     Bucket,
+    balance_strategies,
     DTypePolicy,
     ParallelConfig,
     cp_gate_and_comm,
     dp_comm,
     effective_pcie_bw,
     enumerate_parallel_configs,
-    plan_activation_offload,
     plan_optimizer_offload,
     sync_audit,
     tp_sp_layer_comm,
@@ -70,12 +70,12 @@ for concurrent in (1, 2, 4, 8):
 bw = effective_pcie_bw(REFERENCE_CLUSTER, 4)
 transfer, exposed = plan_optimizer_offload(13.4e9, bw, 600.0, 1200.0)
 print(f"  optimizer states 13.4 GB: {transfer:.0f} ms round trip, {exposed:.0f} ms exposed")
-plan = plan_activation_offload(
-    BUILTIN_CHUNKS, block_compute_ms=480.0, effective_bw=bw, memory_deficit_bytes=400 * MIB,
+recompute, offload = balance_strategies(
+    400 * MIB, BUILTIN_CHUNKS, REFERENCE_CLUSTER, cp=1, block_compute_ms=480.0, num_layers=54,
     B=1, S=115_200, H=3072, A=24, tp=8,
 )
 print(
-    f"  activation deficit 400 MiB/layer: offload {list(plan.selected)}, "
-    f"{plan.transfer_ms_per_layer:.1f} ms/layer hidden under 480 ms blocks "
-    f"(exposed {plan.exposed_ms_per_layer:.1f} ms)"
+    f"  activation deficit 400 MiB/layer: offload {list(offload.selected)} "
+    f"({offload.bytes_per_layer / MIB:.0f} MiB/layer, exposed {offload.exposed_ms_per_layer:.1f} ms "
+    f"under 480 ms blocks), recompute {list(recompute.selected) or 'nothing'}"
 )

@@ -83,10 +83,8 @@ from .memory import (
 from .offload import (
     ActivationOffloadPlan,
     OffloadPlan,
-    StrategyPlan,
     balance_strategies,
     effective_pcie_bw,
-    plan_activation_offload,
     plan_optimizer_offload,
 )
 from .presets import REFERENCE_CLUSTER, TABLE2_FIT, load_reference_config, reference_config_path

@@ -12,7 +12,9 @@ error.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -274,13 +276,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             }
         )
     if args.format == "csv":
-        header = "stage,bucket_kind,bucket,tokens_per_batch,step_time_ms,mfu,peak_gb"
-        lines = [header] + [
-            f"{r['stage']},{r['bucket_kind']},{'x'.join(str(v) for v in r['bucket'])},"
-            f"{r['tokens_per_batch']},{r['step_time_ms']:.3f},{r['mfu']:.3f},{r['peak_gb']:.3f}"
-            for r in rows
-        ]
-        _write_out("\n".join(lines) + "\n", args.out)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        floats = ("step_time_ms", "mfu", "peak_gb")
+        writer.writerow(["stage", "bucket_kind", "bucket", "tokens_per_batch", *floats])
+        for r in rows:
+            bucket = "x".join(str(v) for v in r["bucket"])
+            writer.writerow(
+                [r["stage"], r["bucket_kind"], bucket, r["tokens_per_batch"]]
+                + [f"{r[name]:.3f}" for name in floats]
+            )
+        _write_out(buffer.getvalue(), args.out)
     elif args.format == "table":
         lines = [
             f"{'stage':<24} {'kind':<6} {'bucket':<16} {'tokens':>9} {'step_ms':>12} {'mfu':>6} {'peak_gb':>8}"

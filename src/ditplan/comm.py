@@ -10,6 +10,7 @@ the dominant bottleneck otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .buckets import Bucket, token_count
@@ -216,7 +217,9 @@ def build_comm_plan(
 
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """Divisors of ``n`` in ascending order, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def enumerate_parallel_configs(
@@ -240,11 +243,9 @@ def enumerate_parallel_configs(
             continue
         cp = 1
         while tp * cp <= total:
-            if cp > 1 and tokens_batch <= CP_TOKEN_GATE:
-                break
-            # A further doubling is viable only while the previous degree
-            # still leaves per-rank shards above the gate; once shards fit
-            # TP-SP alone, higher CP is not minimally viable.
+            # cp=2 needs the whole batch above the gate, and each further
+            # doubling needs the previous degree's shards above it; once
+            # shards fit TP-SP alone, higher CP is not minimally viable.
             if cp > 1 and tokens_batch / (cp // 2) <= CP_TOKEN_GATE:
                 break
             if total % (tp * cp) == 0:

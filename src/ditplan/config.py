@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -90,20 +90,9 @@ class ClusterSpec:
     host_mem: float
 
     def __post_init__(self):
-        for name in (
-            "num_nodes",
-            "devices_per_node",
-            "device_mem",
-            "peak_flops_per_device",
-            "intra_node_bw",
-            "inter_node_bw",
-            "pcie_bw_per_device",
-            "host_write_bw_per_numa",
-            "devices_per_numa",
-            "host_mem",
-        ):
-            if getattr(self, name) <= 0:
-                raise ConfigError("must be positive", f"cluster.{name}")
+        for field in fields(self):
+            if getattr(self, field.name) <= 0:
+                raise ConfigError("must be positive", f"cluster.{field.name}")
         if self.devices_per_numa > self.devices_per_node:
             raise ConfigError(
                 "devices_per_numa cannot exceed devices_per_node", "cluster.devices_per_numa"
@@ -130,16 +119,9 @@ class DTypePolicy:
     act_bytes: int = 2
 
     def __post_init__(self):
-        for name in (
-            "param_bytes",
-            "grad_bytes",
-            "master_bytes",
-            "moment_bytes",
-            "ema_bytes",
-            "act_bytes",
-        ):
-            if getattr(self, name) not in _DTYPE_WIDTHS:
-                raise ConfigError(f"must be one of {_DTYPE_WIDTHS}", f"dtypes.{name}")
+        for field in fields(self):
+            if getattr(self, field.name) not in _DTYPE_WIDTHS:
+                raise ConfigError(f"must be one of {_DTYPE_WIDTHS}", f"dtypes.{field.name}")
 
 
 @dataclass(frozen=True)
@@ -344,40 +326,14 @@ def require_valid(config: PlanningConfig) -> None:
 
 _TOP_LEVEL_KEYS = ("model", "cluster", "dtypes", "parallel", "stages", "buckets", "overlap")
 
-_MODEL_KEYS = (
-    "hidden_size",
-    "num_heads",
-    "num_layers",
-    "ffn_multiplier",
-    "adaln_mode",
-    "patch_t",
-    "patch_h",
-    "patch_w",
-    "param_count",
-    "extra_unpartitioned_layers",
-)
-_CLUSTER_KEYS = (
-    "num_nodes",
-    "devices_per_node",
-    "device_mem",
-    "peak_flops_per_device",
-    "intra_node_bw",
-    "inter_node_bw",
-    "pcie_bw_per_device",
-    "host_write_bw_per_numa",
-    "devices_per_numa",
-    "host_mem",
-)
-_DTYPE_KEYS = ("param_bytes", "grad_bytes", "master_bytes", "moment_bytes", "ema_bytes", "act_bytes")
-_PARALLEL_KEYS = ("tp", "cp", "dp", "zero_stage", "grad_accum")
-_OVERLAP_KEYS = ("tp_sp_fraction", "collective_latency_ms", "efficiency")
-_STAGE_KEYS = ("name", "image_bucket", "video_bucket", "global_batch", "step_count", "learning_rate")
-
-
 def _require_mapping(obj: Any, path: str) -> Mapping[str, Any]:
     if not isinstance(obj, Mapping):
         raise ConfigError("expected a JSON object", path)
     return obj
+
+
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(field.name for field in fields(cls))
 
 
 def _reject_unknown(obj: Mapping[str, Any], allowed: Iterable[str], path: str) -> None:
@@ -387,9 +343,26 @@ def _reject_unknown(obj: Mapping[str, Any], allowed: Iterable[str], path: str) -
             raise ConfigError("unknown key", f"{path}.{key}" if path else key)
 
 
+def _require_fields(obj: Mapping[str, Any], cls: type, path: str) -> None:
+    """Reject ``obj`` when it lacks a field of dataclass ``cls`` that has no default."""
+    for field in fields(cls):
+        if field.default is MISSING and field.name not in obj:
+            raise ConfigError("missing required key", f"{path}.{field.name}")
+
+
+# No real model or cluster needs a non-zero number outside [MIN_MAGNITUDE,
+# MAX_MAGNITUDE] or an integer above MAX_INTEGER; beyond them costs
+# overflow to infinity and divisor walks run for hours.
+MIN_MAGNITUDE = 1e-30
+MAX_MAGNITUDE = 1e30
+MAX_INTEGER = 2**31
+
+
 def finite_number(value: Any, path: str) -> int | float:
-    """``value`` unchanged when it is a finite JSON number; bools, strings,
-    nulls, NaN and infinities raise :class:`ConfigError` at ``path``."""
+    """``value`` unchanged when it is a finite JSON number that is zero or
+    of magnitude within [MIN_MAGNITUDE, MAX_MAGNITUDE]; anything else
+    (bools, strings, nulls, NaN, infinities, too small or too large)
+    raises :class:`ConfigError` at ``path``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError("expected a number", path)
     try:
@@ -398,26 +371,50 @@ def finite_number(value: Any, path: str) -> int | float:
         finite = False
     if not finite:
         raise ConfigError(f"expected a finite number, got {value}", path)
+    if value and not MIN_MAGNITUDE <= abs(value) <= MAX_MAGNITUDE:
+        raise ConfigError(
+            f"expected 0 or a magnitude in [{MIN_MAGNITUDE:g}, {MAX_MAGNITUDE:g}], got {value}", path
+        )
     return value
 
 
 def integer_value(value: Any, path: str) -> int:
-    """``value`` as an int when it is a whole JSON number, else a :class:`ConfigError`."""
+    """``value`` as an int when it is a whole JSON number of magnitude at
+    most MAX_INTEGER, else a :class:`ConfigError`."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError("expected an integer", path)
+        number = value
+    elif isinstance(value, float) and value.is_integer():
+        number = int(value)
+    else:
+        raise ConfigError("expected an integer", path)
+    if abs(number) > MAX_INTEGER:
+        raise ConfigError(f"expected a magnitude of at most {MAX_INTEGER}, got {value}", path)
+    return number
 
 
-def _int_fields(obj: Mapping[str, Any], names: Iterable[str], path: str) -> dict[str, int]:
-    return {name: integer_value(obj[name], f"{path}.{name}") for name in names if name in obj}
+# Parsers for the scalar field annotations of the config dataclasses, keyed
+# by annotation string (``from __future__ import annotations`` keeps them
+# strings).
+_SCALAR_PARSERS = {
+    "int": integer_value,
+    "float": lambda value, path: float(finite_number(value, path)),
+    "str": lambda value, path: value,
+}
 
 
-def _float_fields(obj: Mapping[str, Any], names: Iterable[str], path: str) -> dict[str, float]:
-    return {
-        name: float(finite_number(obj[name], f"{path}.{name}")) for name in names if name in obj
-    }
+def _scalar_fields(obj: Mapping[str, Any], cls: type, path: str) -> dict[str, Any]:
+    """The int, float and str fields of dataclass ``cls`` present in ``obj``,
+    each parsed by its annotation. A null in an optional field keeps the
+    default; other fields (buckets, name lists) are left to the caller."""
+    kwargs: dict[str, Any] = {}
+    for field in fields(cls):
+        kind = field.type.removesuffix(" | None")
+        if field.name not in obj or kind not in _SCALAR_PARSERS:
+            continue
+        if obj[field.name] is None and kind != field.type:
+            continue
+        kwargs[field.name] = _SCALAR_PARSERS[kind](obj[field.name], f"{path}.{field.name}")
+    return kwargs
 
 
 def _parse_bucket(entry: Any, path: str) -> "Bucket":
@@ -441,18 +438,9 @@ def parse_config(doc: Mapping[str, Any]) -> PlanningConfig:
             raise ConfigError("missing required section", required)
 
     model_doc = _require_mapping(doc["model"], "model")
-    _reject_unknown(model_doc, _MODEL_KEYS, "model")
-    model_kwargs: dict[str, Any] = dict(
-        _int_fields(
-            model_doc,
-            ("hidden_size", "num_heads", "num_layers", "ffn_multiplier", "patch_t", "patch_h", "patch_w"),
-            "model",
-        )
-    )
-    if "adaln_mode" in model_doc:
-        model_kwargs["adaln_mode"] = model_doc["adaln_mode"]
-    if model_doc.get("param_count") is not None:
-        model_kwargs.update(_float_fields(model_doc, ("param_count",), "model"))
+    _reject_unknown(model_doc, _field_names(ModelArch), "model")
+    _require_fields(model_doc, ModelArch, "model")
+    model_kwargs = _scalar_fields(model_doc, ModelArch, "model")
     if "extra_unpartitioned_layers" in model_doc:
         layers = model_doc["extra_unpartitioned_layers"]
         if not isinstance(layers, (list, tuple)) or not all(isinstance(x, str) for x in layers):
@@ -461,51 +449,20 @@ def parse_config(doc: Mapping[str, Any]) -> PlanningConfig:
     model = ModelArch(**model_kwargs)
 
     cluster_doc = _require_mapping(doc["cluster"], "cluster")
-    _reject_unknown(cluster_doc, _CLUSTER_KEYS, "cluster")
-    missing = [k for k in _CLUSTER_KEYS if k not in cluster_doc]
-    if missing:
-        raise ConfigError("missing required key", f"cluster.{missing[0]}")
-    cluster = ClusterSpec(
-        **_int_fields(cluster_doc, ("num_nodes", "devices_per_node", "devices_per_numa"), "cluster"),
-        **_float_fields(
-            cluster_doc,
-            (
-                "device_mem",
-                "peak_flops_per_device",
-                "intra_node_bw",
-                "inter_node_bw",
-                "pcie_bw_per_device",
-                "host_write_bw_per_numa",
-                "host_mem",
-            ),
-            "cluster",
-        ),
-    )
+    _reject_unknown(cluster_doc, _field_names(ClusterSpec), "cluster")
+    _require_fields(cluster_doc, ClusterSpec, "cluster")
+    cluster = ClusterSpec(**_scalar_fields(cluster_doc, ClusterSpec, "cluster"))
 
-    dtypes = DTypePolicy()
-    if "dtypes" in doc:
-        dtypes_doc = _require_mapping(doc["dtypes"], "dtypes")
-        _reject_unknown(dtypes_doc, _DTYPE_KEYS, "dtypes")
-        dtypes = DTypePolicy(**_int_fields(dtypes_doc, _DTYPE_KEYS, "dtypes"))
-
-    parallel = ParallelSection()
-    if "parallel" in doc:
-        par_doc = _require_mapping(doc["parallel"], "parallel")
-        _reject_unknown(par_doc, _PARALLEL_KEYS, "parallel")
-        par_kwargs: dict[str, Any] = {}
-        for name in ("tp", "cp", "dp"):
-            if name in par_doc and par_doc[name] is not None:
-                par_kwargs.update(_int_fields(par_doc, (name,), "parallel"))
-        par_kwargs.update(_int_fields(par_doc, ("grad_accum",), "parallel"))
-        if "zero_stage" in par_doc:
-            par_kwargs["zero_stage"] = par_doc["zero_stage"]
-        parallel = ParallelSection(**par_kwargs)
-
-    overlap = OverlapConfig()
-    if "overlap" in doc:
-        ov_doc = _require_mapping(doc["overlap"], "overlap")
-        _reject_unknown(ov_doc, _OVERLAP_KEYS, "overlap")
-        overlap = OverlapConfig(**_float_fields(ov_doc, _OVERLAP_KEYS, "overlap"))
+    sections: dict[str, Any] = {}
+    for key, cls in (
+        ("dtypes", DTypePolicy),
+        ("parallel", ParallelSection),
+        ("overlap", OverlapConfig),
+    ):
+        if key in doc:
+            section = _require_mapping(doc[key], key)
+            _reject_unknown(section, _field_names(cls), key)
+            sections[key] = cls(**_scalar_fields(section, cls, key))
 
     buckets: list[Any] = []
     if "buckets" in doc:
@@ -522,27 +479,22 @@ def parse_config(doc: Mapping[str, Any]) -> PlanningConfig:
         for i, entry in enumerate(doc["stages"]):
             path = f"stages[{i}]"
             stage_doc = _require_mapping(entry, path)
-            _reject_unknown(stage_doc, _STAGE_KEYS, path)
+            _reject_unknown(stage_doc, _field_names(StageScenario), path)
             if not isinstance(stage_doc.get("name"), str):
                 raise ConfigError("stage needs a string name", f"{path}.name")
             if any(stage.name == stage_doc["name"] for stage in stages):
                 raise ConfigError(f"duplicate stage name {stage_doc['name']!r}", f"{path}.name")
-            kwargs: dict[str, Any] = {"name": stage_doc["name"]}
-            for which in ("image_bucket", "video_bucket"):
-                if which in stage_doc and stage_doc[which] is not None:
-                    kwargs[which] = _parse_bucket(stage_doc[which], f"{path}.{which}")
-            kwargs.update(_int_fields(stage_doc, ("global_batch", "step_count"), path))
-            kwargs.update(_float_fields(stage_doc, ("learning_rate",), path))
-            stages.append(StageScenario(**kwargs))
+            buckets_kwargs = {
+                which: _parse_bucket(stage_doc[which], f"{path}.{which}")
+                for which in ("image_bucket", "video_bucket")
+                if stage_doc.get(which) is not None
+            }
+            stages.append(
+                StageScenario(**buckets_kwargs, **_scalar_fields(stage_doc, StageScenario, path))
+            )
 
     return PlanningConfig(
-        model=model,
-        cluster=cluster,
-        dtypes=dtypes,
-        parallel=parallel,
-        overlap=overlap,
-        stages=tuple(stages),
-        buckets=tuple(buckets),
+        model=model, cluster=cluster, **sections, stages=tuple(stages), buckets=tuple(buckets)
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .config import ClusterSpec
-from .errors import ConfigError
+from .errors import ConfigError, InfeasibleError
 from .memory import MIB, ChunkSpec, ChunkTable, chunk_retained_bytes
 from .recompute import RecomputePlan, plan_recompute
 
@@ -54,54 +54,11 @@ def effective_pcie_bw(cluster: ClusterSpec, concurrent_devices: int) -> float:
 class ActivationOffloadPlan:
     selected: tuple[str, ...]
     bytes_per_layer: int
-    transfer_ms_per_layer: float
     exposed_ms_per_layer_per_direction: float
-    deficit_covered: bool
 
     @property
     def exposed_ms_per_layer(self) -> float:
         return 2 * self.exposed_ms_per_layer_per_direction
-
-
-def plan_activation_offload(
-    chunks: ChunkTable | Sequence[ChunkSpec],
-    block_compute_ms: float,
-    effective_bw: float,
-    memory_deficit_bytes: int,
-    B: int = 1,
-    S: int = 115_200,
-    H: int = 3072,
-    A: int = 24,
-    tp: int = 8,
-) -> ActivationOffloadPlan:
-    """Stage the largest offload-eligible activations until the deficit is covered.
-
-    Each direction's transfer overlaps one adjacent block's compute; the
-    shortfall is exposed, per layer, per direction.
-    """
-    chunk_list = chunks.chunks if isinstance(chunks, ChunkTable) else tuple(chunks)
-    eligible = [
-        c
-        for c in chunk_list
-        if c.offloadable
-        and chunk_retained_bytes(c, B, S, H, A, tp) >= OFFLOAD_THRESHOLD_BYTES
-    ]
-    eligible.sort(key=lambda c: (-chunk_retained_bytes(c, B, S, H, A, tp), c.name))
-    selected: list[ChunkSpec] = []
-    covered = 0
-    for chunk in eligible:
-        if covered >= memory_deficit_bytes:
-            break
-        selected.append(chunk)
-        covered += chunk_retained_bytes(chunk, B, S, H, A, tp)
-    transfer_ms = covered / effective_bw * 1e3 if covered else 0.0
-    return ActivationOffloadPlan(
-        selected=tuple(sorted(c.name for c in selected)),
-        bytes_per_layer=covered,
-        transfer_ms_per_layer=transfer_ms,
-        exposed_ms_per_layer_per_direction=max(0.0, transfer_ms - block_compute_ms),
-        deficit_covered=covered >= memory_deficit_bytes,
-    )
 
 
 @dataclass(frozen=True)
@@ -122,20 +79,6 @@ NO_OFFLOAD = OffloadPlan(
 )
 
 
-@dataclass(frozen=True)
-class StrategyPlan:
-    """Result of balancing offload and recomputation for one layout."""
-
-    recompute: RecomputePlan
-    offload: ActivationOffloadPlan
-    feasible: bool
-    diagnostic: str | None = None
-
-    @property
-    def bytes_saved_per_layer(self) -> int:
-        return self.recompute.bytes_saved_per_layer + self.offload.bytes_per_layer
-
-
 def balance_strategies(
     deficit: int,
     chunks: ChunkTable | Sequence[ChunkSpec],
@@ -148,29 +91,28 @@ def balance_strategies(
     H: int = 3072,
     A: int = 24,
     tp: int = 8,
-) -> StrategyPlan:
-    """Cover a per-layer memory deficit with the cheapest mix of techniques.
+) -> tuple[RecomputePlan, ActivationOffloadPlan]:
+    """Cover a per-layer memory deficit with offload first, then recompute.
 
-    In order: (1) offload whatever transfers hide fully under block
-    compute, compute-expensive attention chunks first so their costly
-    recomputation is avoided; (2) recompute the rest of the deficit.
+    (1) Offload, attention-class chunks first (their recomputation is the
+    costliest), then by bytes, until the deficit is covered. A chunk is
+    eligible when it is offloadable, at least ``OFFLOAD_THRESHOLD_BYTES``
+    and its own transfer fits under one block's compute. The test is per
+    chunk, but the selected chunks' transfers are summed: whatever of
+    that sum exceeds ``block_compute_ms`` is exposed, per layer, per
+    direction. (2) Recompute whatever deficit remains.
+
     ``deficit`` is the per-layer shortfall at context-parallel degree
     ``cp``; ``S`` is the full sequence (sharded by cp internally).
+    Returns ``(recompute, offload)``. Raises :class:`InfeasibleError`,
+    its message prefixed ``cp=N:``, when the offloaded activations of
+    all layers exceed host memory or the deficit exceeds what offload
+    and recompute can save together.
     """
     chunk_list = chunks.chunks if isinstance(chunks, ChunkTable) else tuple(chunks)
     bw = effective_pcie_bw(cluster, cluster.devices_per_numa)
     s_shard = S // cp
-    if deficit <= 0:
-        return StrategyPlan(
-            recompute=plan_recompute(chunk_list, 0, B, s_shard, H, A, tp),
-            offload=plan_activation_offload(
-                chunk_list, block_compute_ms, bw, 0, B, s_shard, H, A, tp
-            ),
-            feasible=True,
-        )
 
-    # (1) offload only what hides completely: attention-class first,
-    # then by bytes, stopping at the deficit.
     sized = [
         (c, chunk_retained_bytes(c, B, s_shard, H, A, tp))
         for c in chunk_list
@@ -190,11 +132,9 @@ def balance_strategies(
         offload_sel.append(chunk)
         offload_bytes += size
 
-    # (2) recompute whatever deficit remains.
-    remaining = max(0, deficit - offload_bytes)
     recompute = plan_recompute(
         chunk_list,
-        remaining,
+        max(0, deficit - offload_bytes),
         B,
         s_shard,
         H,
@@ -202,33 +142,21 @@ def balance_strategies(
         tp,
         exclude=[c.name for c in offload_sel],
     )
+    host_needed = offload_bytes * num_layers
+    if host_needed > cluster.host_mem:
+        raise InfeasibleError(
+            f"cp={cp}: offloaded activations ({host_needed / 1e9:.1f} GB) "
+            f"exceed host memory ({cluster.host_mem / 1e9:.1f} GB)"
+        )
+    if not recompute.feasible:
+        raise InfeasibleError(
+            f"cp={cp}: deficit {deficit / MIB:.0f} MiB/layer exceeds offloadable "
+            f"+ recomputable savings {(offload_bytes + recompute.bytes_saved_per_layer) / MIB:.0f} MiB/layer"
+        )
     transfer_ms = offload_bytes / bw * 1e3 if offload_bytes else 0.0
     offload = ActivationOffloadPlan(
         selected=tuple(sorted(c.name for c in offload_sel)),
         bytes_per_layer=offload_bytes,
-        transfer_ms_per_layer=transfer_ms,
         exposed_ms_per_layer_per_direction=max(0.0, transfer_ms - block_compute_ms),
-        deficit_covered=offload_bytes + recompute.bytes_saved_per_layer >= deficit,
     )
-    host_needed = offload_bytes * num_layers
-    if host_needed > cluster.host_mem:
-        return StrategyPlan(
-            recompute,
-            offload,
-            feasible=False,
-            diagnostic=(
-                f"cp={cp}: offloaded activations ({host_needed / 1e9:.1f} GB) "
-                f"exceed host memory ({cluster.host_mem / 1e9:.1f} GB)"
-            ),
-        )
-    if not (recompute.feasible and offload.deficit_covered):
-        return StrategyPlan(
-            recompute,
-            offload,
-            feasible=False,
-            diagnostic=(
-                f"cp={cp}: deficit {deficit / MIB:.0f} MiB/layer exceeds offloadable "
-                f"+ recomputable savings {(offload_bytes + recompute.bytes_saved_per_layer) / MIB:.0f} MiB/layer"
-            ),
-        )
-    return StrategyPlan(recompute, offload, feasible=True)
+    return recompute, offload

@@ -9,6 +9,7 @@ inferred values, not published ones; reports label them fitted.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -60,14 +61,4 @@ def load_reference_config() -> PlanningConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:  # shipped file, should never happen
         raise ConfigError(f"invalid reference config: {exc}") from exc
-    config = parse_config(doc)
-    return PlanningConfig(
-        model=config.model,
-        cluster=config.cluster,
-        dtypes=config.dtypes,
-        parallel=config.parallel,
-        overlap=config.overlap,
-        stages=config.stages,
-        buckets=config.buckets,
-        fitted_fields=TABLE2_FIT_FITTED_FIELDS,
-    )
+    return replace(parse_config(doc), fitted_fields=TABLE2_FIT_FITTED_FIELDS)

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from .buckets import Bucket, check_token_balance, snap_bucket, token_count
@@ -25,7 +25,7 @@ from .config import (
     require_valid,
     resolved_param_count,
 )
-from .errors import ConfigError, InfeasibleError, MemoryOverflowError
+from .errors import ConfigError, InfeasibleError
 from .memory import BUILTIN_CHUNKS, ChunkTable, activation_per_layer, model_states_bytes
 from .offload import (
     ActivationOffloadPlan,
@@ -84,26 +84,8 @@ def _echo_input(config: PlanningConfig, chunks: ChunkTable) -> dict[str, Any]:
             "extra_unpartitioned_layers": list(model.extra_unpartitioned_layers),
             "fitted_fields": list(config.fitted_fields),
         },
-        "cluster": {
-            "num_nodes": config.cluster.num_nodes,
-            "devices_per_node": config.cluster.devices_per_node,
-            "device_mem": config.cluster.device_mem,
-            "peak_flops_per_device": config.cluster.peak_flops_per_device,
-            "intra_node_bw": config.cluster.intra_node_bw,
-            "inter_node_bw": config.cluster.inter_node_bw,
-            "pcie_bw_per_device": config.cluster.pcie_bw_per_device,
-            "host_write_bw_per_numa": config.cluster.host_write_bw_per_numa,
-            "devices_per_numa": config.cluster.devices_per_numa,
-            "host_mem": config.cluster.host_mem,
-        },
-        "dtypes": {
-            "param_bytes": config.dtypes.param_bytes,
-            "grad_bytes": config.dtypes.grad_bytes,
-            "master_bytes": config.dtypes.master_bytes,
-            "moment_bytes": config.dtypes.moment_bytes,
-            "ema_bytes": config.dtypes.ema_bytes,
-            "act_bytes": config.dtypes.act_bytes,
-        },
+        "cluster": asdict(config.cluster),
+        "dtypes": asdict(config.dtypes),
         "assumptions": {
             "tp_sp_overlap_fraction": config.overlap.tp_sp_fraction,
             "tp_sp_overlap_is_assumed": True,
@@ -196,50 +178,43 @@ def _evaluate_candidate(
             )
             continue
         required = max(0, full_act - math.floor(act_budget / L))
-
-        if act_off:
-            strategy = balance_strategies(
-                required,
-                chunks,
-                cluster,
-                par.cp,
-                block_compute_ms,
-                L,
-                B,
-                S,
-                arch.hidden_size,
-                arch.num_heads,
-                par.tp,
-            )
-            if not strategy.feasible:
-                last_diag = strategy.diagnostic or "strategy balancing failed"
-                continue
-            recompute = strategy.recompute
-            act_plan = strategy.offload
-        else:
-            recompute = plan_recompute(
-                chunks, required, B, s_shard, arch.hidden_size, arch.num_heads, par.tp
-            )
-            if not recompute.feasible:
-                last_diag = (
-                    f"deficit {required / 1e6:.0f} MB/layer exceeds recomputable savings "
-                    f"{recompute.bytes_saved_per_layer / 1e6:.0f} MB/layer"
-                )
-                continue
-            act_plan = ActivationOffloadPlan((), 0, 0.0, 0.0, True)
-
-        opt_exposed = 0.0
-        if opt_off:
-            _, opt_exposed = plan_optimizer_offload(
-                states.optimizer, pcie, fwd_microstep_ms, bwd_window_ms
-            )
-        offload = OffloadPlan(
-            optimizer_offloaded=opt_off,
-            optimizer_exposed_ms=opt_exposed,
-            activation_offload_set=act_plan.selected,
-            activation_exposed_ms_per_microstep=act_plan.exposed_ms_per_layer * L,
-        )
         try:
+            if act_off:
+                recompute, act_plan = balance_strategies(
+                    required,
+                    chunks,
+                    cluster,
+                    par.cp,
+                    block_compute_ms,
+                    L,
+                    B,
+                    S,
+                    arch.hidden_size,
+                    arch.num_heads,
+                    par.tp,
+                )
+            else:
+                recompute = plan_recompute(
+                    chunks, required, B, s_shard, arch.hidden_size, arch.num_heads, par.tp
+                )
+                if not recompute.feasible:
+                    raise InfeasibleError(
+                        f"deficit {required / 1e6:.0f} MB/layer exceeds recomputable savings "
+                        f"{recompute.bytes_saved_per_layer / 1e6:.0f} MB/layer"
+                    )
+                act_plan = ActivationOffloadPlan((), 0, 0.0)
+
+            opt_exposed = 0.0
+            if opt_off:
+                _, opt_exposed = plan_optimizer_offload(
+                    states.optimizer, pcie, fwd_microstep_ms, bwd_window_ms
+                )
+            offload = OffloadPlan(
+                optimizer_offloaded=opt_off,
+                optimizer_exposed_ms=opt_exposed,
+                activation_offload_set=act_plan.selected,
+                activation_exposed_ms_per_microstep=act_plan.exposed_ms_per_layer * L,
+            )
             est = estimate_step(
                 arch,
                 bucket,
@@ -252,7 +227,7 @@ def _evaluate_candidate(
                 chunks=chunks,
                 efficiency=config.overlap.efficiency,
             )
-        except MemoryOverflowError as exc:
+        except InfeasibleError as exc:
             last_diag = str(exc)
             continue
         return {

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -248,6 +250,18 @@ def test_simulate_matches_plan_train_at_same_layout(tmp_path, capsys):
             entry["memory"]["peak_gb"],
             entry["mfu"],
         )
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["plan", "train"]])
+def test_csv_quotes_stage_names(command, tmp_path, capsys):
+    doc = json.loads(reference_config_path().read_text())
+    doc["stages"] = [{**doc["stages"][0], "name": 't2i,"320"'}]
+    argv = [*command, "--config", _write_config(tmp_path, doc), "--format", "csv"]
+    assert main(argv) == EXIT_OK
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) >= 2
+    assert {len(row) for row in rows} == {len(rows[0])}
+    assert {row[0] for row in rows[1:]} == {'t2i,"320"'}
 
 
 def test_simulate_validates_config(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import copy
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from ditplan.config import (
     ClusterSpec,
     DTypePolicy,
     ModelArch,
+    OverlapConfig,
     ParallelConfig,
     estimate_param_count,
     load_config,
@@ -16,7 +19,7 @@ from ditplan.config import (
     validate,
 )
 from ditplan.errors import ConfigError
-from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT
+from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT, reference_config_path
 
 
 def test_validate_clean_config():
@@ -181,3 +184,46 @@ def test_partial_parallel_pinning_rejected():
     config = parse_config(doc)
     with pytest.raises(ConfigError):
         _ = config.parallel.pinned
+
+
+REFERENCE = json.loads(reference_config_path().read_text())
+SECTIONS = {
+    "model": ModelArch,
+    "cluster": ClusterSpec,
+    "dtypes": DTypePolicy,
+    "overlap": OverlapConfig,
+}
+# Every field whose reference value (or default, where the reference
+# leaves it out) is a number.
+NUMERIC_FIELDS = [
+    (section, field.name)
+    for section, cls in SECTIONS.items()
+    for field in fields(cls)
+    if type(REFERENCE[section].get(field.name, field.default)) in (int, float)
+]
+
+
+def test_numeric_fields_span_every_section():
+    counts = {section: sum(s == section for s, _ in NUMERIC_FIELDS) for section in SECTIONS}
+    assert counts == {"model": 8, "cluster": 10, "dtypes": 6, "overlap": 3}
+
+
+@pytest.mark.parametrize("section, name", NUMERIC_FIELDS, ids=lambda v: v)
+def test_string_in_numeric_field_names_its_path(section, name):
+    doc = copy.deepcopy(REFERENCE)
+    doc[section][name] = "x"
+    with pytest.raises(ConfigError, match=rf"^{section}\.{name}: expected a"):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize(
+    "section, name",
+    [("cluster", field.name) for field in fields(ClusterSpec)]
+    + [("model", name) for name in ("hidden_size", "num_heads", "num_layers")],
+    ids=lambda v: v,
+)
+def test_missing_required_key_names_its_path(section, name):
+    doc = copy.deepcopy(REFERENCE)
+    del doc[section][name]
+    with pytest.raises(ConfigError, match=rf"^{section}\.{name}: missing required key$"):
+        parse_config(doc)

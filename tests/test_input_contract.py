@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditplan.cli import EXIT_CONFIG, main
+import ditplan
+from ditplan.cli import EXIT_CONFIG, EXIT_OK, main
 from ditplan.presets import reference_config_path
 
 REFERENCE_PATH = reference_config_path()
@@ -70,6 +74,39 @@ def test_malformed_number_is_config_error_naming_its_path(keys, value, tmp_path)
     assert err.startswith(f"config error: {_path(keys)}: ")
 
 
+@pytest.mark.parametrize(
+    "keys, value, code",
+    [
+        (("cluster", "inter_node_bw"), 1e-300, EXIT_CONFIG),
+        (("model", "param_count"), 1e308, EXIT_CONFIG),
+        (("stages", 2, "video_bucket", 1), 4 * 10**160 + 1, EXIT_CONFIG),
+        (("cluster", "devices_per_node"), 10**9, EXIT_OK),
+    ],
+    ids=["tiny-bandwidth", "huge-param-count", "huge-frames", "huge-node"],
+)
+def test_extreme_finite_input(keys, value, code, tmp_path):
+    """Values far outside any real cluster or model are rejected at their
+    path (they would overflow costs to Infinity or NaN, or overflow a
+    float conversion), and a huge but accepted node size plans without
+    walking every integer below it."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_replaced(REFERENCE, keys, value)))
+    src = str(Path(ditplan.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ditplan.cli", "plan", "train", "--config", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "NaN" not in proc.stdout and "Infinity" not in proc.stdout
+    if code == EXIT_CONFIG:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"config error: {_path(keys)}: ")
+
+
 def _field_paths(node, prefix=()):
     """Every dict value and list element below the root, as key tuples."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -89,7 +126,7 @@ def _mutant(original, kind):
     if isinstance(original, bool) or not isinstance(original, (int, float)):
         return "x"
     scaled = original * kind[1]
-    return round(scaled) if isinstance(original, int) else scaled
+    return round(scaled) if isinstance(original, int) and math.isfinite(scaled) else scaled
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,16 +134,16 @@ def _mutant(original, kind):
     keys=st.sampled_from(FIELD_PATHS),
     kind=st.one_of(
         st.sampled_from(["x", None, True, False, math.nan, math.inf, -math.inf, 0, -1]),
-        st.floats(min_value=1e-3, max_value=1e3).map(lambda factor: ("scale", factor)),
+        st.one_of(
+            st.floats(min_value=1e-3, max_value=1e3), st.sampled_from([1e-300, 1e300])
+        ).map(lambda factor: ("scale", factor)),
     ),
 )
 def test_one_bad_field_never_crashes_or_prints_non_finite(keys, kind):
     """Replace one field of the reference config with a string, null, bool,
-    NaN, +-Infinity, 0, -1 or 1e-3..1e3 times its value (rounded for
-    integers). ``plan train`` and ``simulate`` must exit 0, 2, 3 or 4 and
-    print no NaN or Infinity. Overflow from extreme finite values such as
-    ``inter_node_bw: 1e-300`` is out of scope: nothing here goes below
-    1e-3 or above 1e3 times a reference value."""
+    NaN, +-Infinity, 0, -1, or 1e-3..1e3, 1e-300 or 1e300 times its value
+    (rounded for integers). ``plan train`` and ``simulate`` must exit 0,
+    2, 3 or 4 and print no NaN or Infinity."""
     original = REFERENCE
     for key in keys:
         original = original[key]
