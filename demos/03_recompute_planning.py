@@ -8,10 +8,24 @@ cost, so they always go first; Flash Attention sits at the bottom with a
 ratio under 1.
 """
 
-from ditplan import BUILTIN_CHUNKS, MIB, brute_force_recompute, memory_latency_ratio, plan_recompute
+from itertools import combinations
+
+from ditplan import BUILTIN_CHUNKS, MIB, memory_latency_ratio, plan_recompute
 from ditplan.memory import chunk_retained_bytes
 
 args = dict(B=1, S=115_200, H=3072, A=24, tp=8)
+
+
+def optimal_ms(required: int) -> float:
+    """Cheapest re-run latency over every covering subset of the table."""
+    pool = [(chunk_retained_bytes(c, **args), c.fwd_latency_ms) for c in BUILTIN_CHUNKS.chunks]
+    return min(
+        sum(ms for _, ms in subset)
+        for r in range(len(pool) + 1)
+        for subset in combinations(pool, r)
+        if sum(size for size, _ in subset) >= required
+    )
+
 
 print("== ratio table at the 115k-token reference shape ==")
 print(f"  {'chunk':<28} {'retained':>9} {'fwd ms':>8} {'ratio':>8}")
@@ -28,11 +42,10 @@ print(f"  {'required':>9} {'greedy set':<58} {'greedy ms':>9} {'optimal ms':>10}
 for required_mib in (100, 400, 800, 1200):
     required = required_mib * MIB
     greedy = plan_recompute(BUILTIN_CHUNKS, required, **args)
-    oracle = brute_force_recompute(BUILTIN_CHUNKS, required, **args)
     names = "+".join(greedy.selected)
     print(
         f"  {required_mib:>6}MiB {names:<58} {greedy.latency_added_per_layer_ms:>9.2f} "
-        f"{oracle.latency_added_per_layer_ms:>10.2f}"
+        f"{optimal_ms(required):>10.2f}"
     )
 print("  the refined greedy (ratio prefix, prune, tail swap, single cover)")
 print("  matches the 512-subset optimum everywhere on this table.")

@@ -90,7 +90,6 @@ from .offload import (
 from .presets import REFERENCE_CLUSTER, TABLE2_FIT, load_reference_config, reference_config_path
 from .recompute import (
     RecomputePlan,
-    brute_force_recompute,
     memory_latency_ratio,
     plan_recompute,
 )

@@ -15,7 +15,6 @@ import argparse
 import csv
 import dataclasses
 import io
-import json
 import sys
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .errors import ConfigError, InfeasibleError, PlanningError
 from .inference import plan_cache, plan_temporal_windows, plan_vae_tiles
 from .memory import BUILTIN_CHUNKS, MIB, chunk_retained_bytes, load_chunk_table
 from .recompute import memory_latency_ratio, plan_recompute
-from .report import render, require_feasible, run_train_plan
+from .report import dump, render, require_feasible, run_train_plan
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,7 +40,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    _write_out(json.dumps(payload, indent=2) + "\n", out)
+    _write_out(dump(payload) + "\n", out)
 
 
 def _add_common(

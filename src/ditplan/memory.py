@@ -11,7 +11,7 @@ reproduces the reference measurements.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -78,18 +78,20 @@ class ChunkTable:
     ref_tp: int = 8
 
     def __post_init__(self):
-        names = [c.name for c in self.chunks]
-        if len(names) != len(set(names)):
+        index = {c.name: c for c in self.chunks}
+        if len(index) != len(self.chunks):
             raise ConfigError("duplicate chunk names", "chunks")
         for name in _CHUNK_TABLE_REFS:
             if getattr(self, name) < 1:
                 raise ConfigError("must be >= 1", name)
+        # Name -> chunk, built once per table; not a field, so not compared.
+        object.__setattr__(self, "_index", index)
 
     def by_name(self, name: str) -> ChunkSpec:
-        for chunk in self.chunks:
-            if chunk.name == name:
-                return chunk
-        raise ConfigError(f"unknown chunk {name!r}", "chunks")
+        chunk = self._index.get(name)
+        if chunk is None:
+            raise ConfigError(f"unknown chunk {name!r}", "chunks")
+        return chunk
 
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.chunks)
@@ -160,9 +162,6 @@ class MemoryBreakdown:
         return (
             self.params + self.grads + self.master + self.moments + self.ema + self.activations_peak
         )
-
-    def with_activations(self, activations_peak: float) -> "MemoryBreakdown":
-        return replace(self, activations_peak=activations_peak)
 
 
 def model_states_bytes(P: float, dtypes: DTypePolicy, par: ParallelConfig) -> MemoryBreakdown:

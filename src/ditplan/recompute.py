@@ -5,14 +5,12 @@ millisecond of recomputation). IO-bound operators dominate this ranking;
 recomputing attention sits at the bottom. The planner is a refined greedy:
 it takes the descending-ratio prefix, then prunes chunks the cover does
 not need, considers swapping the crossing chunk for a cheaper one, and
-checks the best single-chunk cover. A brute-force subset search is
-provided as the test oracle.
+checks the best single-chunk cover.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ConfigError
@@ -130,39 +128,3 @@ def plan_recompute(
     )
     return _plan_from(best, saved, feasible=True)
 
-
-def brute_force_recompute(
-    chunks: ChunkTable | Sequence[ChunkSpec],
-    required_savings_per_layer: int,
-    B: int = 1,
-    S: int = 115_200,
-    H: int = 3072,
-    A: int = 24,
-    tp: int = 8,
-    exclude: Iterable[str] = (),
-) -> RecomputePlan:
-    """Exhaustive subset search (test oracle). Ties break on fewer chunks,
-    then lexicographic names."""
-    excluded = set(exclude)
-    pool = [c for c in _resolve(chunks) if c.recomputable and c.name not in excluded]
-    if len(pool) > 20:
-        raise ConfigError(f"brute force limited to 20 chunks, got {len(pool)}", "chunks")
-    saved = {c.name: chunk_retained_bytes(c, B, S, H, A, tp) for c in pool}
-    required = required_savings_per_layer
-    if sum(saved.values()) < required:
-        return _plan_from(pool, saved, feasible=False)
-    best: tuple[float, int, tuple[str, ...]] | None = None
-    best_sel: tuple[ChunkSpec, ...] = ()
-    for r in range(len(pool) + 1):
-        for subset in combinations(pool, r):
-            if sum(saved[c.name] for c in subset) < required:
-                continue
-            key = (
-                sum(c.fwd_latency_ms for c in subset),
-                len(subset),
-                tuple(sorted(c.name for c in subset)),
-            )
-            if best is None or key < best:
-                best = key
-                best_sel = subset
-    return _plan_from(best_sel, saved, feasible=True)

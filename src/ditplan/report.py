@@ -1,20 +1,22 @@
 """Plan-search driver and report emission.
 
 ``run_train_plan`` walks every stage bucket, enumerates candidate
-parallel layouts, balances offload/recompute per candidate and simulates
-the step, producing one ranked report. Emission is byte-stable: fixed key
-order, floats at three decimals, so identical configs yield identical
-bytes.
+parallel layouts, balances offload/recompute per candidate and costs the
+step once, producing one ranked report. Floats are rounded to three
+decimals where each entry is built; ranking reads the unrounded step time.
+Emission is byte-stable (fixed key order), and :func:`dump`, the one JSON
+emitter for reports and CLI payloads, writes ``json.dumps(value,
+indent=2)``'s exact bytes.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable
 
 from .buckets import Bucket, check_token_balance, snap_bucket, token_count
 from .comm import build_comm_plan, enumerate_parallel_configs
@@ -35,19 +37,17 @@ from .offload import (
     plan_optimizer_offload,
 )
 from .recompute import plan_recompute
-from .simulate import estimate_step, flops_per_microstep
+from .simulate import _cost_step, flops_per_microstep
 
 OFFLOAD_MODES = ("auto", "off", "optimizer-only")
 
 
-def _round_floats(value: Any, digits: int = 3) -> Any:
+def _round3(value: Any) -> Any:
+    """Floats to three decimals, never ``-0.0``; ints and bools untouched
+    (an empty recompute set's latency stays the int ``0``)."""
     if isinstance(value, float):
-        rounded = round(value, digits)
-        return 0.0 if rounded == 0 else rounded
-    if isinstance(value, dict):
-        return {k: _round_floats(v, digits) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round_floats(v, digits) for v in value]
+        value = round(value, 3)
+        return value if value else 0.0
     return value
 
 
@@ -79,18 +79,18 @@ def _echo_input(config: PlanningConfig, chunks: ChunkTable) -> dict[str, Any]:
             "ffn_multiplier": model.ffn_multiplier,
             "adaln_mode": model.adaln_mode,
             "patch": [model.patch_t, model.patch_h, model.patch_w],
-            "param_count": resolved_param_count(model),
+            "param_count": _round3(resolved_param_count(model)),
             "param_count_source": "supplied" if model.param_count is not None else "estimated",
             "extra_unpartitioned_layers": list(model.extra_unpartitioned_layers),
             "fitted_fields": list(config.fitted_fields),
         },
-        "cluster": asdict(config.cluster),
+        "cluster": {k: _round3(v) for k, v in asdict(config.cluster).items()},
         "dtypes": asdict(config.dtypes),
         "assumptions": {
-            "tp_sp_overlap_fraction": config.overlap.tp_sp_fraction,
+            "tp_sp_overlap_fraction": _round3(config.overlap.tp_sp_fraction),
             "tp_sp_overlap_is_assumed": True,
-            "compute_efficiency": config.overlap.efficiency,
-            "collective_latency_ms": config.overlap.collective_latency_ms,
+            "compute_efficiency": _round3(config.overlap.efficiency),
+            "collective_latency_ms": _round3(config.overlap.collective_latency_ms),
             "mfu_counts_recompute_flops": False,
             "chunk_table_ref_seqlen": chunks.ref_seqlen,
         },
@@ -107,11 +107,12 @@ def _evaluate_candidate(
     config: PlanningConfig,
     chunks: ChunkTable,
     offload_mode: str,
-) -> dict[str, Any]:
-    """Balance strategies for one candidate and simulate it.
+) -> tuple[dict[str, Any], float | None]:
+    """Balance strategies for one candidate and cost its step.
 
-    Returns a plan entry dict; infeasible candidates carry
-    ``feasible=False`` plus a diagnostic instead of timings.
+    Returns the plan entry and its unrounded step time, the ranking key.
+    Infeasible candidates carry ``feasible=False`` plus a diagnostic
+    instead of timings, and ``None`` for the step time.
     """
     arch, cluster, dtypes = config.model, config.cluster, config.dtypes
     shape = token_count(bucket, arch)
@@ -151,7 +152,7 @@ def _evaluate_candidate(
             last_bwd_window_ms=bwd_window_ms,
         )
     except InfeasibleError as exc:
-        return {**base, "feasible": False, "diagnostic": str(exc)}
+        return {**base, "feasible": False, "diagnostic": str(exc)}, None
 
     states = model_states_bytes(P, dtypes, par)
     full_act = activation_per_layer(
@@ -215,59 +216,55 @@ def _evaluate_candidate(
                 activation_offload_set=act_plan.selected,
                 activation_exposed_ms_per_microstep=act_plan.exposed_ms_per_layer * L,
             )
-            est = estimate_step(
-                arch,
-                bucket,
-                par,
-                cluster,
-                dtypes,
-                recompute=recompute,
-                offload=offload,
-                comm=comm,
-                chunks=chunks,
-                efficiency=config.overlap.efficiency,
+            retained = full_act - recompute.bytes_saved_per_layer - act_plan.bytes_per_layer
+            est = _cost_step(
+                arch, par, cluster, chunks, B, s_shard, fwd_flops, states, retained,
+                recompute, offload, comm, config.overlap.efficiency,
             )
         except InfeasibleError as exc:
             last_diag = str(exc)
             continue
+        step_ms = est.step_time_ms
         return {
             **base,
             "feasible": True,
             "comm": {
-                "tp_sp_raw_ms_per_layer": comm.tp_sp_raw_ms_per_layer,
-                "tp_sp_exposed_ms_per_layer": comm.tp_sp_exposed_ms_per_layer,
-                "cp_ms_per_layer": comm.cp_ms_per_layer,
-                "dp_raw_ms_per_step": comm.dp_raw_ms_per_step,
-                "dp_exposed_ms_per_step": comm.dp_exposed_ms_per_step,
+                "tp_sp_raw_ms_per_layer": _round3(comm.tp_sp_raw_ms_per_layer),
+                "tp_sp_exposed_ms_per_layer": _round3(comm.tp_sp_exposed_ms_per_layer),
+                "cp_ms_per_layer": _round3(comm.cp_ms_per_layer),
+                "dp_raw_ms_per_step": _round3(comm.dp_raw_ms_per_step),
+                "dp_exposed_ms_per_step": _round3(comm.dp_exposed_ms_per_step),
             },
             "recompute": {
                 "selected": list(recompute.selected),
-                "mib_saved_per_layer": recompute.mib_saved_per_layer,
-                "latency_ms_per_layer": recompute.latency_added_per_layer_ms,
+                "mib_saved_per_layer": _round3(recompute.mib_saved_per_layer),
+                "latency_ms_per_layer": _round3(recompute.latency_added_per_layer_ms),
             },
             "offload": {
                 "optimizer_offloaded": offload.optimizer_offloaded,
-                "optimizer_exposed_ms": offload.optimizer_exposed_ms,
+                "optimizer_exposed_ms": _round3(offload.optimizer_exposed_ms),
                 "activation_set": list(offload.activation_offload_set),
-                "activation_exposed_ms_per_microstep": offload.activation_exposed_ms_per_microstep,
+                "activation_exposed_ms_per_microstep": _round3(
+                    offload.activation_exposed_ms_per_microstep
+                ),
             },
             "memory": {
-                "params_gb": est.memory.params / 1e9,
-                "grads_gb": est.memory.grads / 1e9,
-                "optimizer_gb": est.memory.optimizer / 1e9,
-                "activations_gb": est.memory.activations_peak / 1e9,
-                "peak_gb": est.peak_mem_bytes / 1e9,
+                "params_gb": _round3(est.memory.params / 1e9),
+                "grads_gb": _round3(est.memory.grads / 1e9),
+                "optimizer_gb": _round3(est.memory.optimizer / 1e9),
+                "activations_gb": _round3(est.memory.activations_peak / 1e9),
+                "peak_gb": _round3(est.peak_mem_bytes / 1e9),
             },
             "timing": {
-                "t_compute_ms": est.t_compute_ms,
-                "t_recompute_ms": est.t_recompute_ms,
-                "t_exposed_comm_ms": est.t_exposed_comm_ms,
-                "t_exposed_offload_ms": est.t_exposed_offload_ms,
-                "step_time_ms": est.step_time_ms,
+                "t_compute_ms": _round3(est.t_compute_ms),
+                "t_recompute_ms": _round3(est.t_recompute_ms),
+                "t_exposed_comm_ms": _round3(est.t_exposed_comm_ms),
+                "t_exposed_offload_ms": _round3(est.t_exposed_offload_ms),
+                "step_time_ms": _round3(step_ms),
             },
-            "mfu": est.mfu,
-        }
-    return {**base, "feasible": False, "diagnostic": last_diag}
+            "mfu": _round3(est.mfu),
+        }, step_ms
+    return {**base, "feasible": False, "diagnostic": last_diag}, None
 
 
 def run_train_plan(
@@ -324,19 +321,14 @@ def run_train_plan(
 
     stage_docs = []
     for stage_name, kind, bucket, pars in groups:
-        entries = [
-            _evaluate_candidate(bucket, par, config, chunks, offload_mode) for par in pars
-        ]
-        feasible = [e for e in entries if e["feasible"]]
-        infeasible = [e for e in entries if not e["feasible"]]
-        feasible.sort(
-            key=lambda e: (
-                round(e["timing"]["step_time_ms"], 6),
-                e["parallel"]["cp"],
-                e["parallel"]["tp"],
-                e["parallel"]["dp"],
-            )
-        )
+        ranked, infeasible = [], []
+        for par in pars:
+            entry, step_ms = _evaluate_candidate(bucket, par, config, chunks, offload_mode)
+            if step_ms is None:
+                infeasible.append(entry)
+            else:
+                ranked.append(((round(step_ms, 6), par.cp, par.tp, par.dp), entry))
+        ranked.sort(key=lambda item: item[0])
         infeasible.sort(
             key=lambda e: (e["parallel"]["cp"], e["parallel"]["tp"], e["parallel"]["dp"])
         )
@@ -350,7 +342,7 @@ def run_train_plan(
                 "stage": stage_name,
                 "bucket_kind": kind,
                 "bucket": _bucket_doc(bucket),
-                "plans": feasible,
+                "plans": [entry for _, entry in ranked],
                 "infeasible": infeasible,
             }
         )
@@ -361,12 +353,75 @@ def run_train_plan(
         "stages": stage_docs,
         "warnings": warnings,
     }
-    return PlanReport(document=_round_floats(document))
+    return PlanReport(document=document)
 
 
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
+
+
+def _json_scalar(value: Any) -> str:
+    """json's spelling of a str, int, float, bool or None."""
+    # Floats, the most common leaf, go first: only bool is two of these
+    # types (an int), so the order is json's wherever it matters.
+    if isinstance(value, float):
+        if value - value == 0.0:  # finite
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_json(value: Any, write: Callable[[str], Any], indent: str) -> None:
+    """Write ``value`` as ``json.dumps(value, indent=2)`` does, nested at ``indent``."""
+    if isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            head = sep + encode_basestring_ascii(key) + ": "
+            if isinstance(item, (dict, list, tuple)):
+                write(head)
+                _write_json(item, write, inner)
+            else:
+                write(head + _json_scalar(item))
+            sep = ",\n" + inner
+        write("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            if isinstance(item, (dict, list, tuple)):
+                write(sep)
+                _write_json(item, write, inner)
+            else:
+                write(sep + _json_scalar(item))
+            sep = ",\n" + inner
+        write("\n" + indent + "]")
+    else:
+        write(_json_scalar(value))
+
+
+def dump(value: Any) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte (dict keys must be str), in
+    about half the time of the pure-Python encoder json falls back to for ``indent``."""
+    buffer = io.StringIO()
+    _write_json(value, buffer.write, "")
+    return buffer.getvalue()
+
 
 _CSV_COLUMNS = [
     "stage",
@@ -425,21 +480,8 @@ def _csv_rows(document: dict[str, Any]) -> list[dict[str, Any]]:
                     }
                 )
             else:
-                row.update(
-                    {
-                        "step_time_ms": "",
-                        "mfu": "",
-                        "peak_gb": "",
-                        "t_compute_ms": "",
-                        "t_recompute_ms": "",
-                        "t_exposed_comm_ms": "",
-                        "t_exposed_offload_ms": "",
-                        "recompute_set": "",
-                        "offload_set": "",
-                        "optimizer_offloaded": "",
-                        "diagnostic": entry["diagnostic"],
-                    }
-                )
+                row.update(dict.fromkeys(_CSV_COLUMNS[len(row) : -1], ""))
+                row["diagnostic"] = entry["diagnostic"]
             rows.append(row)
     return rows
 
@@ -448,7 +490,7 @@ def render(report: PlanReport, format: str = "json") -> str:
     """Serialize a report; identical reports yield identical bytes."""
     document = report.document
     if format == "json":
-        return json.dumps(document, indent=2) + "\n"
+        return dump(document) + "\n"
     if format == "csv":
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=_CSV_COLUMNS, lineterminator="\n")

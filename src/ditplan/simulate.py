@@ -7,6 +7,10 @@ chunk forwards using the reference latency table, rescaled S^2 for
 attention-class chunks and S for the rest. MFU counts only the model's
 forward+backward FLOPs in the numerator (recompute FLOPs are overhead,
 not model throughput).
+
+One function costs a step: ``estimate_step`` derives the FLOPs, model
+states and retained bytes from its arguments and hands them on, while the
+plan evaluator already holds them and calls it directly.
 """
 
 from __future__ import annotations
@@ -67,20 +71,70 @@ def flops_per_microstep(arch: ModelArch, B: int, S: int) -> float:
     return arch.num_layers * per_layer + head
 
 
-def _recompute_ms_per_microstep(
-    recompute: RecomputePlan, chunks: ChunkTable, arch: ModelArch, B: int, S: int
-) -> float:
-    """Re-run cost of the selected chunk forwards, rescaled from the table's shape."""
-    total = 0.0
+def _cost_step(
+    arch: ModelArch,
+    par: ParallelConfig,
+    cluster: ClusterSpec,
+    chunks: ChunkTable,
+    B: int,
+    s_shard: int,
+    fwd_flops: float,
+    states: MemoryBreakdown,
+    retained_per_layer: int,
+    recompute: RecomputePlan,
+    offload: OffloadPlan,
+    comm: CommPlan | None,
+    efficiency: float,
+    enforce_capacity: bool = True,
+) -> StepEstimate:
+    """Cost one step from the candidate's precomputed numbers: one
+    micro-batch's forward FLOPs, the model states before optimizer offload
+    and the bytes a layer retains once recomputed and offloaded chunks are
+    dropped. ``estimate_step`` and the plan evaluator both end here."""
+    overlap_names = set(recompute.selected).intersection(offload.activation_offload_set)
+    if overlap_names:
+        raise ConfigError(
+            f"chunks both recomputed and offloaded: {sorted(overlap_names)}", "plan"
+        )
+    device_share = efficiency * cluster.peak_flops_per_device * par.tp * par.cp
+    t_compute = par.grad_accum * (1 + BACKWARD_FLOPS_FACTOR) * fwd_flops / device_share * 1e3
+    # Re-run the selected chunk forwards, rescaled from the table's shape.
+    recompute_ms = 0.0
     for name in recompute.selected:
         chunk = chunks.by_name(name)
         scale = B / chunks.ref_batch
         if chunk.is_attention_class:
-            scale *= (S / chunks.ref_seqlen) ** 2
+            scale *= (s_shard / chunks.ref_seqlen) ** 2
         else:
-            scale *= S / chunks.ref_seqlen
-        total += chunk.fwd_latency_ms * scale
-    return total * arch.num_layers
+            scale *= s_shard / chunks.ref_seqlen
+        recompute_ms += chunk.fwd_latency_ms * scale
+    t_recompute = par.grad_accum * (recompute_ms * arch.num_layers)
+    t_comm = comm.exposed_ms_per_step(par.grad_accum) if comm is not None else 0.0
+    t_offload = (
+        par.grad_accum * offload.activation_exposed_ms_per_microstep
+        + offload.optimizer_exposed_ms
+    )
+
+    on_device = not offload.optimizer_offloaded
+    memory = MemoryBreakdown(
+        params=states.params,
+        grads=states.grads,
+        master=states.master if on_device else 0.0,
+        moments=states.moments if on_device else 0.0,
+        ema=states.ema if on_device else 0.0,
+        activations_peak=float(retained_per_layer * arch.num_layers),
+    )
+    peak = memory.total
+    if enforce_capacity and peak > cluster.device_mem:
+        raise MemoryOverflowError(int(peak), int(cluster.device_mem))
+
+    step_ms = t_compute + t_recompute + t_comm + t_offload
+    # MFU = model-FLOP throughput over aggregate peak. Equals
+    # ideal_time / step_time, which keeps the identity case exactly 1.0.
+    peak_share = cluster.peak_flops_per_device * par.tp * par.cp
+    ideal_ms = par.grad_accum * (1 + BACKWARD_FLOPS_FACTOR) * fwd_flops / peak_share * 1e3
+    mfu = ideal_ms / step_ms if step_ms > 0 else 0.0
+    return StepEstimate(t_compute, t_recompute, t_comm, t_offload, peak, memory, mfu)
 
 
 def estimate_step(
@@ -109,69 +163,14 @@ def estimate_step(
     chunks = chunks or BUILTIN_CHUNKS
     if recompute is None:
         recompute = RecomputePlan((), 0, 0.0, True)
-    overlap_names = set(recompute.selected) & set(offload.activation_offload_set)
-    if overlap_names:
-        raise ConfigError(
-            f"chunks both recomputed and offloaded: {sorted(overlap_names)}", "plan"
-        )
-
     B, S = bucket.batch, token_count(bucket, arch).tokens
     s_shard = S // par.cp if par.cp > 1 else S
-
-    fwd_flops = flops_per_microstep(arch, B, S)
-    device_share = efficiency * cluster.peak_flops_per_device * par.tp * par.cp
-    t_compute = par.grad_accum * (1 + BACKWARD_FLOPS_FACTOR) * fwd_flops / device_share * 1e3
-    t_recompute = par.grad_accum * _recompute_ms_per_microstep(
-        recompute, chunks, arch, B, s_shard
-    )
-    t_comm = comm.exposed_ms_per_step(par.grad_accum) if comm is not None else 0.0
-    t_offload = (
-        par.grad_accum * offload.activation_exposed_ms_per_microstep
-        + offload.optimizer_exposed_ms
-    )
-
-    states = model_states_bytes(resolved_param_count(arch), dtypes, par)
     retained = activation_per_layer(
-        chunks,
-        B,
-        s_shard,
-        arch.hidden_size,
-        arch.num_heads,
-        par.tp,
-        recompute_set=recompute.selected,
-        offload_set=offload.activation_offload_set,
+        chunks, B, s_shard, arch.hidden_size, arch.num_heads, par.tp,
+        recompute_set=recompute.selected, offload_set=offload.activation_offload_set,
     )
-    memory = states.with_activations(float(retained * arch.num_layers))
-    if offload.optimizer_offloaded:
-        memory = MemoryBreakdown(
-            params=memory.params,
-            grads=memory.grads,
-            master=0.0,
-            moments=0.0,
-            ema=0.0,
-            activations_peak=memory.activations_peak,
-        )
-    peak = memory.total
-    if enforce_capacity and peak > cluster.device_mem:
-        raise MemoryOverflowError(int(peak), int(cluster.device_mem))
-
-    step_ms = t_compute + t_recompute + t_comm + t_offload
-    # MFU = model-FLOP throughput over aggregate peak. Equals
-    # ideal_time / step_time, which keeps the identity case exactly 1.0.
-    ideal_ms = (
-        par.grad_accum
-        * (1 + BACKWARD_FLOPS_FACTOR)
-        * fwd_flops
-        / (cluster.peak_flops_per_device * par.tp * par.cp)
-        * 1e3
-    )
-    mfu = ideal_ms / step_ms if step_ms > 0 else 0.0
-    return StepEstimate(
-        t_compute_ms=t_compute,
-        t_recompute_ms=t_recompute,
-        t_exposed_comm_ms=t_comm,
-        t_exposed_offload_ms=t_offload,
-        peak_mem_bytes=peak,
-        memory=memory,
-        mfu=mfu,
+    states = model_states_bytes(resolved_param_count(arch), dtypes, par)
+    return _cost_step(
+        arch, par, cluster, chunks, B, s_shard, flops_per_microstep(arch, B, S), states,
+        retained, recompute, offload, comm, efficiency, enforce_capacity,
     )

@@ -1,10 +1,26 @@
-"""Shared test oracles: random timeline generation and from-scratch peak."""
+"""Shared test oracles and generators: random timelines, a from-scratch
+peak, the exhaustive recompute search, and seeded planning configs and
+chunk tables for whole-report digests."""
 
 from __future__ import annotations
 
+import json
+import random
+from itertools import combinations
+from typing import Any, Iterable, Sequence
+
 import numpy as np
 
-from ditplan.memory import ActivationTimeline, TimelineEvent
+from ditplan.errors import ConfigError
+from ditplan.memory import (
+    ActivationTimeline,
+    ChunkSpec,
+    ChunkTable,
+    TimelineEvent,
+    chunk_retained_bytes,
+)
+from ditplan.presets import reference_config_path
+from ditplan.recompute import RecomputePlan
 
 
 def make_random_timeline(rng: np.random.Generator, max_pairs: int = 100) -> ActivationTimeline:
@@ -61,3 +77,104 @@ def prefix_max_peak(timeline: ActivationTimeline) -> int:
     for i in range(len(arr)):
         peak = max(peak, int(arr[: i + 1].sum()))
     return peak
+
+
+def brute_force_recompute(
+    chunks: ChunkTable | Sequence[ChunkSpec],
+    required_savings_per_layer: int,
+    B: int = 1,
+    S: int = 115_200,
+    H: int = 3072,
+    A: int = 24,
+    tp: int = 8,
+    exclude: Iterable[str] = (),
+) -> RecomputePlan:
+    """Oracle: exhaustive subset search for the cheapest covering recompute set.
+
+    Ties break on fewer chunks, then lexicographic names; the same plan
+    shape as ``plan_recompute`` returns.
+    """
+    excluded = set(exclude)
+    table = chunks.chunks if isinstance(chunks, ChunkTable) else tuple(chunks)
+    pool = [c for c in table if c.recomputable and c.name not in excluded]
+    if len(pool) > 20:
+        raise ConfigError(f"brute force limited to 20 chunks, got {len(pool)}", "chunks")
+    saved = {c.name: chunk_retained_bytes(c, B, S, H, A, tp) for c in pool}
+
+    def plan(selection: Sequence[ChunkSpec], feasible: bool) -> RecomputePlan:
+        names = tuple(sorted(c.name for c in selection))
+        return RecomputePlan(
+            selected=names,
+            bytes_saved_per_layer=sum(saved[n] for n in names),
+            latency_added_per_layer_ms=round(sum(c.fwd_latency_ms for c in selection), 9),
+            feasible=feasible,
+        )
+
+    if sum(saved.values()) < required_savings_per_layer:
+        return plan(pool, feasible=False)
+    best: tuple[float, int, tuple[str, ...]] | None = None
+    best_sel: Sequence[ChunkSpec] = ()
+    for r in range(len(pool) + 1):
+        for subset in combinations(pool, r):
+            if sum(saved[c.name] for c in subset) < required_savings_per_layer:
+                continue
+            key = (
+                sum(c.fwd_latency_ms for c in subset),
+                len(subset),
+                tuple(sorted(c.name for c in subset)),
+            )
+            if best is None or key < best:
+                best, best_sel = key, subset
+    return plan(best_sel, feasible=True)
+
+
+def _reference_doc() -> dict[str, Any]:
+    return json.loads(reference_config_path().read_text())
+
+
+def sweep_config(seed: int) -> dict[str, Any]:
+    """A seeded variant of the reference config: cluster size, device
+    memory, bandwidths, ``grad_accum``, a 1-3 stage subset and, one time
+    in four, a stage above the context-parallel token gate."""
+    rng = random.Random(f"sweep:{seed}")
+    doc = _reference_doc()
+    cluster = doc["cluster"]
+    cluster["num_nodes"] = rng.randint(1, 8)
+    cluster["device_mem"] = rng.randint(40, 96) * 1e9
+    cluster["intra_node_bw"] = rng.choice((100e9, 200e9, 300e9, 450e9))
+    cluster["inter_node_bw"] = rng.choice((12.5e9, 25e9, 50e9, 100e9))
+    cluster["pcie_bw_per_device"] = rng.choice((16e9, 25e9, 32e9, 64e9))
+    doc["parallel"]["grad_accum"] = rng.choice((1, 1, 2, 4, 8))
+    stages = doc["stages"]
+    picked = sorted(rng.sample(range(len(stages)), rng.randint(1, 3)))
+    doc["stages"] = [stages[i] for i in picked]
+    if rng.random() < 0.25:
+        doc["stages"].append({"name": "long-125x1088x1920", "video_bucket": [1, 125, 1088, 1920]})
+    return doc
+
+
+def random_chunk_table(seed: int) -> tuple[list[dict[str, Any]], dict[str, Any]]:
+    """A seeded 9-20 chunk table plus a pinned tp=8 one-stage config
+    (one of the long joint or SFT stages) to plan it on."""
+    rng = random.Random(f"chunks:{seed}")
+    chunks = []
+    for k in range(rng.randint(9, 20)):
+        attention = rng.random() < 0.2
+        chunks.append(
+            {
+                "name": f"{'attn' if attention else 'op'}{k:02d}",
+                "coeff_bsh": rng.choice((1, 2, 2.5, 4, 6, 8, 12)),
+                "coeff_bas": float(rng.choice((16, 32, 64, 96))) if attention else 0.0,
+                "fwd_latency_ms": round(
+                    rng.uniform(20.0, 150.0) if attention else rng.uniform(0.2, 15.0), 3
+                ),
+                "recomputable": k == 0 or rng.random() >= 0.15,
+                "offloadable": rng.random() >= 0.25,
+            }
+        )
+    doc = _reference_doc()
+    doc["cluster"]["num_nodes"] = rng.randint(1, 4)
+    doc["cluster"]["device_mem"] = rng.randint(24, 64) * 1e9
+    doc["stages"] = [rng.choice(doc["stages"][4:])]
+    doc["parallel"].update(tp=8, cp=1, dp=doc["cluster"]["num_nodes"])
+    return chunks, doc

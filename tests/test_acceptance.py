@@ -15,11 +15,11 @@ from ditplan.config import DTypePolicy, ParallelConfig, parse_config
 from ditplan.inference import plan_cache, plan_temporal_windows, plan_vae_tiles
 from ditplan.memory import BUILTIN_CHUNKS, MIB, chunk_retained_bytes, model_states_bytes, peak_memory
 from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT, reference_config_path
-from ditplan.recompute import brute_force_recompute, memory_latency_ratio, plan_recompute
+from ditplan.recompute import memory_latency_ratio, plan_recompute
 from ditplan.report import render, run_train_plan
 from ditplan.simulate import estimate_step
 
-from helpers import make_random_timeline, prefix_max_peak
+from helpers import brute_force_recompute, make_random_timeline, prefix_max_peak
 
 
 def _ok(criterion: int, message: str) -> None:

@@ -4,11 +4,9 @@ from hypothesis import strategies as st
 
 from ditplan.errors import ConfigError
 from ditplan.memory import BUILTIN_CHUNKS, MIB, ChunkSpec
-from ditplan.recompute import (
-    brute_force_recompute,
-    memory_latency_ratio,
-    plan_recompute,
-)
+from ditplan.recompute import memory_latency_ratio, plan_recompute
+
+from helpers import brute_force_recompute
 
 REF = dict(B=1, S=115_200, H=3072, A=24, tp=8)
 
