@@ -6,7 +6,7 @@ then 1x2x2 patchify turns the latent into tokens. Buckets are chosen so
 different shape classes carry near-equal token counts per batch.
 """
 
-from ditplan import Bucket, assign_bucket, check_token_balance, latent_shape, token_count
+from ditplan import Bucket, check_token_balance, latent_shape, token_count
 
 print("== latent shapes ==")
 for frames, h, w in [(125, 720, 1280), (29, 640, 640), (1, 640, 640)]:
@@ -37,16 +37,3 @@ print()
 print("== the 115k-token regime ==")
 shape = token_count(Bucket(1, 125, 720, 1280))
 print(f"  125-frame 1280x720 video -> {shape.tokens:,} tokens per sample")
-
-print()
-print("== assigning raw samples to buckets ==")
-for dims in [(40, 700, 700), (29, 640, 640), (130, 330, 330)]:
-    chosen, transform = assign_bucket(dims, buckets)
-    print(
-        f"  sample {dims}: bucket {chosen.label()}, crop to {transform.temporal_crop_to} "
-        f"frames, resize to {transform.resize_to}"
-    )
-try:
-    assign_bucket((10, 640, 640), buckets)
-except Exception as exc:
-    print(f"  sample (10, 640, 640): {exc}")

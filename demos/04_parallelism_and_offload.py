@@ -20,7 +20,7 @@ from ditplan import (
     sync_audit,
     tp_sp_layer_comm,
 )
-from ditplan.memory import BUILTIN_CHUNKS, MIB
+from ditplan.memory import BUILTIN_CHUNKS, MIB, chunk_retained_bytes
 from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT
 
 dtypes = DTypePolicy()
@@ -70,9 +70,9 @@ for concurrent in (1, 2, 4, 8):
 bw = effective_pcie_bw(REFERENCE_CLUSTER, 4)
 transfer, exposed = plan_optimizer_offload(13.4e9, bw, 600.0, 1200.0)
 print(f"  optimizer states 13.4 GB: {transfer:.0f} ms round trip, {exposed:.0f} ms exposed")
+sizes = {c.name: chunk_retained_bytes(c, 1, 115_200, 3072, 24, 8) for c in BUILTIN_CHUNKS.chunks}
 recompute, offload = balance_strategies(
-    400 * MIB, BUILTIN_CHUNKS, REFERENCE_CLUSTER, cp=1, block_compute_ms=480.0, num_layers=54,
-    B=1, S=115_200, H=3072, A=24, tp=8,
+    400 * MIB, BUILTIN_CHUNKS, sizes, REFERENCE_CLUSTER, cp=1, block_compute_ms=480.0, num_layers=54,
 )
 print(
     f"  activation deficit 400 MiB/layer: offload {list(offload.selected)} "

@@ -8,13 +8,7 @@ overlapping temporal windows averaged at shared indices.
 
 import numpy as np
 
-from ditplan import (
-    composite_speedup,
-    dit_parallel_latency,
-    plan_cache,
-    plan_temporal_windows,
-    plan_vae_tiles,
-)
+from ditplan import plan_cache, plan_temporal_windows, plan_vae_tiles
 
 print("== diffusion cache schedules (50 steps, warmup 10, cached step = 0.25x) ==")
 print(f"  {'interval':>8} {'full':>5} {'cached':>7} {'speedup':>8}")
@@ -47,16 +41,3 @@ print("  interior indices belong to two clips and average with weight 1/2;")
 print("  the final window clamps to the end so nothing goes uncovered.")
 plan33 = plan_temporal_windows(33, 8, 4)
 print(f"  latent 33 clamps its last clip to {plan33.clips[-1]}")
-
-print()
-print("== composing the gains ==")
-latency, throughput = dit_parallel_latency(8000.0, tp_degree=8, nodes=2, tp_efficiency=0.85)
-print(f"  single-device 8.0 s video -> tp=8 at 0.85 efficiency: {latency / 1e3:.2f} s,")
-print(f"  2 nodes push throughput to {throughput:.2f} videos/s")
-total = composite_speedup(ref.speedup, 1.43)
-print(
-    f"  cache {ref.speedup:.2f}x with a 1.43x attention-side gain composes to "
-    f"{total:.2f}x under the independence assumption"
-)
-print("  (multiplicative composition is an assumption; end-to-end gains shift")
-print("   with the DiT/VAE time split)")

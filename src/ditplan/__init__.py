@@ -12,9 +12,7 @@ window multiplicity).
 from .buckets import (
     Bucket,
     BucketBalanceReport,
-    BucketTransform,
     LatentShape,
-    assign_bucket,
     check_token_balance,
     latent_shape,
     snap_bucket,
@@ -52,16 +50,12 @@ from .errors import (
     DimensionError,
     InfeasibleError,
     MalformedTimelineError,
-    MemoryOverflowError,
     PlanningError,
-    SampleTooShortError,
 )
 from .inference import (
     CacheSchedule,
     TilePlan,
     WindowPlan,
-    composite_speedup,
-    dit_parallel_latency,
     plan_cache,
     plan_temporal_windows,
     plan_vae_tiles,

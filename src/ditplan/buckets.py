@@ -1,4 +1,4 @@
-"""Bucketed dataset geometry: latent shapes, token counts, bucket assignment.
+"""Bucketed dataset geometry: latent shapes, token counts, token balance.
 
 A bucket is a ``{batch, frames, height, width}`` quadruple. Buckets are
 chosen so that different shape classes carry (near-)equal token counts
@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .config import VAE_SPATIAL_RATIO, VAE_TEMPORAL_RATIO, ModelArch
-from .errors import ConfigError, DimensionError, SampleTooShortError
+from .errors import ConfigError, DimensionError
 
 
 @dataclass(frozen=True)
@@ -104,47 +104,6 @@ def snap_bucket(bucket: Bucket, arch: ModelArch | None = None) -> Bucket:
     if (height, width) == (bucket.height, bucket.width):
         return bucket
     return Bucket(bucket.batch, bucket.frames, height, width)
-
-
-@dataclass(frozen=True)
-class BucketTransform:
-    """How a sample maps onto its assigned bucket (description only)."""
-
-    temporal_crop_to: int
-    resize_to: tuple[int, int]
-
-    def is_identity_for(self, sample_dims: tuple[int, int, int]) -> bool:
-        frames, height, width = sample_dims
-        return self.temporal_crop_to == frames and self.resize_to == (height, width)
-
-
-def assign_bucket(
-    sample_dims: tuple[int, int, int], buckets: list[Bucket] | tuple[Bucket, ...]
-) -> tuple[Bucket, BucketTransform]:
-    """Pick the bucket a (frames, height, width) sample trains under.
-
-    The largest bucket frame length not exceeding the sample's is chosen
-    (so a temporal random crop is possible), then the bucket at that
-    frame length whose pixel area is closest to the sample's.
-    """
-    if not buckets:
-        raise ConfigError("bucket list is empty", "buckets")
-    frames, height, width = sample_dims
-    eligible = [b for b in buckets if b.frames <= frames]
-    if not eligible:
-        raise SampleTooShortError(
-            f"sample too short: {frames} frames, shortest bucket needs "
-            f"{min(b.frames for b in buckets)}"
-        )
-    best_frames = max(b.frames for b in eligible)
-    area = height * width
-    at_length = [b for b in eligible if b.frames == best_frames]
-    chosen = min(
-        at_length, key=lambda b: (abs(b.height * b.width - area), b.height * b.width, b.key())
-    )
-    return chosen, BucketTransform(
-        temporal_crop_to=chosen.frames, resize_to=(chosen.height, chosen.width)
-    )
 
 
 @dataclass(frozen=True)

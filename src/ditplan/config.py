@@ -179,6 +179,8 @@ def validate(arch: ModelArch, cluster: ClusterSpec, par: ParallelConfig) -> list
     empty means valid. Violations are data, not failures.
     """
     violations: list[str] = []
+    if arch.num_layers < 1:
+        violations.append("num_layers must be >= 1 to plan a step")
     if arch.hidden_size % arch.num_heads != 0:
         violations.append(
             f"num_heads does not divide hidden_size ({arch.hidden_size} % {arch.num_heads} != 0)"

@@ -22,29 +22,9 @@ class DimensionError(ConfigError):
     """A geometric dimension violates a divisibility or size constraint."""
 
 
-class SampleTooShortError(PlanningError):
-    """A sample has fewer frames than every available bucket."""
-
-
 class MalformedTimelineError(PlanningError):
     """An activation timeline frees memory it never allocated."""
 
 
 class InfeasibleError(PlanningError):
     """No plan satisfies the memory/placement constraints."""
-
-
-class MemoryOverflowError(InfeasibleError):
-    """Projected peak memory exceeds device capacity.
-
-    Carries the overflow gap in bytes so reports can name it.
-    """
-
-    def __init__(self, peak_bytes: int, capacity_bytes: int):
-        self.peak_bytes = peak_bytes
-        self.capacity_bytes = capacity_bytes
-        self.gap_bytes = peak_bytes - capacity_bytes
-        super().__init__(
-            f"projected peak memory {peak_bytes / 1e9:.2f} GB exceeds device "
-            f"capacity {capacity_bytes / 1e9:.2f} GB by {self.gap_bytes / 1e9:.2f} GB"
-        )

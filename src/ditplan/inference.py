@@ -286,39 +286,3 @@ def plan_temporal_windows(n_prime: int, n: int, s: int) -> WindowPlan:
         )
     clips = tuple((start, start + n) for start in _axis_starts(n_prime, n, s))
     return WindowPlan(n_prime=n_prime, window=n, stride=s, clips=clips)
-
-
-def dit_parallel_latency(
-    single_device_step_ms: float,
-    tp_degree: int,
-    nodes: int = 1,
-    tp_efficiency: float = 0.85,
-) -> tuple[float, float]:
-    """(latency ms, throughput videos/s) of TP within a node, DP across nodes.
-
-    Latency divides by tp_degree * tp_efficiency; nodes multiply
-    throughput linearly without touching latency.
-    """
-    if tp_degree < 1 or nodes < 1:
-        raise ConfigError("degrees must be >= 1", "infer.parallel")
-    if not 0.0 < tp_efficiency <= 1.0:
-        raise ConfigError("tp_efficiency must be in (0, 1]", "infer.tp_efficiency")
-    scale = tp_degree * tp_efficiency if tp_degree > 1 else 1.0
-    latency = single_device_step_ms / scale
-    throughput = nodes * 1e3 / latency
-    return (latency, throughput)
-
-
-def composite_speedup(*factors: float) -> float:
-    """Multiplicative composition of independent speedup factors.
-
-    Treating cache, tensor-parallel and VAE-parallel gains as independent
-    is an assumption; real end-to-end gains shift with the DiT/VAE time
-    split.
-    """
-    out = 1.0
-    for factor in factors:
-        if factor <= 0:
-            raise ConfigError("speedup factors must be positive", "infer.speedup")
-        out *= factor
-    return out

@@ -14,8 +14,8 @@ from typing import Sequence
 
 from .config import ClusterSpec
 from .errors import ConfigError, InfeasibleError
-from .memory import MIB, ChunkSpec, ChunkTable, chunk_retained_bytes
-from .recompute import RecomputePlan, plan_recompute
+from .memory import MIB, ChunkSpec, ChunkTable
+from .recompute import RecomputePlan, cover
 
 # Tensors below this size are not worth an offload round trip.
 OFFLOAD_THRESHOLD_BYTES = 64 * MIB
@@ -82,15 +82,11 @@ NO_OFFLOAD = OffloadPlan(
 def balance_strategies(
     deficit: int,
     chunks: ChunkTable | Sequence[ChunkSpec],
+    sizes: dict[str, int],
     cluster: ClusterSpec,
     cp: int,
     block_compute_ms: float,
     num_layers: int,
-    B: int = 1,
-    S: int = 115_200,
-    H: int = 3072,
-    A: int = 24,
-    tp: int = 8,
 ) -> tuple[RecomputePlan, ActivationOffloadPlan]:
     """Cover a per-layer memory deficit with offload first, then recompute.
 
@@ -102,46 +98,36 @@ def balance_strategies(
     that sum exceeds ``block_compute_ms`` is exposed, per layer, per
     direction. (2) Recompute whatever deficit remains.
 
-    ``deficit`` is the per-layer shortfall at context-parallel degree
-    ``cp``; ``S`` is the full sequence (sharded by cp internally).
-    Returns ``(recompute, offload)``. Raises :class:`InfeasibleError`,
-    its message prefixed ``cp=N:``, when the offloaded activations of
-    all layers exceed host memory or the deficit exceeds what offload
-    and recompute can save together.
+    ``sizes`` maps every chunk name to the bytes it retains per layer per
+    rank at the candidate's shape (its context-parallel shard included),
+    and ``deficit`` is the per-layer shortfall at context-parallel degree
+    ``cp``. Returns ``(recompute, offload)``. Raises
+    :class:`InfeasibleError`, its message prefixed ``cp=N:``, when the
+    offloaded activations of all layers exceed host memory or the deficit
+    exceeds what offload and recompute can save together.
     """
     chunk_list = chunks.chunks if isinstance(chunks, ChunkTable) else tuple(chunks)
     bw = effective_pcie_bw(cluster, cluster.devices_per_numa)
-    s_shard = S // cp
 
-    sized = [
-        (c, chunk_retained_bytes(c, B, s_shard, H, A, tp))
+    overlappable = [
+        c
         for c in chunk_list
         if c.offloadable
+        and sizes[c.name] >= OFFLOAD_THRESHOLD_BYTES
+        and sizes[c.name] / bw * 1e3 <= block_compute_ms
     ]
-    overlappable = [
-        (c, size)
-        for c, size in sized
-        if size >= OFFLOAD_THRESHOLD_BYTES and size / bw * 1e3 <= block_compute_ms
-    ]
-    overlappable.sort(key=lambda item: (not item[0].is_attention_class, -item[1], item[0].name))
+    overlappable.sort(key=lambda c: (not c.is_attention_class, -sizes[c.name], c.name))
     offload_sel: list[ChunkSpec] = []
     offload_bytes = 0
-    for chunk, size in overlappable:
+    for chunk in overlappable:
         if offload_bytes >= deficit:
             break
         offload_sel.append(chunk)
-        offload_bytes += size
+        offload_bytes += sizes[chunk.name]
 
-    recompute = plan_recompute(
-        chunk_list,
-        max(0, deficit - offload_bytes),
-        B,
-        s_shard,
-        H,
-        A,
-        tp,
-        exclude=[c.name for c in offload_sel],
-    )
+    offloaded = {c.name for c in offload_sel}
+    pool = [c for c in chunk_list if c.recomputable and c.name not in offloaded]
+    recompute = cover(pool, sizes, max(0, deficit - offload_bytes))
     host_needed = offload_bytes * num_layers
     if host_needed > cluster.host_mem:
         raise InfeasibleError(
@@ -155,7 +141,7 @@ def balance_strategies(
         )
     transfer_ms = offload_bytes / bw * 1e3 if offload_bytes else 0.0
     offload = ActivationOffloadPlan(
-        selected=tuple(sorted(c.name for c in offload_sel)),
+        selected=tuple(sorted(offloaded)),
         bytes_per_layer=offload_bytes,
         exposed_ms_per_layer_per_direction=max(0.0, transfer_ms - block_compute_ms),
     )

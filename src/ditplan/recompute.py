@@ -63,32 +63,16 @@ def _prune(selection: list[ChunkSpec], saved: dict[str, int], required: int) -> 
     return kept
 
 
-def plan_recompute(
-    chunks: ChunkTable | Sequence[ChunkSpec],
-    required_savings_per_layer: int,
-    B: int = 1,
-    S: int = 115_200,
-    H: int = 3072,
-    A: int = 24,
-    tp: int = 8,
-    exclude: Iterable[str] = (),
-) -> RecomputePlan:
-    """Pick a minimal-latency chunk set saving at least the required bytes per layer.
+def cover(pool: Sequence[ChunkSpec], saved: dict[str, int], required: int) -> RecomputePlan:
+    """Pick a minimal-latency subset of ``pool`` saving at least ``required`` bytes per layer.
 
-    ``exclude`` removes chunks handled elsewhere (offloaded or flagged
-    non-recomputable) before selection. Infeasibility (even the full set
+    ``saved`` maps chunk names to the bytes each retains per layer; it may
+    also name chunks outside the pool. Infeasibility (even the whole pool
     saves too little) is encoded in the plan, not raised.
     """
-    if required_savings_per_layer < 0:
-        raise ConfigError("required savings must be >= 0", "recompute.required")
-    excluded = set(exclude)
-    pool = [c for c in _resolve(chunks) if c.recomputable and c.name not in excluded]
-    saved = {c.name: chunk_retained_bytes(c, B, S, H, A, tp) for c in pool}
-    required = required_savings_per_layer
-
     if required == 0:
         return _plan_from([], saved, feasible=True)
-    if sum(saved.values()) < required:
+    if sum(saved[c.name] for c in pool) < required:
         return _plan_from(pool, saved, feasible=False)
 
     order = sorted(
@@ -128,3 +112,26 @@ def plan_recompute(
     )
     return _plan_from(best, saved, feasible=True)
 
+
+def plan_recompute(
+    chunks: ChunkTable | Sequence[ChunkSpec],
+    required_savings_per_layer: int,
+    B: int = 1,
+    S: int = 115_200,
+    H: int = 3072,
+    A: int = 24,
+    tp: int = 8,
+    exclude: Iterable[str] = (),
+) -> RecomputePlan:
+    """Size the recomputable chunks at ``(B, S, H, A, tp)`` and :func:`cover` the
+    required bytes per layer with them.
+
+    ``exclude`` removes chunks handled elsewhere (offloaded or flagged
+    non-recomputable) before selection.
+    """
+    if required_savings_per_layer < 0:
+        raise ConfigError("required savings must be >= 0", "recompute.required")
+    excluded = set(exclude)
+    pool = [c for c in _resolve(chunks) if c.recomputable and c.name not in excluded]
+    saved = {c.name: chunk_retained_bytes(c, B, S, H, A, tp) for c in pool}
+    return cover(pool, saved, required_savings_per_layer)

@@ -28,7 +28,7 @@ from .config import (
     resolved_param_count,
 )
 from .errors import ConfigError, InfeasibleError
-from .memory import BUILTIN_CHUNKS, ChunkTable, activation_per_layer, model_states_bytes
+from .memory import BUILTIN_CHUNKS, ChunkTable, chunk_retained_bytes, model_states_bytes
 from .offload import (
     ActivationOffloadPlan,
     OffloadPlan,
@@ -36,7 +36,7 @@ from .offload import (
     effective_pcie_bw,
     plan_optimizer_offload,
 )
-from .recompute import plan_recompute
+from .recompute import cover
 from .simulate import _cost_step, flops_per_microstep
 
 OFFLOAD_MODES = ("auto", "off", "optimizer-only")
@@ -119,7 +119,7 @@ def _evaluate_candidate(
     B, S = bucket.batch, shape.tokens
     s_shard = S // par.cp if par.cp > 1 else S
     P = resolved_param_count(arch)
-    L = max(1, arch.num_layers)
+    L = arch.num_layers
 
     base = {
         "parallel": {
@@ -155,9 +155,9 @@ def _evaluate_candidate(
         return {**base, "feasible": False, "diagnostic": str(exc)}, None
 
     states = model_states_bytes(P, dtypes, par)
-    full_act = activation_per_layer(
-        chunks, B, s_shard, arch.hidden_size, arch.num_heads, par.tp
-    )
+    H, A = arch.hidden_size, arch.num_heads
+    sizes = {c.name: chunk_retained_bytes(c, B, s_shard, H, A, par.tp) for c in chunks.chunks}
+    full_act = sum(sizes.values())
     pcie = effective_pcie_bw(cluster, cluster.devices_per_numa)
 
     attempts: list[tuple[bool, bool]]  # (offload_optimizer, offload_activations)
@@ -182,48 +182,36 @@ def _evaluate_candidate(
         try:
             if act_off:
                 recompute, act_plan = balance_strategies(
-                    required,
-                    chunks,
-                    cluster,
-                    par.cp,
-                    block_compute_ms,
-                    L,
-                    B,
-                    S,
-                    arch.hidden_size,
-                    arch.num_heads,
-                    par.tp,
+                    required, chunks, sizes, cluster, par.cp, block_compute_ms, L
                 )
             else:
-                recompute = plan_recompute(
-                    chunks, required, B, s_shard, arch.hidden_size, arch.num_heads, par.tp
-                )
+                recompute = cover([c for c in chunks.chunks if c.recomputable], sizes, required)
                 if not recompute.feasible:
                     raise InfeasibleError(
                         f"deficit {required / 1e6:.0f} MB/layer exceeds recomputable savings "
                         f"{recompute.bytes_saved_per_layer / 1e6:.0f} MB/layer"
                     )
                 act_plan = ActivationOffloadPlan((), 0, 0.0)
-
-            opt_exposed = 0.0
-            if opt_off:
-                _, opt_exposed = plan_optimizer_offload(
-                    states.optimizer, pcie, fwd_microstep_ms, bwd_window_ms
-                )
-            offload = OffloadPlan(
-                optimizer_offloaded=opt_off,
-                optimizer_exposed_ms=opt_exposed,
-                activation_offload_set=act_plan.selected,
-                activation_exposed_ms_per_microstep=act_plan.exposed_ms_per_layer * L,
-            )
-            retained = full_act - recompute.bytes_saved_per_layer - act_plan.bytes_per_layer
-            est = _cost_step(
-                arch, par, cluster, chunks, B, s_shard, fwd_flops, states, retained,
-                recompute, offload, comm, config.overlap.efficiency,
-            )
         except InfeasibleError as exc:
             last_diag = str(exc)
             continue
+
+        opt_exposed = 0.0
+        if opt_off:
+            _, opt_exposed = plan_optimizer_offload(
+                states.optimizer, pcie, fwd_microstep_ms, bwd_window_ms
+            )
+        offload = OffloadPlan(
+            optimizer_offloaded=opt_off,
+            optimizer_exposed_ms=opt_exposed,
+            activation_offload_set=act_plan.selected,
+            activation_exposed_ms_per_microstep=act_plan.exposed_ms_per_layer * L,
+        )
+        retained = full_act - recompute.bytes_saved_per_layer - act_plan.bytes_per_layer
+        est = _cost_step(
+            arch, par, cluster, chunks, B, s_shard, fwd_flops, states, retained,
+            recompute, offload, comm, config.overlap.efficiency,
+        )
         step_ms = est.step_time_ms
         return {
             **base,

@@ -8,9 +8,13 @@ attention-class chunks and S for the rest. MFU counts only the model's
 forward+backward FLOPs in the numerator (recompute FLOPs are overhead,
 not model throughput).
 
-One function costs a step: ``estimate_step`` derives the FLOPs, model
-states and retained bytes from its arguments and hands them on, while the
-plan evaluator already holds them and calls it directly.
+One function, ``_cost_step``, costs a step: arithmetic over the chosen
+recompute and offload sets that reports the peak and checks nothing about
+capacity. The plan evaluator sizes each chunk once, covers the memory
+deficit with offload and recompute and calls it directly, so the plans it
+ranks fit device memory by construction. Public ``estimate_step`` derives
+the FLOPs, model states and retained bytes from its arguments and hands
+them on.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .config import (
     estimate_param_count,
     resolved_param_count,
 )
-from .errors import ConfigError, MemoryOverflowError
+from .errors import ConfigError
 from .memory import ChunkTable, MemoryBreakdown, activation_per_layer, model_states_bytes
 from .offload import NO_OFFLOAD, OffloadPlan
 from .recompute import RecomputePlan
@@ -85,17 +89,11 @@ def _cost_step(
     offload: OffloadPlan,
     comm: CommPlan | None,
     efficiency: float,
-    enforce_capacity: bool = True,
 ) -> StepEstimate:
     """Cost one step from the candidate's precomputed numbers: one
     micro-batch's forward FLOPs, the model states before optimizer offload
     and the bytes a layer retains once recomputed and offloaded chunks are
     dropped. ``estimate_step`` and the plan evaluator both end here."""
-    overlap_names = set(recompute.selected).intersection(offload.activation_offload_set)
-    if overlap_names:
-        raise ConfigError(
-            f"chunks both recomputed and offloaded: {sorted(overlap_names)}", "plan"
-        )
     device_share = efficiency * cluster.peak_flops_per_device * par.tp * par.cp
     t_compute = par.grad_accum * (1 + BACKWARD_FLOPS_FACTOR) * fwd_flops / device_share * 1e3
     # Re-run the selected chunk forwards, rescaled from the table's shape.
@@ -125,8 +123,6 @@ def _cost_step(
         activations_peak=float(retained_per_layer * arch.num_layers),
     )
     peak = memory.total
-    if enforce_capacity and peak > cluster.device_mem:
-        raise MemoryOverflowError(int(peak), int(cluster.device_mem))
 
     step_ms = t_compute + t_recompute + t_comm + t_offload
     # MFU = model-FLOP throughput over aggregate peak. Equals
@@ -148,13 +144,11 @@ def estimate_step(
     comm: CommPlan | None = None,
     chunks: ChunkTable | None = None,
     efficiency: float = 0.5,
-    enforce_capacity: bool = True,
 ) -> StepEstimate:
     """Simulate one optimizer step of one bucket under a full strategy.
 
-    Raises :class:`MemoryOverflowError` naming the gap when the projected
-    peak exceeds device memory (suppress with ``enforce_capacity=False``
-    to inspect infeasible points).
+    ``peak_mem_bytes`` is reported, never checked: comparing it with
+    ``cluster.device_mem`` is the caller's call.
     """
     if not 0.0 < efficiency <= 1.0:
         raise ConfigError("efficiency must be in (0, 1]", "overlap.efficiency")
@@ -172,5 +166,5 @@ def estimate_step(
     states = model_states_bytes(resolved_param_count(arch), dtypes, par)
     return _cost_step(
         arch, par, cluster, chunks, B, s_shard, flops_per_microstep(arch, B, S), states,
-        retained, recompute, offload, comm, efficiency, enforce_capacity,
+        retained, recompute, offload, comm, efficiency,
     )

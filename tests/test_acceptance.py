@@ -162,7 +162,7 @@ def test_criterion_9_mfu_properties():
     zero_comm = CommPlan(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, TABLE2_FIT.num_layers)
     identity = estimate_step(
         TABLE2_FIT, bucket, par, REFERENCE_CLUSTER, DTypePolicy(),
-        comm=zero_comm, efficiency=1.0, enforce_capacity=False,
+        comm=zero_comm, efficiency=1.0,
     )
     assert identity.mfu == 1.0
 

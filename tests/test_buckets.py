@@ -4,14 +4,13 @@ from hypothesis import strategies as st
 
 from ditplan.buckets import (
     Bucket,
-    assign_bucket,
     check_token_balance,
     latent_shape,
     snap_bucket,
     snap_to_multiple,
     token_count,
 )
-from ditplan.errors import DimensionError, SampleTooShortError
+from ditplan.errors import DimensionError
 
 
 def test_latent_shape_reference_video():
@@ -92,45 +91,6 @@ def test_latent_monotone_in_each_dim(frames_q, steps):
     assert longer[0] > base[0] and longer[1:] == base[1:]
     assert taller[1] > base[1]
     assert wider[2] > base[2]
-
-
-def test_assign_bucket_picks_largest_viable_frames():
-    buckets = [Bucket(1, 29, 640, 640), Bucket(1, 125, 320, 320)]
-    chosen, transform = assign_bucket((40, 700, 700), buckets)
-    assert chosen == buckets[0]
-    assert transform.temporal_crop_to == 29
-    assert transform.resize_to == (640, 640)
-
-
-def test_assign_bucket_identity():
-    bucket = Bucket(1, 29, 640, 640)
-    chosen, transform = assign_bucket((29, 640, 640), [bucket])
-    assert chosen == bucket
-    assert transform.is_identity_for((29, 640, 640))
-
-
-def test_assign_bucket_sample_too_short():
-    with pytest.raises(SampleTooShortError):
-        assign_bucket((10, 640, 640), [Bucket(1, 29, 640, 640)])
-
-
-def test_assign_bucket_prefers_closest_area():
-    buckets = [Bucket(1, 29, 480, 848), Bucket(1, 29, 640, 640), Bucket(1, 29, 320, 320)]
-    # 650*630 = 409,500 sits 100 px^2 from the square bucket, 2,460 from 480x848
-    chosen, _ = assign_bucket((33, 650, 630), buckets)
-    assert chosen == Bucket(1, 29, 640, 640)
-
-
-@given(
-    frames=st.integers(min_value=1, max_value=200),
-    h=st.integers(min_value=64, max_value=1024),
-    w=st.integers(min_value=64, max_value=1024),
-)
-def test_assign_never_crops_longer_than_sample(frames, h, w):
-    buckets = [Bucket(1, 1, 320, 320), Bucket(1, 29, 640, 640), Bucket(1, 125, 320, 320)]
-    chosen, transform = assign_bucket((frames, h, w), buckets)
-    assert transform.temporal_crop_to <= frames
-    assert chosen.frames == transform.temporal_crop_to
 
 
 def test_snap_to_multiple():

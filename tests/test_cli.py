@@ -271,6 +271,15 @@ def test_simulate_validates_config(tmp_path, capsys):
     assert "num_heads does not divide hidden_size" in capsys.readouterr().err
 
 
+def test_plan_train_rejects_empty_layer_stack(tmp_path, capsys):
+    doc = json.loads(reference_config_path().read_text())
+    doc["model"]["num_layers"] = 0
+    assert main(["plan", "train", "--config", _write_config(tmp_path, doc)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "num_layers must be >= 1 to plan a step" in captured.err
+
+
 def test_simulate_pinned_cp_below_gate_is_infeasible(tmp_path, capsys):
     doc = json.loads(reference_config_path().read_text())
     doc["parallel"].update(tp=8, cp=2, dp=1)

@@ -62,6 +62,14 @@ def test_validate_deterministic_order():
     assert first == second and len(first) >= 2
 
 
+def test_validate_rejects_empty_layer_stack():
+    # ModelArch accepts 0 layers (a parameter estimate of an empty stack is
+    # meaningful); planning a step for one is not.
+    arch = ModelArch(hidden_size=3072, num_heads=24, num_layers=0)
+    par = ParallelConfig(tp=8, cp=1, dp=2)
+    assert validate(arch, REFERENCE_CLUSTER, par) == ["num_layers must be >= 1 to plan a step"]
+
+
 def test_adaln_subtotal_exceeds_3b_for_dedicated_mode():
     # 54 blocks x 6 x 3072^2 = 3.057e9 dedicated modulation parameters
     est = estimate_param_count(TABLE2_FIT)

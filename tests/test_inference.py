@@ -9,8 +9,6 @@ from ditplan.errors import ConfigError
 from ditplan.inference import (
     MAX_VAE_TILES,
     MAX_WINDOW_LATENT,
-    composite_speedup,
-    dit_parallel_latency,
     plan_cache,
     plan_temporal_windows,
     plan_vae_tiles,
@@ -213,30 +211,3 @@ def test_windows_exhaustive_small_sweep():
                     assert end - start == n
                     covered[start:end] = True
                 assert covered.all()
-
-
-# ---------------------------------------------------------------------------
-# DiT parallel inference
-# ---------------------------------------------------------------------------
-
-
-def test_dit_parallel_identity():
-    latency, throughput = dit_parallel_latency(1000.0, 1, 1, 0.85)
-    assert latency == 1000.0
-    assert throughput == pytest.approx(1.0)
-
-
-def test_dit_parallel_tp8():
-    latency, throughput = dit_parallel_latency(1000.0, 8, 1, 0.85)
-    assert latency == pytest.approx(1000.0 / 6.8)
-    # throughput grows linearly in nodes at fixed latency
-    for nodes in (2, 3, 4):
-        _, t = dit_parallel_latency(1000.0, 8, nodes, 0.85)
-        assert t == pytest.approx(nodes * throughput)
-
-
-def test_composite_speedup_multiplicative():
-    cache = plan_cache(50, 10, 3, 0.25).speedup
-    assert composite_speedup(cache, 1.4) == pytest.approx(cache * 1.4)
-    with pytest.raises(ConfigError):
-        composite_speedup(0.0)

@@ -4,11 +4,19 @@ from dataclasses import replace
 
 from ditplan.config import ClusterSpec
 from ditplan.errors import InfeasibleError
-from ditplan.memory import BUILTIN_CHUNKS, MIB, ChunkSpec
+from ditplan.memory import BUILTIN_CHUNKS, MIB, ChunkSpec, chunk_retained_bytes
 from ditplan.offload import balance_strategies, effective_pcie_bw, plan_optimizer_offload
 from ditplan.presets import REFERENCE_CLUSTER
 
 REF = dict(B=1, S=115_200, H=3072, A=24, tp=8)
+
+
+def _sizes(chunks, **shape):
+    """Each chunk's retained bytes per layer at the reference shape, overridden by ``shape``."""
+    return {c.name: chunk_retained_bytes(c, **{**REF, **shape}) for c in chunks}
+
+
+REF_SIZES = _sizes(BUILTIN_CHUNKS.chunks)
 
 
 def test_optimizer_offload_hidden_by_wide_windows():
@@ -64,7 +72,7 @@ def test_activation_offload_exposure_when_transfer_exceeds_block():
     # per chunk (see ROADMAP item 3).
     chunks = [ChunkSpec("a", coeff_bsh=8), ChunkSpec("b", coeff_bsh=8)]
     recompute, offload = balance_strategies(
-        600 * MIB, chunks, REFERENCE_CLUSTER, 1, block_compute_ms=20.0, num_layers=54, **REF
+        600 * MIB, chunks, _sizes(chunks), REFERENCE_CLUSTER, 1, block_compute_ms=20.0, num_layers=54
     )
     assert offload.selected == ("a", "b")
     assert recompute.selected == ()
@@ -79,15 +87,11 @@ def test_activation_offload_threshold_skips_small_tensors():
     recompute, offload = balance_strategies(
         10 * MIB,
         BUILTIN_CHUNKS,
+        _sizes(BUILTIN_CHUNKS.chunks, S=1024),
         REFERENCE_CLUSTER,
         1,
         block_compute_ms=480.0,
         num_layers=54,
-        B=1,
-        S=1024,
-        H=3072,
-        A=24,
-        tp=8,
     )
     assert offload.selected == ()
     assert recompute.bytes_saved_per_layer >= 10 * MIB
@@ -98,11 +102,11 @@ def test_balance_zero_deficit_noop():
         recompute, offload = balance_strategies(
             deficit,
             BUILTIN_CHUNKS,
+            REF_SIZES,
             REFERENCE_CLUSTER,
             1,
             block_compute_ms=480.0,
             num_layers=54,
-            **REF,
         )
         assert recompute.selected == ()
         assert recompute.feasible
@@ -117,11 +121,11 @@ def test_balance_small_deficit_offload_only():
     recompute, offload = balance_strategies(
         100 * MIB,
         BUILTIN_CHUNKS,
+        REF_SIZES,
         REFERENCE_CLUSTER,
         1,
         block_compute_ms=480.0,
         num_layers=54,
-        **REF,
     )
     assert recompute.selected == ()
     assert offload.selected == ("flash_attention",)
@@ -133,11 +137,11 @@ def test_balance_mixes_recompute_when_overlap_runs_out():
     recompute, offload = balance_strategies(
         400 * MIB,
         BUILTIN_CHUNKS,
+        REF_SIZES,
         REFERENCE_CLUSTER,
         1,
         block_compute_ms=0.1,
         num_layers=54,
-        **REF,
     )
     assert offload.selected == ()
     assert recompute.bytes_saved_per_layer >= 400 * MIB
@@ -148,11 +152,11 @@ def test_balance_exhaustion_diagnostic():
         balance_strategies(
             10**15,
             BUILTIN_CHUNKS,
+            REF_SIZES,
             REFERENCE_CLUSTER,
             1,
             block_compute_ms=480.0,
             num_layers=54,
-            **REF,
         )
 
 
@@ -163,11 +167,11 @@ def test_balance_host_memory_diagnostic():
         balance_strategies(
             100 * MIB,
             BUILTIN_CHUNKS,
+            REF_SIZES,
             cluster,
             1,
             block_compute_ms=480.0,
             num_layers=54,
-            **REF,
         )
 
 
@@ -175,11 +179,11 @@ def test_balance_disjoint_recompute_and_offload():
     recompute, offload = balance_strategies(
         800 * MIB,
         BUILTIN_CHUNKS,
+        REF_SIZES,
         REFERENCE_CLUSTER,
         1,
         block_compute_ms=6.0,
         num_layers=54,
-        **REF,
     )
     assert not (set(recompute.selected) & set(offload.selected))
     assert recompute.bytes_saved_per_layer + offload.bytes_per_layer >= 800 * MIB

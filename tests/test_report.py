@@ -1,7 +1,9 @@
-"""Report emission: the JSON writer, rounding at build time, and
-whole-report digests over seeded sweeps."""
+"""Report emission: the JSON writer, rounding at build time,
+whole-report digests over seeded sweeps, and the guarantees the
+evaluator gives every plan it ranks."""
 
 import hashlib
+import importlib
 import json
 import math
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from ditplan import ChunkSpec, ChunkTable, parse_config
 from ditplan.config import load_config
+from ditplan.memory import BUILTIN_CHUNKS
 from ditplan.presets import reference_config_path
 from ditplan.report import OFFLOAD_MODES, dump, render, run_train_plan
 
@@ -121,3 +124,45 @@ def test_chunk_table_report_digests():
                 yield run_train_plan(config, chunks=table, offload_mode=mode)
 
     assert _digests(reports()) == CHUNK_TABLE_SHA256
+
+
+def test_feasible_plans_fit_device_memory_with_disjoint_sets():
+    # The step costing checks neither capacity nor overlap: the evaluator's
+    # deficit arithmetic and its offload-then-recompute split guarantee both.
+    cases = [(load_config(reference_config_path()), None)]
+    cases += [(parse_config(sweep_config(seed)), None) for seed in range(40)]
+    for seed in range(10):
+        chunks, doc = random_chunk_table(seed)
+        cases.append((parse_config(doc), ChunkTable(chunks=tuple(ChunkSpec(**c) for c in chunks))))
+    plans = mixed = 0
+    for config, table in cases:
+        capacity_gb = round(config.cluster.device_mem / 1e9, 3)
+        for mode in OFFLOAD_MODES:
+            report = run_train_plan(config, chunks=table, offload_mode=mode)
+            for stage in report.document["stages"]:
+                for entry in stage["plans"]:
+                    recomputed = set(entry["recompute"]["selected"])
+                    offloaded = set(entry["offload"]["activation_set"])
+                    assert entry["memory"]["peak_gb"] <= capacity_gb
+                    assert not recomputed & offloaded
+                    plans += 1
+                    mixed += bool(recomputed and offloaded)
+    assert plans > 0 and mixed > 0
+
+
+def test_chunks_sized_once_per_candidate(monkeypatch):
+    original = importlib.import_module("ditplan.memory").chunk_retained_bytes
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    for name in ("memory", "recompute", "offload", "report"):
+        module = importlib.import_module(f"ditplan.{name}")
+        if getattr(module, "chunk_retained_bytes", None) is original:
+            monkeypatch.setattr(module, "chunk_retained_bytes", counted)
+    report = run_train_plan(load_config(reference_config_path()))
+    candidates = report.feasible_count + report.infeasible_count
+    assert 0 < calls <= len(BUILTIN_CHUNKS.chunks) * candidates

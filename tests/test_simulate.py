@@ -11,9 +11,8 @@ from ditplan.config import (
     PlanningConfig,
     StageScenario,
 )
-from ditplan.errors import ConfigError, MemoryOverflowError
 from ditplan.memory import BUILTIN_CHUNKS
-from ditplan.offload import NO_OFFLOAD, OffloadPlan
+from ditplan.offload import NO_OFFLOAD
 from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT
 from ditplan.recompute import RecomputePlan, plan_recompute
 from ditplan.report import run_train_plan
@@ -67,7 +66,6 @@ def test_identity_case_mfu_is_exactly_one():
         offload=NO_OFFLOAD,
         comm=_zero_comm(TABLE2_FIT.num_layers),
         efficiency=1.0,
-        enforce_capacity=False,
     )
     assert est.mfu == 1.0
     assert est.t_recompute_ms == 0.0
@@ -84,7 +82,6 @@ def test_exposed_comm_equal_to_compute_halves_mfu():
         DT,
         comm=_zero_comm(TABLE2_FIT.num_layers),
         efficiency=1.0,
-        enforce_capacity=False,
     )
     # hand the entire compute time back as exposed communication
     loaded = CommPlan(0.0, 0.0, 0.0, base.t_compute_ms, base.t_compute_ms, 1.0, 1)
@@ -96,7 +93,6 @@ def test_exposed_comm_equal_to_compute_halves_mfu():
         DT,
         comm=loaded,
         efficiency=1.0,
-        enforce_capacity=False,
     )
     assert est.mfu == 0.5
 
@@ -113,7 +109,6 @@ def test_recompute_latency_scales_with_layer_count():
         recompute=plan,
         comm=_zero_comm(TABLE2_FIT.num_layers),
         efficiency=1.0,
-        enforce_capacity=False,
     )
     # selected chunk latencies at the reference shape, once per layer
     assert est.t_recompute_ms == pytest.approx(
@@ -127,7 +122,7 @@ def test_recompute_gelu_layernorm_pair_per_microstep():
     pair = RecomputePlan(("gelu", "layernorm_scale_shift"), 0, 1.22, True)
     est = estimate_step(
         TABLE2_FIT, REF_BUCKET, par, REFERENCE_CLUSTER, DT,
-        recompute=pair, comm=_zero_comm(54), efficiency=1.0, enforce_capacity=False,
+        recompute=pair, comm=_zero_comm(54), efficiency=1.0,
     )
     assert est.t_recompute_ms == pytest.approx(54 * 1.22, rel=1e-9)
 
@@ -139,11 +134,11 @@ def test_recompute_latency_rescales_with_sequence():
     half = Bucket(1, 125, 720, 640)  # 57,600 tokens: half the reference S
     est_gelu = estimate_step(
         TABLE2_FIT, half, par, REFERENCE_CLUSTER, DT, recompute=gelu_only,
-        comm=_zero_comm(54), efficiency=1.0, enforce_capacity=False,
+        comm=_zero_comm(54), efficiency=1.0,
     )
     est_attn = estimate_step(
         TABLE2_FIT, half, par, REFERENCE_CLUSTER, DT, recompute=attn_only,
-        comm=_zero_comm(54), efficiency=1.0, enforce_capacity=False,
+        comm=_zero_comm(54), efficiency=1.0,
     )
     # IO-bound chunks scale linearly in S, attention quadratically
     assert est_gelu.t_recompute_ms == pytest.approx(54 * 0.64 * 0.5, rel=1e-9)
@@ -156,11 +151,11 @@ def test_adding_recompute_chunk_never_faster_or_bigger():
     larger = RecomputePlan(("gelu", "gate"), 0, 1.0, True)
     a = estimate_step(
         TABLE2_FIT, REF_BUCKET, par, REFERENCE_CLUSTER, DT, recompute=smaller,
-        comm=_zero_comm(54), enforce_capacity=False,
+        comm=_zero_comm(54),
     )
     b = estimate_step(
         TABLE2_FIT, REF_BUCKET, par, REFERENCE_CLUSTER, DT, recompute=larger,
-        comm=_zero_comm(54), enforce_capacity=False,
+        comm=_zero_comm(54),
     )
     assert b.step_time_ms >= a.step_time_ms
     assert b.peak_mem_bytes <= a.peak_mem_bytes
@@ -173,42 +168,10 @@ def test_step_time_monotone_in_sequence():
         bucket = Bucket(1, 125, 720, width)
         est = estimate_step(
             TABLE2_FIT, bucket, par, REFERENCE_CLUSTER, DT,
-            comm=_zero_comm(54), enforce_capacity=False,
+            comm=_zero_comm(54),
         )
         times.append(est.step_time_ms)
     assert times == sorted(times)
-
-
-def test_overflow_error_names_gap():
-    from ditplan.config import ClusterSpec
-
-    tiny = ClusterSpec(
-        num_nodes=2,
-        devices_per_node=8,
-        device_mem=1e9,
-        peak_flops_per_device=312e12,
-        intra_node_bw=200e9,
-        inter_node_bw=50e9,
-        pcie_bw_per_device=25e9,
-        host_write_bw_per_numa=80e9,
-        devices_per_numa=4,
-        host_mem=2e12,
-    )
-    with pytest.raises(MemoryOverflowError) as err:
-        estimate_step(TABLE2_FIT, REF_BUCKET, ParallelConfig(tp=8, cp=1, dp=2), tiny, DT)
-    assert err.value.gap_bytes > 0
-    assert "exceeds device capacity" in str(err.value)
-
-
-def test_disjointness_enforced():
-    par = ParallelConfig(tp=8, cp=1, dp=2)
-    recompute = RecomputePlan(("gelu",), 0, 0.64, True)
-    offload = OffloadPlan(False, 0.0, ("gelu",), 0.0)
-    with pytest.raises(ConfigError):
-        estimate_step(
-            TABLE2_FIT, REF_BUCKET, par, REFERENCE_CLUSTER, DT,
-            recompute=recompute, offload=offload, enforce_capacity=False,
-        )
 
 
 def test_mfu_invariant_under_joint_rescaling():
@@ -219,7 +182,7 @@ def test_mfu_invariant_under_joint_rescaling():
     )
     est = estimate_step(
         TABLE2_FIT, REF_BUCKET, par, REFERENCE_CLUSTER, DT,
-        recompute=plan, comm=comm, enforce_capacity=False,
+        recompute=plan, comm=comm,
     )
     # doubling peak FLOPs while halving every latency term leaves MFU fixed
     from dataclasses import replace
@@ -242,7 +205,7 @@ def test_mfu_invariant_under_joint_rescaling():
     )
     est2 = estimate_step(
         TABLE2_FIT, REF_BUCKET, par, cluster2, DT,
-        recompute=plan, comm=comm2, chunks=chunks2, enforce_capacity=False,
+        recompute=plan, comm=comm2, chunks=chunks2,
     )
     assert est2.mfu == pytest.approx(est.mfu, rel=1e-9)
 
