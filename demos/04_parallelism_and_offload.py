@@ -11,13 +11,11 @@ from ditplan import (
     Bucket,
     balance_strategies,
     DTypePolicy,
-    ParallelConfig,
     cp_gate_and_comm,
     dp_comm,
     effective_pcie_bw,
     enumerate_parallel_configs,
     plan_optimizer_offload,
-    sync_audit,
     tp_sp_layer_comm,
 )
 from ditplan.memory import BUILTIN_CHUNKS, MIB, chunk_retained_bytes
@@ -53,14 +51,6 @@ for bucket, label in [
     configs = enumerate_parallel_configs(TABLE2_FIT, REFERENCE_CLUSTER, bucket)
     combos = ", ".join(f"(tp={c.tp},cp={c.cp},dp={c.dp})" for c in configs[:5])
     print(f"  {label}: {combos}{' ...' if len(configs) > 5 else ''}")
-
-print()
-print("== explicit gradient-sync audit under TP ==")
-report = sync_audit(TABLE2_FIT, ParallelConfig(tp=8, cp=1, dp=2))
-for entry in report.entries:
-    status = "partitioned" if entry.partitioned else "replicated"
-    flag = "  <- needs explicit grad sync" if entry.needs_explicit_grad_sync else ""
-    print(f"  {entry.layer:<18} {status}{flag}")
 
 print()
 print("== offloading against the NUMA write-bandwidth cap ==")

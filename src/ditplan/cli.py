@@ -7,24 +7,19 @@ a planning config (``plan train``, ``buckets check``, ``simulate``) and
 ``--format`` to the two with more than one emitter (``plan train``,
 ``simulate``). Exit codes: 0 success, 2 config error, 3 infeasible, 4 I/O
 error.
+
+Each subcommand imports the modules it runs when it runs, so a cold
+``plan windows`` never loads the training planner.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
-import io
 import sys
 from pathlib import Path
 
-from .buckets import check_token_balance
-from .config import finite_number, load_config, require_valid
-from .errors import ConfigError, InfeasibleError, PlanningError
-from .inference import plan_cache, plan_temporal_windows, plan_vae_tiles
-from .memory import BUILTIN_CHUNKS, MIB, chunk_retained_bytes, load_chunk_table
-from .recompute import memory_latency_ratio, plan_recompute
-from .report import dump, render, require_feasible, run_train_plan
+from .emit import dump
+from .errors import ConfigError, InfeasibleError, PlanningError, finite_number
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -120,10 +115,15 @@ def _parse_triple(text: str, flag: str) -> tuple[int, int, int]:
 
 
 def _chunks_from(args: argparse.Namespace):
+    from .memory import BUILTIN_CHUNKS, load_chunk_table
+
     return load_chunk_table(args.chunk_table) if args.chunk_table else BUILTIN_CHUNKS
 
 
 def _cmd_plan_train(args: argparse.Namespace) -> int:
+    from .config import load_config
+    from .report import render, require_feasible, run_train_plan
+
     config = load_config(args.config)
     report = run_train_plan(config, chunks=_chunks_from(args), offload_mode=args.offload)
     _write_out(render(report, args.format), args.out)
@@ -132,6 +132,8 @@ def _cmd_plan_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan_infer(args: argparse.Namespace) -> int:
+    from .inference import plan_cache
+
     mode = "dit-layer-cache" if args.mode == "dit" else "attention-cache"
     schedule = plan_cache(
         args.steps, args.warmup, args.interval, args.cached_cost_fraction, mode
@@ -152,6 +154,9 @@ def _cmd_plan_infer(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan_recompute(args: argparse.Namespace) -> int:
+    from .memory import MIB, chunk_retained_bytes
+    from .recompute import memory_latency_ratio, plan_recompute
+
     chunks = _chunks_from(args)
     ref = (chunks.ref_batch, chunks.ref_seqlen, chunks.ref_hidden, chunks.ref_heads, chunks.ref_tp)
     required = int(finite_number(args.required_mb, "--required-mb") * MIB)
@@ -176,6 +181,8 @@ def _cmd_plan_recompute(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan_windows(args: argparse.Namespace) -> int:
+    from .inference import plan_temporal_windows
+
     plan = plan_temporal_windows(args.n_prime, args.n, args.stride)
     payload = {
         "n_prime": plan.n_prime,
@@ -190,6 +197,8 @@ def _cmd_plan_windows(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan_vae_tiles(args: argparse.Namespace) -> int:
+    from .inference import plan_vae_tiles
+
     plan = plan_vae_tiles(
         _parse_triple(args.latent, "--latent"),
         _parse_triple(args.tile, "--tile"),
@@ -212,6 +221,9 @@ def _cmd_plan_vae_tiles(args: argparse.Namespace) -> int:
 
 
 def _cmd_buckets_check(args: argparse.Namespace) -> int:
+    from .buckets import check_token_balance
+    from .config import load_config, require_valid
+
     config = load_config(args.config)
     require_valid(config)
     if not config.buckets:
@@ -241,6 +253,13 @@ def _cmd_buckets_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    import csv
+    import dataclasses
+    import io
+
+    from .config import load_config
+    from .report import run_train_plan
+
     config = load_config(args.config)
     stages = list(config.stages)
     if args.stage is not None:

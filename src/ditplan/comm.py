@@ -261,53 +261,3 @@ def enumerate_parallel_configs(
                 )
             cp *= 2
     return candidates
-
-
-@dataclass(frozen=True)
-class SyncAuditEntry:
-    layer: str
-    partitioned: bool
-    needs_explicit_grad_sync: bool
-
-
-@dataclass(frozen=True)
-class SyncAuditReport:
-    entries: tuple[SyncAuditEntry, ...]
-
-    def flagged(self) -> tuple[str, ...]:
-        return tuple(e.layer for e in self.entries if e.needs_explicit_grad_sync)
-
-
-# Transformer-stack layer classes and whether TP partitions them. The
-# unpartitioned ones live inside the sequence-parallel region, whose
-# reduce-scatter already synchronizes their gradients.
-_STACK_LAYERS = (
-    ("qkv_linear", True),
-    ("attn_out_linear", True),
-    ("ffn_linear1", True),
-    ("ffn_linear2", True),
-    ("adaln_linear", True),
-    ("layernorm", False),
-)
-
-
-def sync_audit(arch: ModelArch, par: ParallelConfig) -> SyncAuditReport:
-    """Which parameters need explicit gradient synchronization under TP.
-
-    Everything inside the transformer stack is either partitioned by TP
-    or synchronized by SP. Modules outside it (patchify, final
-    projection) are replicated with no sync path, so numerically unstable
-    backward kernels make their replicas drift without an explicit
-    gradient all-reduce.
-    """
-    if par.tp < 2:
-        return SyncAuditReport(entries=())
-    entries = [
-        SyncAuditEntry(layer=name, partitioned=partitioned, needs_explicit_grad_sync=False)
-        for name, partitioned in _STACK_LAYERS
-    ]
-    for layer in arch.extra_unpartitioned_layers:
-        entries.append(
-            SyncAuditEntry(layer=layer, partitioned=False, needs_explicit_grad_sync=True)
-        )
-    return SyncAuditReport(entries=tuple(entries))

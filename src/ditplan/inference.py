@@ -24,8 +24,10 @@ if TYPE_CHECKING:
 
 CACHE_MODES = ("dit-layer-cache", "attention-cache")
 
-# Input size caps: coverage lists and tile lists grow linearly with them,
-# so an unbounded value would exhaust memory before any output is written.
+# Input size caps: per-step flags, coverage lists and tile lists grow
+# linearly with them, so an unbounded value would exhaust memory before any
+# output is written.
+MAX_CACHE_STEPS = 2**16
 MAX_WINDOW_LATENT = 2**16
 MAX_VAE_TILES = 2**16
 
@@ -65,12 +67,15 @@ def plan_cache(
 
     The first post-warmup step refreshes the cache; the next
     ``interval - 1`` steps reuse it at ``cached_cost_fraction`` of a full
-    step. Speedup is total_steps over the summed per-step cost.
+    step. Speedup is total_steps over the summed per-step cost. Schedules
+    of more than ``MAX_CACHE_STEPS`` steps are rejected.
     """
     if mode not in CACHE_MODES:
         raise ConfigError(f"mode must be one of {CACHE_MODES}", "cache.mode")
     if total_steps < 1:
         raise ConfigError("total_steps must be >= 1", "cache.total_steps")
+    if total_steps > MAX_CACHE_STEPS:
+        raise ConfigError(f"{total_steps} exceeds the cap of {MAX_CACHE_STEPS}", "cache.total_steps")
     if not 0 <= warmup <= total_steps:
         raise ConfigError("warmup must be in [0, total_steps]", "cache.warmup")
     if interval < 1:

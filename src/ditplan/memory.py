@@ -13,10 +13,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .config import DTypePolicy, ParallelConfig, finite_number, integer_value
-from .errors import ConfigError, MalformedTimelineError
+from .errors import ConfigError, MalformedTimelineError, finite_number, integer_value
+
+if TYPE_CHECKING:
+    from .config import DTypePolicy, ParallelConfig
 
 MIB = 1024 * 1024
 

@@ -429,6 +429,84 @@ def test_subcommands_load_no_numpy_or_thread_pool(argv, ref_config):
     assert json.loads(proc.stdout) == {"code": EXIT_OK, "loaded": []}
 
 
+_MODULES_PROBE = """
+import contextlib, io, json, sys
+from ditplan.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+ditplan = sorted(m for m in sys.modules if m == "ditplan" or m.startswith("ditplan."))
+print(json.dumps({"code": code, "ditplan": ditplan, "csv": "csv" in sys.modules}))
+"""
+_CLI_CORE = ["ditplan", "ditplan.cli", "ditplan.emit", "ditplan.errors"]
+_PLANNER = ["buckets", "comm", "config", "memory", "offload", "recompute", "report", "simulate"]
+
+
+# Subcommand -> (argv, the ditplan modules it loads beyond _CLI_CORE).
+_SUBCOMMAND_MODULES = {
+    "plan-train": (["plan", "train", "--config", "REF"], _PLANNER),
+    "plan-infer": (["plan", "infer", "--steps", "10"], ["inference"]),
+    "plan-recompute": (["plan", "recompute", "--required-mb", "400"], ["memory", "recompute"]),
+    "plan-windows": (["plan", "windows", "--n-prime", "32", "--n", "8", "--stride", "4"], ["inference"]),
+    "plan-vae-tiles": (["plan", "vae-tiles", "--latent", "8,64,64", "--tile", "4,32,32"], ["inference"]),
+    "buckets-check": (["buckets", "check", "--config", "REF"], ["buckets", "config"]),
+    "simulate": (["simulate", "--config", "REF", "--stage", "t2v-29x320"], _PLANNER),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(_SUBCOMMAND_MODULES))
+def test_subcommands_import_only_their_modules(subcommand, ref_config):
+    argv, modules = _SUBCOMMAND_MODULES[subcommand]
+    argv = [ref_config if a == "REF" else a for a in argv]
+    proc = _python("-c", _MODULES_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == EXIT_OK
+    assert result["ditplan"] == sorted(_CLI_CORE + [f"ditplan.{m}" for m in modules])
+    assert result["csv"] == (modules == _PLANNER)
+
+
+_PACKAGE_PROBE = """
+import json, sys
+import ditplan
+loaded = [m for m in sys.modules if m.startswith("ditplan.")]
+star = {}
+exec("from ditplan import *", star)
+names = ditplan.__all__
+homes = {name: sys.modules["ditplan." + ditplan._HOME[name]] for name in names}
+try:
+    ditplan.no_such_name
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps({
+    "loaded_by_import": loaded,
+    "names": len(names),
+    "unique": len(set(names)) == len(names),
+    "not_home": [n for n in names if getattr(ditplan, n) is not getattr(homes[n], n)],
+    "not_starred": [n for n in names if star.get(n) is not getattr(homes[n], n)],
+    "not_in_dir": sorted(set(names) - set(dir(ditplan))),
+    "missing": missing,
+}))
+"""
+
+
+def test_package_exports_are_lazy():
+    proc = _python("-c", _PACKAGE_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["loaded_by_import"] == []
+    assert result["names"] == 69 and result["unique"]
+    assert result["not_home"] == [] and result["not_starred"] == [] and result["not_in_dir"] == []
+    assert "no_such_name" in result["missing"]
+
+
+def test_plan_infer_steps_cap(capsys):
+    from ditplan.inference import MAX_CACHE_STEPS
+
+    assert main(["plan", "infer", "--steps", str(MAX_CACHE_STEPS + 1)]) == EXIT_CONFIG
+    assert "cache.total_steps" in capsys.readouterr().err
+
+
 def test_plan_windows_latent_cap(capsys):
     from ditplan.inference import MAX_WINDOW_LATENT
 

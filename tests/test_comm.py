@@ -8,10 +8,9 @@ from ditplan.comm import (
     cp_gate_and_comm,
     dp_comm,
     enumerate_parallel_configs,
-    sync_audit,
     tp_sp_layer_comm,
 )
-from ditplan.config import DTypePolicy, ModelArch, OverlapConfig, ParallelConfig
+from ditplan.config import DTypePolicy, OverlapConfig, ParallelConfig
 from ditplan.errors import InfeasibleError
 from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT
 
@@ -160,33 +159,6 @@ def test_enumerate_single_device():
     )
     configs = enumerate_parallel_configs(TABLE2_FIT, single, Bucket(1, 29, 320, 320))
     assert configs == [ParallelConfig(tp=1, cp=1, dp=1, zero_stage="none", grad_accum=1)]
-
-
-def test_sync_audit_flags_extra_layers():
-    report = sync_audit(TABLE2_FIT, ParallelConfig(tp=8, cp=1, dp=2))
-    assert set(report.flagged()) == {"patchify", "final_proj"}
-    by_layer = {e.layer: e for e in report.entries}
-    assert not by_layer["qkv_linear"].needs_explicit_grad_sync
-    assert by_layer["qkv_linear"].partitioned
-    # layernorm is unpartitioned but synchronized by sequence parallelism
-    assert not by_layer["layernorm"].partitioned
-    assert not by_layer["layernorm"].needs_explicit_grad_sync
-
-
-def test_sync_audit_empty_without_tp():
-    report = sync_audit(TABLE2_FIT, ParallelConfig(tp=1, cp=1, dp=16))
-    assert report.entries == ()
-
-
-def test_sync_audit_respects_arch_list():
-    arch = ModelArch(
-        hidden_size=3072,
-        num_heads=24,
-        num_layers=54,
-        extra_unpartitioned_layers=("final_proj",),
-    )
-    report = sync_audit(arch, ParallelConfig(tp=2))
-    assert report.flagged() == ("final_proj",)
 
 
 def test_plan_train_costs_comm_once_per_candidate(monkeypatch):

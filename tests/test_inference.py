@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ditplan.errors import ConfigError
 from ditplan.inference import (
+    MAX_CACHE_STEPS,
     MAX_VAE_TILES,
     MAX_WINDOW_LATENT,
     plan_cache,
@@ -65,6 +66,16 @@ def test_cache_speedup_monotone_in_interval(steps, warmup):
 def test_cache_speedup_non_increasing_in_warmup(steps):
     speedups = [plan_cache(steps, w, 3).speedup for w in range(0, steps + 1)]
     assert all(b <= a + 1e-12 for a, b in zip(speedups, speedups[1:]))
+
+
+def test_cache_steps_cap_accepted():
+    assert plan_cache(MAX_CACHE_STEPS).total_steps == MAX_CACHE_STEPS
+
+
+def test_cache_steps_above_cap_rejected():
+    with pytest.raises(ConfigError) as info:
+        plan_cache(MAX_CACHE_STEPS + 1)
+    assert info.value.path == "cache.total_steps"
 
 
 # ---------------------------------------------------------------------------
