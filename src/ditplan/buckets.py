@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import VAE_SPATIAL_RATIO, VAE_TEMPORAL_RATIO, ModelArch
 from .errors import ConfigError, DimensionError
@@ -35,8 +36,7 @@ class Bucket:
         return f"{{{self.batch},{self.frames},{self.height},{self.width}}}"
 
 
-@dataclass(frozen=True)
-class LatentShape:
+class LatentShape(NamedTuple):
     """Latent geometry of one sample plus its post-patchify token counts."""
 
     t_lat: int
@@ -106,16 +106,14 @@ def snap_bucket(bucket: Bucket, arch: ModelArch | None = None) -> Bucket:
     return Bucket(bucket.batch, bucket.frames, height, width)
 
 
-@dataclass(frozen=True)
-class BucketBalanceEntry:
+class BucketBalanceEntry(NamedTuple):
     bucket: Bucket
     snapped: Bucket
     tokens: int
     tokens_batch: int
 
 
-@dataclass(frozen=True)
-class BucketBalanceReport:
+class BucketBalanceReport(NamedTuple):
     """Per-bucket token totals plus the worst pairwise relative deviation."""
 
     entries: tuple[BucketBalanceEntry, ...]
@@ -135,10 +133,12 @@ def check_token_balance(
 ) -> BucketBalanceReport:
     """Flag bucket pairs whose per-batch token counts diverge beyond tolerance.
 
-    Relative deviation of a pair is |a-b| / min(a,b). Non-divisible
-    spatial dims are snapped to the nearest compatible size first (the
-    snapped shape is reported next to the original).
+    Relative deviation of a pair is |a-b| / min(a,b), so ``tolerance``
+    must be >= 0. Non-divisible spatial dims are snapped to the nearest
+    compatible size first (the snapped shape is reported next to the original).
     """
+    if tolerance < 0:
+        raise ConfigError(f"must be >= 0, got {tolerance}", "tolerance")
     entries = []
     for bucket in buckets:
         snapped = snap_bucket(bucket, arch)

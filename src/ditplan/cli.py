@@ -229,6 +229,8 @@ def _cmd_buckets_check(args: argparse.Namespace) -> int:
     if not config.buckets:
         raise ConfigError("config has no buckets", "buckets")
     tolerance = finite_number(args.tolerance, "--tolerance")
+    if tolerance < 0:
+        raise ConfigError(f"must be >= 0, got {tolerance}", "--tolerance")
     report = check_token_balance(config.buckets, tolerance, arch=config.model)
     payload = {
         "tolerance": tolerance,

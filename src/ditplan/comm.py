@@ -11,7 +11,7 @@ the dominant bottleneck otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .buckets import Bucket, token_count
 from .config import ClusterSpec, DTypePolicy, ModelArch, OverlapConfig, ParallelConfig
@@ -54,8 +54,7 @@ def tp_sp_layer_comm(
     return (raw, exposed)
 
 
-@dataclass(frozen=True)
-class CpGateResult:
+class CpGateResult(NamedTuple):
     """Outcome of the context-parallel gate plus the per-layer all-to-all cost."""
 
     enabled: bool
@@ -128,8 +127,7 @@ def dp_comm(
     return (raw, exposed)
 
 
-@dataclass(frozen=True)
-class CommPlan:
+class CommPlan(NamedTuple):
     """Assembled communication picture for one (bucket, parallel config) pair."""
 
     tp_sp_raw_ms_per_layer: float

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import MAX_INTEGER, MAX_MAGNITUDE, MIN_MAGNITUDE, ConfigError, finite_number, integer_value
 
@@ -202,8 +202,7 @@ def validate(arch: ModelArch, cluster: ClusterSpec, par: ParallelConfig) -> list
     return violations
 
 
-@dataclass(frozen=True)
-class ParamCountEstimate:
+class ParamCountEstimate(NamedTuple):
     """Parameter-count breakdown; AdaLN is reported separately because
     per-block modulation layers alone can add multiple billions."""
 

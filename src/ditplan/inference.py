@@ -12,10 +12,9 @@ and can be averaged across the clips that share it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigError
 
@@ -37,8 +36,7 @@ MAX_VAE_TILES = 2**16
 DEFAULT_CACHED_COST_FRACTION = 0.25
 
 
-@dataclass(frozen=True)
-class CacheSchedule:
+class CacheSchedule(NamedTuple):
     total_steps: int
     warmup: int
     interval: int
@@ -100,15 +98,13 @@ def plan_cache(
     )
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
     start: tuple[int, int, int]
     size: tuple[int, int, int]
     device: int
 
 
-@dataclass(frozen=True)
-class TilePlan:
+class TilePlan(NamedTuple):
     latent: tuple[int, int, int]
     tiles: tuple[Tile, ...]
     overlap: tuple[int, int, int]
@@ -233,12 +229,15 @@ def plan_vae_tiles(
     )
 
 
-@dataclass(frozen=True)
-class WindowPlan:
+class _WindowFields(NamedTuple):
     n_prime: int
     window: int
     stride: int
     clips: tuple[tuple[int, int], ...]
+
+
+class WindowPlan(_WindowFields):
+    # No __slots__: the instance __dict__ holds the cached coverage.
 
     @property
     def num_clips(self) -> int:

@@ -11,9 +11,8 @@ reproduces the reference measurements.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError, MalformedTimelineError, finite_number, integer_value
 
@@ -29,15 +28,7 @@ MERGED_REDUNDANT = "merged-redundant"
 _LIFECYCLE_TAGS = (SHARED_STORAGE, MERGED_REDUNDANT)
 
 
-@dataclass(frozen=True)
-class ChunkSpec:
-    """One fused operation of the transformer block.
-
-    ``coeff_bsh`` multiplies B*S*H, ``coeff_bas`` multiplies B*A*S, both in
-    bytes. ``fwd_latency_ms`` is the profiled forward latency at the
-    table's reference shape.
-    """
-
+class _ChunkFields(NamedTuple):
     name: str
     coeff_bsh: float
     coeff_bas: float = 0.0
@@ -45,11 +36,22 @@ class ChunkSpec:
     recomputable: bool = True
     offloadable: bool = True
 
-    def __post_init__(self):
+
+class ChunkSpec(_ChunkFields):
+    """One fused operation of the transformer block.
+
+    ``coeff_bsh`` multiplies B*S*H, ``coeff_bas`` multiplies B*A*S, both in
+    bytes. ``fwd_latency_ms`` is the profiled forward latency at the
+    table's reference shape.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        self = _ChunkFields.__new__(cls, *args, **kwargs)
         if self.coeff_bsh < 0 or self.coeff_bas < 0:
             raise ConfigError("coefficients must be >= 0", f"chunk.{self.name}")
         if self.fwd_latency_ms <= 0:
             raise ConfigError("fwd_latency_ms must be positive", f"chunk.{self.name}")
+        return self
 
     @property
     def is_attention_class(self) -> bool:
@@ -68,10 +70,7 @@ def chunk_retained_bytes(chunk: ChunkSpec, B: int, S: int, H: int, A: int, tp: i
 _CHUNK_TABLE_REFS = ("ref_batch", "ref_seqlen", "ref_hidden", "ref_heads", "ref_tp")
 
 
-@dataclass(frozen=True)
-class ChunkTable:
-    """A named set of chunks plus the shape their latencies were profiled at."""
-
+class _ChunkTableFields(NamedTuple):
     chunks: tuple[ChunkSpec, ...]
     ref_batch: int = 1
     ref_seqlen: int = 115_200
@@ -79,15 +78,21 @@ class ChunkTable:
     ref_heads: int = 24
     ref_tp: int = 8
 
-    def __post_init__(self):
+
+class ChunkTable(_ChunkTableFields):
+    """A named set of chunks plus the shape their latencies were profiled at."""
+
+    def __new__(cls, *args, **kwargs):
+        self = _ChunkTableFields.__new__(cls, *args, **kwargs)
         index = {c.name: c for c in self.chunks}
         if len(index) != len(self.chunks):
             raise ConfigError("duplicate chunk names", "chunks")
         for name in _CHUNK_TABLE_REFS:
             if getattr(self, name) < 1:
                 raise ConfigError("must be >= 1", name)
-        # Name -> chunk, built once per table; not a field, so not compared.
-        object.__setattr__(self, "_index", index)
+        # Name -> chunk, built once per table; kept out of the tuple, so never compared.
+        self._index = index
+        return self
 
     def by_name(self, name: str) -> ChunkSpec:
         chunk = self._index.get(name)
@@ -132,20 +137,21 @@ def load_chunk_table(path: str | Path) -> ChunkTable:
         where = f"chunks[{i}]"
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise ConfigError("chunk entry needs a string name", where)
-        known = {"name", "coeff_bsh", "coeff_bas", "fwd_latency_ms", "recomputable", "offloadable"}
-        unknown = set(entry) - known
+        unknown = set(entry) - set(ChunkSpec._fields)
         if unknown:
             raise ConfigError("unknown key", f"{where}.{sorted(unknown)[0]}")
         for key in ("coeff_bsh", "coeff_bas", "fwd_latency_ms"):
             if key in entry:
                 finite_number(entry[key], f"{where}.{key}")
+        for key in ("recomputable", "offloadable"):
+            if key in entry and not isinstance(entry[key], bool):
+                raise ConfigError("expected true or false", f"{where}.{key}")
         chunks.append(ChunkSpec(**entry))
     meta = {k: integer_value(doc[k], k) for k in _CHUNK_TABLE_REFS if k in doc}
     return ChunkTable(chunks=tuple(chunks), **meta)
 
 
-@dataclass(frozen=True)
-class MemoryBreakdown:
+class MemoryBreakdown(NamedTuple):
     """Per-rank bytes by state class; ``total`` is always the sum of parts."""
 
     params: float
@@ -215,15 +221,7 @@ def activation_per_layer(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
-    """One alloc/free event at an integer time index.
-
-    Tagged free events carry ``last_consumer_time``: the time index of the
-    last operation that truly needs the buffer. Lifecycle optimization
-    moves such frees to just after that point.
-    """
-
+class _EventFields(NamedTuple):
     time: int
     kind: str  # "alloc" | "free"
     name: str
@@ -231,17 +229,27 @@ class TimelineEvent:
     tag: str | None = None
     last_consumer_time: int | None = None
 
-    def __post_init__(self):
+
+class TimelineEvent(_EventFields):
+    """One alloc/free event at an integer time index.
+
+    Tagged free events carry ``last_consumer_time``: the time index of the
+    last operation that truly needs the buffer. Lifecycle optimization
+    moves such frees to just after that point.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        self = _EventFields.__new__(cls, *args, **kwargs)
         if self.kind not in ("alloc", "free"):
             raise ConfigError("event kind must be 'alloc' or 'free'", f"timeline.{self.name}")
         if self.bytes < 0:
             raise ConfigError("event bytes must be >= 0", f"timeline.{self.name}")
         if self.tag is not None and self.tag not in _LIFECYCLE_TAGS:
             raise ConfigError(f"tag must be one of {_LIFECYCLE_TAGS}", f"timeline.{self.name}")
+        return self
 
 
-@dataclass(frozen=True)
-class ActivationTimeline:
+class ActivationTimeline(NamedTuple):
     events: tuple[TimelineEvent, ...]
 
     @staticmethod

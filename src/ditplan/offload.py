@@ -9,8 +9,7 @@ write bandwidth, capping the per-device PCIe rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .config import ClusterSpec
 from .errors import ConfigError, InfeasibleError
@@ -50,8 +49,7 @@ def effective_pcie_bw(cluster: ClusterSpec, concurrent_devices: int) -> float:
     return min(cluster.pcie_bw_per_device, cluster.host_write_bw_per_numa / sharing)
 
 
-@dataclass(frozen=True)
-class ActivationOffloadPlan:
+class ActivationOffloadPlan(NamedTuple):
     selected: tuple[str, ...]
     bytes_per_layer: int
     exposed_ms_per_layer_per_direction: float
@@ -61,8 +59,7 @@ class ActivationOffloadPlan:
         return 2 * self.exposed_ms_per_layer_per_direction
 
 
-@dataclass(frozen=True)
-class OffloadPlan:
+class OffloadPlan(NamedTuple):
     """Combined optimizer + activation offload outcome for one layout."""
 
     optimizer_offloaded: bool

@@ -10,15 +10,13 @@ checks the best single-chunk cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError
 from .memory import MIB, ChunkSpec, ChunkTable, chunk_retained_bytes
 
 
-@dataclass(frozen=True)
-class RecomputePlan:
+class RecomputePlan(NamedTuple):
     selected: tuple[str, ...]
     bytes_saved_per_layer: int
     latency_added_per_layer_ms: float
@@ -56,10 +54,11 @@ def _plan_from(selection: Iterable[ChunkSpec], saved: dict[str, int], feasible: 
 def _prune(selection: list[ChunkSpec], saved: dict[str, int], required: int) -> list[ChunkSpec]:
     # Drop chunks the cover does not need, most expensive latency first.
     kept = list(selection)
+    spare = sum(saved[c.name] for c in kept) - required
     for chunk in sorted(selection, key=lambda c: (-c.fwd_latency_ms, c.name)):
-        remaining = sum(saved[c.name] for c in kept) - saved[chunk.name]
-        if remaining >= required:
+        if saved[chunk.name] <= spare:
             kept.remove(chunk)
+            spare -= saved[chunk.name]
     return kept
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import asdict, dataclass
-from typing import Any
+from dataclasses import asdict
+from typing import Any, NamedTuple
 
 from .buckets import Bucket, check_token_balance, snap_bucket, token_count
 from .comm import build_comm_plan, enumerate_parallel_configs
@@ -50,8 +50,7 @@ def _round3(value: Any) -> Any:
     return value
 
 
-@dataclass
-class PlanReport:
+class PlanReport(NamedTuple):
     """Deterministic, emission-ready planning report."""
 
     document: dict[str, Any]

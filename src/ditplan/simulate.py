@@ -19,7 +19,7 @@ them on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .buckets import Bucket, token_count
 from .comm import CommPlan
@@ -39,8 +39,7 @@ from .recompute import RecomputePlan
 BACKWARD_FLOPS_FACTOR = 2.0  # backward = 2x forward, standard
 
 
-@dataclass(frozen=True)
-class StepEstimate:
+class StepEstimate(NamedTuple):
     t_compute_ms: float
     t_recompute_ms: float
     t_exposed_comm_ms: float

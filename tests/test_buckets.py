@@ -10,7 +10,7 @@ from ditplan.buckets import (
     snap_to_multiple,
     token_count,
 )
-from ditplan.errors import DimensionError
+from ditplan.errors import ConfigError, DimensionError
 
 
 def test_latent_shape_reference_video():
@@ -128,3 +128,14 @@ def test_balance_flags_published_batch8_bucket():
     counts = sorted(e.tokens_batch for e in report.entries)
     assert counts == [12_800, 25_600]
     assert report.flagged[0][2] == pytest.approx(1.0)
+
+
+def test_balance_rejects_negative_tolerance():
+    # Two orientations of one bucket carry equal tokens (deviation 0.0); a
+    # negative tolerance would flag them.
+    pair = [Bucket(1, 29, 480, 854), Bucket(1, 29, 854, 480)]
+    with pytest.raises(ConfigError, match=r"^tolerance: must be >= 0, got -1"):
+        check_token_balance(pair, -1.0)
+    report = check_token_balance(pair, 0.0)
+    assert report.balanced
+    assert report.max_deviation == 0.0

@@ -195,6 +195,14 @@ def test_buckets_check(ref_config, capsys):
     assert snapped[(1, 29, 480, 854)] == (1, 29, 480, 848)
 
 
+def test_buckets_check_rejects_negative_tolerance(ref_config, capsys):
+    argv = ["buckets", "check", "--config", ref_config, "--tolerance", "-1"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --tolerance: must be >= 0, got -1.0\n"
+
+
 def test_buckets_check_validates_config(tmp_path, capsys):
     doc = json.loads(reference_config_path().read_text())
     doc["model"]["num_heads"] = 7
@@ -435,7 +443,8 @@ from ditplan.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 ditplan = sorted(m for m in sys.modules if m == "ditplan" or m.startswith("ditplan."))
-print(json.dumps({"code": code, "ditplan": ditplan, "csv": "csv" in sys.modules}))
+stdlib = {name: name in sys.modules for name in ("csv", "dataclasses", "inspect")}
+print(json.dumps({"code": code, "ditplan": ditplan, **stdlib}))
 """
 _CLI_CORE = ["ditplan", "ditplan.cli", "ditplan.emit", "ditplan.errors"]
 _PLANNER = ["buckets", "comm", "config", "memory", "offload", "recompute", "report", "simulate"]
@@ -463,6 +472,10 @@ def test_subcommands_import_only_their_modules(subcommand, ref_config):
     assert result["code"] == EXIT_OK
     assert result["ditplan"] == sorted(_CLI_CORE + [f"ditplan.{m}" for m in modules])
     assert result["csv"] == (modules == _PLANNER)
+    # Only the config dataclasses need dataclasses (and, through it, inspect):
+    # the four subcommands that read no config never load either.
+    reads_config = "config" in modules
+    assert result["dataclasses"] == result["inspect"] == reads_config
 
 
 _PACKAGE_PROBE = """

@@ -1,4 +1,5 @@
-"""Malformed numbers in configs and chunk tables are config errors (exit 2)."""
+"""Malformed numbers in configs and chunk tables, and chunk flags that are not
+JSON bools, are config errors (exit 2)."""
 
 import contextlib
 import io
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ditplan
-from ditplan.cli import EXIT_CONFIG, EXIT_OK, main
+from ditplan.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from ditplan.presets import reference_config_path
 
 REFERENCE_PATH = reference_config_path()
@@ -72,6 +73,36 @@ def test_malformed_number_is_config_error_naming_its_path(keys, value, tmp_path)
     assert code == EXIT_CONFIG
     assert out == ""
     assert err.startswith(f"config error: {_path(keys)}: ")
+
+
+@pytest.mark.parametrize("key", ["recomputable", "offloadable"])
+@pytest.mark.parametrize(
+    "value", ["no", None, 0, 1, "true", [True]], ids=["no", "null", "0", "1", "string-true", "list"]
+)
+def test_chunk_flag_must_be_a_json_bool(key, value, tmp_path):
+    """A chunk's recomputable/offloadable flag is true or false, never a
+    value read by its truthiness."""
+    path = tmp_path / "chunks.json"
+    path.write_text(json.dumps(_replaced(CHUNK_TABLE, ("chunks", 0, key), value)))
+    code, out, err = _run(["plan", "recompute", "--required-mb", "100", "--chunk-table", str(path)])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == f"config error: chunks[0].{key}: expected true or false\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, code",
+    [
+        ("recomputable", True, EXIT_OK),
+        ("recomputable", False, EXIT_INFEASIBLE),
+        ("offloadable", True, EXIT_OK),
+        ("offloadable", False, EXIT_OK),
+    ],
+)
+def test_chunk_flag_bools_are_planned(key, value, code, tmp_path):
+    path = tmp_path / "chunks.json"
+    path.write_text(json.dumps(_replaced(CHUNK_TABLE, ("chunks", 0, key), value)))
+    assert _run(["plan", "recompute", "--required-mb", "100", "--chunk-table", str(path)])[0] == code
 
 
 @pytest.mark.parametrize(
