@@ -6,8 +6,6 @@ latent in overlapping tiles across devices, and denoise long latents as
 overlapping temporal windows averaged at shared indices.
 """
 
-import numpy as np
-
 from ditplan import plan_cache, plan_temporal_windows, plan_vae_tiles
 
 print("== diffusion cache schedules (50 steps, warmup 10, cached step = 0.25x) ==")
@@ -29,14 +27,25 @@ print("== VAE decode tiling across 8 devices ==")
 plan = plan_vae_tiles((32, 90, 160), (32, 48, 48), (0, 8, 8), devices=8)
 print(f"  latent 32x90x160, tile 32x48x48, overlap 8: {len(plan.tiles)} tiles")
 print(f"  parallel speedup {plan.parallel_speedup:.2f}x across 8 devices")
-checks = plan.normalized_weight_sum()
-print(f"  blend weights sum to 1 everywhere: {bool(np.allclose(checks, 1.0))}")
+# Each tile's 3-D weight map is the outer product of its per-axis weights;
+# summing the maps over every tile must give 1 at each latent position.
+T, H, W = plan.latent
+total = [[[0.0] * W for _ in range(H)] for _ in range(T)]
+for tile, (wt, wh, ww) in zip(plan.tiles, plan.blend_weights()):
+    t0, h0, w0 = tile.start
+    for i, a in enumerate(wt):
+        for j, b in enumerate(wh):
+            row = total[t0 + i][h0 + j]
+            for k, c in enumerate(ww):
+                row[w0 + k] += a * b * c
+unit = all(abs(x - 1.0) <= 1e-12 for plane in total for row in plane for x in row)
+print(f"  blend weights sum to 1 everywhere: {unit}")
 
 print()
 print("== temporal windows for long-latent denoising ==")
 plan = plan_temporal_windows(n_prime=32, n=8, s=4)
 print(f"  latent 32, window 8, stride 4 -> {plan.num_clips} clips: {list(plan.clips)}")
-print(f"  multiplicity: {plan.multiplicity().tolist()}")
+print(f"  multiplicity: {list(plan.coverage)}")
 print("  interior indices belong to two clips and average with weight 1/2;")
 print("  the final window clamps to the end so nothing goes uncovered.")
 plan33 = plan_temporal_windows(33, 8, 4)

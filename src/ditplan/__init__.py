@@ -4,9 +4,8 @@ training and inference.
 The package is a pure-Python analytical toolkit, not a runtime: it
 accounts memory, selects recomputation/offload strategies, costs
 communication, estimates step time and MFU, and plans inference-side
-schedules (diffusion cache, VAE tiling, temporal windows). numpy is
-imported only when a caller asks for an array (VAE blend weights,
-window multiplicity).
+schedules (diffusion cache, VAE tiling, temporal windows). It needs
+nothing beyond the standard library.
 
 ``import ditplan`` loads no submodule: each exported name imports its
 home module on first use (PEP 562), and each CLI subcommand imports only

@@ -62,6 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(train, config=True, formats=True)
     train.add_argument("--offload", default="auto", choices=("auto", "off", "optimizer-only"))
     train.add_argument("--chunk-table", default=None, help="chunk table JSON (default: built-in)")
+    train.set_defaults(run=_cmd_plan_train)
 
     infer = plan_subs.add_parser("infer", help="diffusion cache schedule")
     _add_common(infer)
@@ -70,17 +71,20 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--interval", type=int, default=3)
     infer.add_argument("--mode", default="dit", choices=("dit", "attn"))
     infer.add_argument("--cached-cost-fraction", type=float, default=0.25)
+    infer.set_defaults(run=_cmd_plan_infer)
 
     rec = plan_subs.add_parser("recompute", help="select chunks to recompute")
     _add_common(rec)
     rec.add_argument("--required-mb", type=float, required=True, help="savings target, MiB/layer")
     rec.add_argument("--chunk-table", default=None, help="chunk table JSON (default: built-in)")
+    rec.set_defaults(run=_cmd_plan_recompute)
 
     windows = plan_subs.add_parser("windows", help="temporal sliding-window plan")
     _add_common(windows)
     windows.add_argument("--n-prime", type=int, required=True, help="latent length")
     windows.add_argument("--n", type=int, required=True, help="window length")
     windows.add_argument("--stride", type=int, required=True)
+    windows.set_defaults(run=_cmd_plan_windows)
 
     tiles = plan_subs.add_parser("vae-tiles", help="VAE decode tiling plan")
     _add_common(tiles)
@@ -88,17 +92,20 @@ def build_parser() -> argparse.ArgumentParser:
     tiles.add_argument("--tile", required=True, help="T,H,W tile size")
     tiles.add_argument("--overlap", default="0,0,0", help="T,H,W overlap")
     tiles.add_argument("--devices", type=int, default=1)
+    tiles.set_defaults(run=_cmd_plan_vae_tiles)
 
     buckets = subs.add_parser("buckets", help="bucket utilities")
     bucket_subs = buckets.add_subparsers(dest="bucket_command", required=True)
     check = bucket_subs.add_parser("check", help="token-balance check across buckets")
     _add_common(check, config=True)
     check.add_argument("--tolerance", type=float, default=0.01)
+    check.set_defaults(run=_cmd_buckets_check)
 
     sim = subs.add_parser("simulate", help="per-stage step estimates")
     _add_common(sim, config=True, formats=True)
     sim.add_argument("--stage", default=None, help="only this stage name")
     sim.add_argument("--chunk-table", default=None)
+    sim.set_defaults(run=_cmd_simulate)
 
     return parser
 
@@ -328,22 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "plan":
-            if args.plan_command == "train":
-                return _cmd_plan_train(args)
-            if args.plan_command == "infer":
-                return _cmd_plan_infer(args)
-            if args.plan_command == "recompute":
-                return _cmd_plan_recompute(args)
-            if args.plan_command == "windows":
-                return _cmd_plan_windows(args)
-            if args.plan_command == "vae-tiles":
-                return _cmd_plan_vae_tiles(args)
-        if args.command == "buckets":
-            return _cmd_buckets_check(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        raise ConfigError(f"unknown command {args.command!r}", "command")
+        return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

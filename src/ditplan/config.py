@@ -154,7 +154,6 @@ class StageScenario:
     video_bucket: "Bucket | None" = None
     global_batch: int = 1
     step_count: int = 1
-    learning_rate: float = 1e-4
 
     def __post_init__(self):
         if self.image_bucket is None and self.video_bucket is None:
@@ -197,8 +196,6 @@ def validate(arch: ModelArch, cluster: ClusterSpec, par: ParallelConfig) -> list
             f"device overcommit: tp*cp*dp = {par.devices_used} "
             f"exceeds cluster total {cluster.total_devices}"
         )
-    if arch.param_count is not None and arch.param_count <= 0:
-        violations.append("param_count must be positive")
     return violations
 
 

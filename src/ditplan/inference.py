@@ -14,12 +14,9 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import accumulate, product
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import ConfigError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 CACHE_MODES = ("dit-layer-cache", "attention-cache")
 
@@ -111,70 +108,38 @@ class TilePlan(NamedTuple):
     devices: int
     parallel_speedup: float
 
-    def tile_profile(self) -> np.ndarray:
-        """Separable raw profile shared by every tile (all tiles have one
-        size): per-axis linear ramps up across the overlap with the
-        previous tile and down across the next."""
-        size = self.tiles[0].size
-        t, h, w = (_axis_ramp(size[a], self.overlap[a]) for a in range(3))
-        return t[:, None, None] * h[None, :, None] * w[None, None, :]
+    def blend_weights(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
+        """Each tile's (t, h, w) blend weights, in ``tiles`` order.
 
-    @staticmethod
-    def _slices(tile: Tile) -> tuple[slice, slice, slice]:
-        return tuple(slice(tile.start[a], tile.start[a] + tile.size[a]) for a in range(3))
-
-    def total_weight(self) -> np.ndarray:
-        """Sum of raw tile profiles over the latent (the normalizer)."""
-        import numpy as np
-        profile = self.tile_profile()
-        total = np.zeros(self.latent, dtype=np.float64)
-        for tile in self.tiles:
-            total[self._slices(tile)] += profile
-        return total
-
-    def normalized_weight_sum(self) -> np.ndarray:
-        """Sum of the normalized blend weights at every latent position.
-
-        Equals one everywhere by construction; exposed so consumers can
-        verify the cover without materializing per-tile maps.
+        The tiles form a grid, so the weights are separable: along each
+        axis a tile's weight is its linear ramp divided by the summed ramps
+        of the tiles covering that index, and the outer product of the
+        three is the tile's 3-D weight map. Those maps sum to one at every
+        latent position.
         """
-        import numpy as np
-        profile = self.tile_profile()
-        total = self.total_weight()
-        acc = np.zeros(self.latent, dtype=np.float64)
-        for tile in self.tiles:
-            slices = self._slices(tile)
-            acc[slices] += profile / total[slices]
-        return acc
-
-    def iter_weight_maps(self):
-        """Yield per-tile blend weights over the full latent, lazily.
-
-        Normalizing by the covering total makes the weights sum to 1 at
-        every position; with at most two tiles meeting per axis the ramps
-        already do, so normalization is the identity there.
-        """
-        import numpy as np
-        profile = self.tile_profile()
-        total = self.total_weight()
-        for tile in self.tiles:
-            weight = np.zeros(self.latent, dtype=np.float64)
-            slices = self._slices(tile)
-            weight[slices] = profile / total[slices]
-            yield weight
+        per_axis = []
+        for a in range(3):
+            size = self.tiles[0].size[a]
+            ramp = _axis_ramp(size, self.overlap[a])
+            starts = sorted({tile.start[a] for tile in self.tiles})
+            total = [0.0] * self.latent[a]
+            for start in starts:
+                for k, r in enumerate(ramp):
+                    total[start + k] += r
+            per_axis.append(
+                {s: tuple(r / total[s + k] for k, r in enumerate(ramp)) for s in starts}
+            )
+        return tuple(
+            tuple(per_axis[a][tile.start[a]] for a in range(3)) for tile in self.tiles
+        )
 
 
-def _axis_ramp(size: int, overlap: int) -> np.ndarray:
-    import numpy as np
-    ramp = np.ones(size, dtype=np.float64)
+def _axis_ramp(size: int, overlap: int) -> list[float]:
+    """Linear ramp up across the overlap with the previous tile and down
+    across the next; (k+1)/(edge+1) keeps the ends strictly positive so two
+    adjoining ramps sum exactly to 1 across the shared region."""
     edge = min(overlap, size)
-    if edge > 0:
-        # (j+1)/(edge+1) keeps endpoints strictly positive so two
-        # adjoining ramps sum exactly to 1 across the shared region.
-        rise = (np.arange(edge) + 1.0) / (edge + 1.0)
-        ramp[:edge] = np.minimum(ramp[:edge], rise)
-        ramp[size - edge :] = np.minimum(ramp[size - edge :], rise[::-1])
-    return ramp
+    return [min(1.0, (k + 1) / (edge + 1), (size - k) / (edge + 1)) for k in range(size)]
 
 
 def _axis_count(extent: int, size: int, stride: int) -> int:
@@ -252,11 +217,6 @@ class WindowPlan(_WindowFields):
             delta[start] += 1
             delta[end] -= 1
         return tuple(accumulate(delta[:-1]))
-
-    def multiplicity(self) -> np.ndarray:
-        """:attr:`coverage` as an int64 array."""
-        import numpy as np
-        return np.array(self.coverage, dtype=np.int64)
 
     def averaging_weights(self, index: int) -> float:
         """Eq. weight 1/|S(i)| applied to every clip covering ``index``."""

@@ -28,6 +28,12 @@ MERGED_REDUNDANT = "merged-redundant"
 _LIFECYCLE_TAGS = (SHARED_STORAGE, MERGED_REDUNDANT)
 
 
+@classmethod
+def _checked_make(cls, iterable):
+    """``_make`` that runs ``__new__``'s checks; ``_replace`` goes through it."""
+    return cls(*iterable)
+
+
 class _ChunkFields(NamedTuple):
     name: str
     coeff_bsh: float
@@ -52,6 +58,8 @@ class ChunkSpec(_ChunkFields):
         if self.fwd_latency_ms <= 0:
             raise ConfigError("fwd_latency_ms must be positive", f"chunk.{self.name}")
         return self
+
+    _make = _checked_make
 
     @property
     def is_attention_class(self) -> bool:
@@ -94,6 +102,8 @@ class ChunkTable(_ChunkTableFields):
         self._index = index
         return self
 
+    _make = _checked_make
+
     def by_name(self, name: str) -> ChunkSpec:
         chunk = self._index.get(name)
         if chunk is None:
@@ -132,6 +142,9 @@ def load_chunk_table(path: str | Path) -> ChunkTable:
         raise ConfigError(f"invalid JSON: {exc}", str(path)) from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("chunks"), list):
         raise ConfigError("expected an object with a 'chunks' array", str(path))
+    for key in doc:
+        if key != "chunks" and key not in _CHUNK_TABLE_REFS:
+            raise ConfigError("unknown key", key)
     chunks = []
     for i, entry in enumerate(doc["chunks"]):
         where = f"chunks[{i}]"
@@ -247,6 +260,8 @@ class TimelineEvent(_EventFields):
         if self.tag is not None and self.tag not in _LIFECYCLE_TAGS:
             raise ConfigError(f"tag must be one of {_LIFECYCLE_TAGS}", f"timeline.{self.name}")
         return self
+
+    _make = _checked_make
 
 
 class ActivationTimeline(NamedTuple):

@@ -288,7 +288,7 @@ def run_train_plan(
             for b in config.buckets
         ]
 
-    groups: list[tuple[str, str, Bucket, list[ParallelConfig]]] = []
+    stage_docs = []
     for stage in stages:
         for kind, bucket in stage.buckets():
             if pinned is not None:
@@ -301,37 +301,31 @@ def run_train_plan(
                     zero_stage=config.parallel.zero_stage,
                     grad_accum=config.parallel.grad_accum,
                 )
-                if not pars:
-                    warnings.append(f"no parallel candidates for {stage.name}/{kind}")
-            groups.append((stage.name, kind, bucket, pars))
-
-    stage_docs = []
-    for stage_name, kind, bucket, pars in groups:
-        ranked, infeasible = [], []
-        for par in pars:
-            entry, step_ms = _evaluate_candidate(bucket, par, config, chunks, offload_mode)
-            if step_ms is None:
-                infeasible.append(entry)
-            else:
-                ranked.append(((round(step_ms, 6), par.cp, par.tp, par.dp), entry))
-        ranked.sort(key=lambda item: item[0])
-        infeasible.sort(
-            key=lambda e: (e["parallel"]["cp"], e["parallel"]["tp"], e["parallel"]["dp"])
-        )
-        for entry in infeasible:
-            warnings.append(
-                f"{stage_name}/{kind} tp={entry['parallel']['tp']} cp={entry['parallel']['cp']} "
-                f"dp={entry['parallel']['dp']}: {entry['diagnostic']}"
+            ranked, infeasible = [], []
+            for par in pars:
+                entry, step_ms = _evaluate_candidate(bucket, par, config, chunks, offload_mode)
+                if step_ms is None:
+                    infeasible.append(entry)
+                else:
+                    ranked.append(((round(step_ms, 6), par.cp, par.tp, par.dp), entry))
+            ranked.sort(key=lambda item: item[0])
+            infeasible.sort(
+                key=lambda e: (e["parallel"]["cp"], e["parallel"]["tp"], e["parallel"]["dp"])
             )
-        stage_docs.append(
-            {
-                "stage": stage_name,
-                "bucket_kind": kind,
-                "bucket": _bucket_doc(bucket),
-                "plans": [entry for _, entry in ranked],
-                "infeasible": infeasible,
-            }
-        )
+            for entry in infeasible:
+                warnings.append(
+                    f"{stage.name}/{kind} tp={entry['parallel']['tp']} cp={entry['parallel']['cp']} "
+                    f"dp={entry['parallel']['dp']}: {entry['diagnostic']}"
+                )
+            stage_docs.append(
+                {
+                    "stage": stage.name,
+                    "bucket_kind": kind,
+                    "bucket": _bucket_doc(bucket),
+                    "plans": [entry for _, entry in ranked],
+                    "infeasible": infeasible,
+                }
+            )
 
     document = {
         "input": _echo_input(config, chunks),

@@ -1,17 +1,18 @@
 """Shared test oracles and generators: random timelines, a from-scratch
-peak, the exhaustive recompute search, and seeded planning configs and
-chunk tables for whole-report digests."""
+peak, the exhaustive recompute search, whole-latent VAE blend weights,
+and seeded planning configs and chunk tables for whole-report digests."""
 
 from __future__ import annotations
 
 import json
 import random
 from itertools import combinations
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ditplan.errors import ConfigError
+from ditplan.inference import TilePlan
 from ditplan.memory import (
     ActivationTimeline,
     ChunkSpec,
@@ -126,6 +127,51 @@ def brute_force_recompute(
             if best is None or key < best:
                 best, best_sel = key, subset
     return plan(best_sel, feasible=True)
+
+
+# Criterion 8's 100 (latent, tile, overlap) cases: five latents, five tile
+# sizes and four overlap rules.
+_VAE_LATENTS = [(1, 16, 16), (4, 40, 40), (8, 24, 64), (32, 90, 160), (16, 48, 48)]
+_VAE_TILES = [(1, 8, 8), (4, 16, 16), (8, 48, 48), (40, 100, 100), (2, 12, 20)]
+_VAE_OVERLAP_RULES = [
+    lambda t: (0, 0, 0),
+    lambda t: (0, t[1] // 4, t[2] // 4),
+    lambda t: (t[0] // 2, t[1] // 2, t[2] // 2),
+    lambda t: (0, t[1] // 3, min(7, t[2] // 2)),
+]
+VAE_GRID_CASES = [
+    (latent, tile, rule(tile))
+    for latent in _VAE_LATENTS
+    for tile in _VAE_TILES
+    for rule in _VAE_OVERLAP_RULES
+]
+
+
+def tile_slices(tile) -> tuple[slice, slice, slice]:
+    return tuple(slice(tile.start[a], tile.start[a] + tile.size[a]) for a in range(3))
+
+
+def numpy_axis_ramp(size: int, overlap: int) -> np.ndarray:
+    ramp = np.ones(size, dtype=np.float64)
+    edge = min(overlap, size)
+    if edge > 0:
+        rise = (np.arange(edge) + 1.0) / (edge + 1.0)
+        ramp[:edge] = np.minimum(ramp[:edge], rise)
+        ramp[size - edge :] = np.minimum(ramp[size - edge :], rise[::-1])
+    return ramp
+
+
+def numpy_blend_weights(plan: TilePlan) -> Iterator[np.ndarray]:
+    """Oracle: each tile's 3-D blend weights over its own slice, in ``tiles``
+    order, as the raw profile shared by every tile divided by the sum of
+    all tiles' profiles over the whole latent (``profile / total``)."""
+    t, h, w = (numpy_axis_ramp(plan.tiles[0].size[a], plan.overlap[a]) for a in range(3))
+    profile = t[:, None, None] * h[None, :, None] * w[None, None, :]
+    total = np.zeros(plan.latent, dtype=np.float64)
+    for tile in plan.tiles:
+        total[tile_slices(tile)] += profile
+    for tile in plan.tiles:
+        yield profile / total[tile_slices(tile)]
 
 
 def _reference_doc() -> dict[str, Any]:

@@ -19,7 +19,13 @@ from ditplan.recompute import memory_latency_ratio, plan_recompute
 from ditplan.report import render, run_train_plan
 from ditplan.simulate import estimate_step
 
-from helpers import brute_force_recompute, make_random_timeline, prefix_max_peak
+from helpers import (
+    VAE_GRID_CASES,
+    brute_force_recompute,
+    make_random_timeline,
+    prefix_max_peak,
+    tile_slices,
+)
 
 
 def _ok(criterion: int, message: str) -> None:
@@ -129,29 +135,15 @@ def test_criterion_7_multidiffusion_windows_exhaustive():
 
 
 def test_criterion_8_vae_tiling_grid():
-    latents = [(1, 16, 16), (4, 40, 40), (8, 24, 64), (32, 90, 160), (16, 48, 48)]
-    tiles = [(1, 8, 8), (4, 16, 16), (8, 48, 48), (40, 100, 100), (2, 12, 20)]
-    overlap_rules = [
-        lambda t: (0, 0, 0),
-        lambda t: (0, t[1] // 4, t[2] // 4),
-        lambda t: (t[0] // 2, t[1] // 2, t[2] // 2),
-        lambda t: (0, t[1] // 3, min(7, t[2] // 2)),
-    ]
-    cases = [
-        (latent, tile, rule(tile))
-        for latent in latents
-        for tile in tiles
-        for rule in overlap_rules
-    ]
-    assert len(cases) == 100
-    for latent, tile, overlap in cases:
+    assert len(VAE_GRID_CASES) == 100
+    for latent, tile, overlap in VAE_GRID_CASES:
         plan = plan_vae_tiles(latent, tile, overlap, devices=4)
         coverage = np.zeros(latent, dtype=np.int64)
-        for t in plan.tiles:
-            slices = tuple(slice(t.start[a], t.start[a] + t.size[a]) for a in range(3))
-            coverage[slices] += 1
+        total = np.zeros(latent, dtype=np.float64)
+        for t, (wt, wh, ww) in zip(plan.tiles, plan.blend_weights()):
+            coverage[tile_slices(t)] += 1
+            total[tile_slices(t)] += np.multiply.outer(np.multiply.outer(wt, wh), ww)
         assert coverage.min() >= 1, (latent, tile, overlap)
-        total = plan.normalized_weight_sum()
         assert np.allclose(total, 1.0, atol=1e-12), (latent, tile, overlap)
     _ok(8, "blend weights sum to 1 and tiles cover the latent on the 100-case grid")
 

@@ -478,6 +478,44 @@ def test_subcommands_import_only_their_modules(subcommand, ref_config):
     assert result["dataclasses"] == result["inspect"] == reads_config
 
 
+# numpy is a test-only dependency: with it unimportable, every exported
+# name still resolves, every subcommand runs and the inference planners
+# still give their weights and coverage.
+_NO_NUMPY_PROBE = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import ditplan
+from ditplan.cli import main
+unresolved = [name for name in ditplan.__all__ if getattr(ditplan, name, None) is None]
+codes = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[name] = main(argv)
+weights = ditplan.plan_vae_tiles((8, 64, 64), (4, 32, 32), (0, 8, 8)).blend_weights()
+print(json.dumps({
+    "unresolved": unresolved,
+    "codes": codes,
+    "weights": [len(axis) for axis in weights[0]],
+    "coverage": ditplan.plan_temporal_windows(32, 8, 4).coverage,
+}))
+"""
+
+
+def test_runs_without_numpy(ref_config):
+    argvs = {
+        name: [ref_config if a == "REF" else a for a in argv]
+        for name, (argv, _) in _SUBCOMMAND_MODULES.items()
+    }
+    proc = _python("-c", _NO_NUMPY_PROBE, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "unresolved": [],
+        "codes": dict.fromkeys(argvs, EXIT_OK),
+        "weights": [4, 32, 32],
+        "coverage": [1] * 4 + [2] * 24 + [1] * 4,
+    }
+
+
 _PACKAGE_PROBE = """
 import json, sys
 import ditplan

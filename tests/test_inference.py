@@ -10,10 +10,13 @@ from ditplan.inference import (
     MAX_CACHE_STEPS,
     MAX_VAE_TILES,
     MAX_WINDOW_LATENT,
+    _axis_ramp,
     plan_cache,
     plan_temporal_windows,
     plan_vae_tiles,
 )
+
+from helpers import VAE_GRID_CASES, numpy_axis_ramp, numpy_blend_weights, tile_slices
 
 
 def test_cache_reference_schedule():
@@ -83,15 +86,19 @@ def test_cache_steps_above_cap_rejected():
 # ---------------------------------------------------------------------------
 
 
+def _weight_map(weights):
+    """A tile's 3-D blend weights: the outer product of its per-axis weights."""
+    wt, wh, ww = weights
+    return np.multiply.outer(np.multiply.outer(wt, wh), ww)
+
+
 def _assert_cover_and_unit_weights(plan):
     coverage = np.zeros(plan.latent, dtype=np.int64)
-    for tile in plan.tiles:
-        slices = tuple(slice(tile.start[a], tile.start[a] + tile.size[a]) for a in range(3))
-        coverage[slices] += 1
-    assert coverage.min() >= 1
     total = np.zeros(plan.latent, dtype=np.float64)
-    for weight in plan.iter_weight_maps():
-        total += weight
+    for tile, weights in zip(plan.tiles, plan.blend_weights()):
+        coverage[tile_slices(tile)] += 1
+        total[tile_slices(tile)] += _weight_map(weights)
+    assert coverage.min() >= 1
     assert np.allclose(total, 1.0, atol=1e-12)
 
 
@@ -111,11 +118,10 @@ def test_tiles_zero_overlap_disjoint_cover():
     plan = plan_vae_tiles((8, 64, 64), (4, 32, 32), (0, 0, 0), devices=4)
     coverage = np.zeros(plan.latent, dtype=np.int64)
     for tile in plan.tiles:
-        slices = tuple(slice(tile.start[a], tile.start[a] + tile.size[a]) for a in range(3))
-        coverage[slices] += 1
+        coverage[tile_slices(tile)] += 1
     assert coverage.min() == coverage.max() == 1
-    for weight in plan.iter_weight_maps():
-        assert set(np.unique(weight)) <= {0.0, 1.0}
+    for weights in plan.blend_weights():
+        assert all(w == 1.0 for axis in weights for w in axis)
 
 
 def test_tiles_oversized_tile_degenerates():
@@ -123,6 +129,34 @@ def test_tiles_oversized_tile_degenerates():
     assert len(plan.tiles) == 1
     assert plan.tiles[0].size == (4, 16, 16)
     _assert_cover_and_unit_weights(plan)
+
+
+def test_blend_weights_match_the_numpy_oracle():
+    """On criterion 8's grid, each tile's outer product of per-axis weights
+    equals the whole-latent ``profile / total`` computation to 1e-15."""
+    for latent, tile, overlap in VAE_GRID_CASES:
+        plan = plan_vae_tiles(latent, tile, overlap, devices=4)
+        weights = plan.blend_weights()
+        assert len(weights) == len(plan.tiles)
+        for got, expected in zip(weights, numpy_blend_weights(plan)):
+            assert np.abs(_weight_map(got) - expected).max() <= 1e-15, (latent, tile, overlap)
+
+
+def test_blend_weights_zero_overlap_divide_shared_indices_evenly():
+    # the end-aligned last tile overlaps its neighbour even with no overlap
+    plan = plan_vae_tiles((1, 1, 10), (1, 1, 4), (0, 0, 0))
+    assert [t.start[2] for t in plan.tiles] == [0, 4, 6]
+    assert [w[2] for w in plan.blend_weights()] == [
+        (1.0, 1.0, 1.0, 1.0),
+        (1.0, 1.0, 0.5, 0.5),
+        (0.5, 0.5, 1.0, 1.0),
+    ]
+
+
+def test_axis_ramp_matches_numpy_bit_for_bit():
+    for size in range(1, 60):
+        for overlap in range(size):
+            assert _axis_ramp(size, overlap) == numpy_axis_ramp(size, overlap).tolist()
 
 
 def test_tiles_round_robin_devices():
@@ -152,17 +186,17 @@ def test_tiles_count_capped_before_tiles_are_built():
 def test_windows_reference_case():
     plan = plan_temporal_windows(32, 8, 4)
     assert plan.num_clips == math.ceil((32 - 8) / 4) + 1 == 7
-    mult = plan.multiplicity()
+    mult = plan.coverage
     assert list(mult[:4]) == [1, 1, 1, 1]
     assert list(mult[-4:]) == [1, 1, 1, 1]
-    assert set(mult[4:-4].tolist()) == {2}
+    assert set(mult[4:-4]) == {2}
 
 
 def test_windows_degenerate_single_clip():
     plan = plan_temporal_windows(16, 16, 4)
     assert plan.num_clips == 1
     assert plan.clips == ((0, 16),)
-    assert set(plan.multiplicity().tolist()) == {1}
+    assert set(plan.coverage) == {1}
 
 
 def test_windows_end_clamped():
@@ -196,7 +230,7 @@ def test_windows_constant_clip_average_equals_mean():
     acc = np.zeros(plan.n_prime)
     for k, (start, end) in enumerate(plan.clips):
         acc[start:end] += values[k]
-    mult = plan.multiplicity().astype(float)
+    mult = np.array(plan.coverage, dtype=float)
     averaged = acc / mult
     for i in range(plan.n_prime):
         covering = [values[k] for k, (s, e) in enumerate(plan.clips) if s <= i < e]
@@ -209,7 +243,7 @@ def test_windows_exhaustive_small_sweep():
             for s in range(1, n + 1):
                 plan = plan_temporal_windows(n_prime, n, s)
                 assert plan.num_clips == math.ceil((n_prime - n) / s) + 1
-                mult = plan.multiplicity().tolist()
+                mult = list(plan.coverage)
                 expected = [
                     sum(1 for start, end in plan.clips if start <= i < end)
                     for i in range(n_prime)

@@ -49,7 +49,7 @@ def _run(argv):
     [
         (("cluster", "device_mem"), "x"),
         (("overlap", "efficiency"), None),
-        (("stages", 0, "learning_rate"), "fast"),
+        (("stages", 0, "step_count"), "fast"),
         (("model", "param_count"), "big"),
         (("cluster", "device_mem"), math.inf),
         (("cluster", "inter_node_bw"), math.nan),
@@ -73,6 +73,28 @@ def test_malformed_number_is_config_error_naming_its_path(keys, value, tmp_path)
     assert code == EXIT_CONFIG
     assert out == ""
     assert err.startswith(f"config error: {_path(keys)}: ")
+
+
+@pytest.mark.parametrize("key", ["ref_seqlem", "chunk", "learning_rate"])
+def test_chunk_table_unknown_top_level_key_is_config_error(key, tmp_path):
+    """A chunk table holds ``chunks`` and the five ``ref_*`` keys; any other
+    top-level key (a misspelt reference shape, say) is rejected at its name."""
+    path = tmp_path / "chunks.json"
+    path.write_text(json.dumps({**CHUNK_TABLE, key: 1000}))
+    code, out, err = _run(["plan", "recompute", "--required-mb", "100", "--chunk-table", str(path)])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == f"config error: {key}: unknown key\n"
+
+
+def test_stage_learning_rate_is_an_unknown_key(tmp_path):
+    """Stages no longer take a learning rate: nothing read it."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_replaced(REFERENCE, ("stages", 3, "learning_rate"), 1e-4)))
+    code, out, err = _run(["plan", "train", "--config", str(path)])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == "config error: stages[3].learning_rate: unknown key\n"
 
 
 @pytest.mark.parametrize("key", ["recomputable", "offloadable"])

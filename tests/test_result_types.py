@@ -211,3 +211,27 @@ def test_timeline_event_rejects_bad_values(kwargs, message):
     event = {**dict(time=0, kind="free", name="buf", bytes=8), **kwargs}
     with pytest.raises(ConfigError, match=rf"^timeline\.buf: {message}"):
         TimelineEvent(**event)
+
+
+def test_replace_runs_the_checks():
+    with pytest.raises(ConfigError, match=r"^chunk\.a: fwd_latency_ms must be positive"):
+        ChunkSpec("a", 1.0)._replace(fwd_latency_ms=0)
+    with pytest.raises(ConfigError, match=r"^timeline\.x: event bytes must be >= 0"):
+        TimelineEvent(0, "alloc", "x", 5)._replace(bytes=-1)
+    with pytest.raises(ConfigError, match=r"^chunks: duplicate chunk names"):
+        ChunkTable(chunks=(GELU,))._replace(chunks=(GELU, GELU))
+
+
+def test_replace_keeps_the_chunk_index():
+    table = ChunkTable(chunks=(GELU,))._replace(ref_batch=2)
+    assert table.ref_batch == 2
+    assert table.by_name("gelu") is GELU
+
+
+@pytest.mark.parametrize("cls", [ChunkSpec, ChunkTable, TimelineEvent], ids=_ids)
+def test_make_validates_and_round_trips(cls):
+    values, _ = CONTRACT[cls]
+    instance = cls(**values)
+    assert cls._make(instance) == instance
+    assert type(cls._make(instance)) is cls
+    assert instance._replace() == instance

@@ -218,7 +218,6 @@ def test_simulate_stages_image_and_video_reported_jointly():
         video_bucket=Bucket(1, 125, 960, 960),
         global_batch=256,
         step_count=10_000,
-        learning_rate=4e-5,
     )
     config = PlanningConfig(
         model=TABLE2_FIT,
