@@ -7,8 +7,6 @@ aggregate hardware peak. The multi-stage sweep runs the same evaluator
 as `plan train` (and `ditplan simulate`) with the layout pinned.
 """
 
-from dataclasses import replace
-
 from ditplan import (
     Bucket,
     DTypePolicy,
@@ -47,7 +45,7 @@ print("   lands in the same neighborhood without claiming to reproduce it)")
 print()
 print("== multi-stage sweep on the shipped reference recipe, layout pinned ==")
 config = load_reference_config()
-config = replace(config, parallel=replace(config.parallel, tp=par.tp, cp=par.cp, dp=par.dp))
+config = config._replace(parallel=config.parallel._replace(tp=par.tp, cp=par.cp, dp=par.dp))
 report = run_train_plan(config)
 print(f"  {'stage':<16} {'kind':<6} {'bucket':<16} {'tokens':>8} {'step':>10} {'mfu':>6} {'peak':>8}")
 for stage in report.document["stages"]:

@@ -8,26 +8,16 @@ per batch and can run side by side under plain data parallelism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .config import VAE_SPATIAL_RATIO, VAE_TEMPORAL_RATIO, ModelArch
+from .config import VAE_SPATIAL_RATIO, VAE_TEMPORAL_RATIO, ModelArch, _field_names, _Record
 from .errors import ConfigError, DimensionError
 
 
-@dataclass(frozen=True)
-class Bucket:
-    """One shape class of training samples."""
+class Bucket(_Record):
+    """One shape class of training samples: ``batch``, ``frames``, ``height``, ``width``."""
 
-    batch: int
-    frames: int
-    height: int
-    width: int
-
-    def __post_init__(self):
-        for name in ("batch", "frames", "height", "width"):
-            if getattr(self, name) < 1:
-                raise ConfigError("must be >= 1", f"bucket.{name}")
+    __slots__ = _field_names("Bucket")
 
     def key(self) -> tuple[int, int, int, int]:
         return (self.batch, self.frames, self.height, self.width)

@@ -10,13 +10,25 @@ error.
 
 Each subcommand imports the modules it runs when it runs, so a cold
 ``plan windows`` never loads the training planner.
+
+The command line is one table, ``_LEAVES``: the command words of each
+subcommand map to its handler and its flags, and each flag to a
+converter, a default or "required", and optional choices. :func:`main`
+walks ``argv`` once (no ``argparse``) and hands the handler a
+``types.SimpleNamespace``. ``--flag value`` and ``--flag=value`` both
+work; the token after a flag is always its value, even when it starts
+with ``-``; a repeated flag keeps its last value; flags are never
+abbreviated. ``-h``/``--help`` prints the commands or flags of its level
+and exits 0. A usage error (unknown command or flag, missing required
+flag, bad number, value outside the choices) prints ``usage:`` and
+``error:`` lines on stderr and raises ``SystemExit(2)``.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .emit import dump
 from .errors import ConfigError, InfeasibleError, PlanningError, finite_number
@@ -38,78 +50,6 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _write_out(dump(payload) + "\n", out)
 
 
-def _add_common(
-    parser: argparse.ArgumentParser, config: bool = False, formats: bool = False
-) -> None:
-    if config:
-        parser.add_argument("--config", required=True, help="planning config JSON")
-    parser.add_argument("--out", default=None, help="write output here instead of stdout")
-    if formats:
-        parser.add_argument("--format", default="json", choices=("json", "table", "csv"))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ditplan",
-        description="Planning and what-if simulation for long-context video DiT training and inference.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    plan = subs.add_parser("plan", help="produce a plan")
-    plan_subs = plan.add_subparsers(dest="plan_command", required=True)
-
-    train = plan_subs.add_parser("train", help="enumerate, balance and rank training plans")
-    _add_common(train, config=True, formats=True)
-    train.add_argument("--offload", default="auto", choices=("auto", "off", "optimizer-only"))
-    train.add_argument("--chunk-table", default=None, help="chunk table JSON (default: built-in)")
-    train.set_defaults(run=_cmd_plan_train)
-
-    infer = plan_subs.add_parser("infer", help="diffusion cache schedule")
-    _add_common(infer)
-    infer.add_argument("--steps", type=int, required=True)
-    infer.add_argument("--warmup", type=int, default=10)
-    infer.add_argument("--interval", type=int, default=3)
-    infer.add_argument("--mode", default="dit", choices=("dit", "attn"))
-    infer.add_argument("--cached-cost-fraction", type=float, default=0.25)
-    infer.set_defaults(run=_cmd_plan_infer)
-
-    rec = plan_subs.add_parser("recompute", help="select chunks to recompute")
-    _add_common(rec)
-    rec.add_argument("--required-mb", type=float, required=True, help="savings target, MiB/layer")
-    rec.add_argument("--chunk-table", default=None, help="chunk table JSON (default: built-in)")
-    rec.set_defaults(run=_cmd_plan_recompute)
-
-    windows = plan_subs.add_parser("windows", help="temporal sliding-window plan")
-    _add_common(windows)
-    windows.add_argument("--n-prime", type=int, required=True, help="latent length")
-    windows.add_argument("--n", type=int, required=True, help="window length")
-    windows.add_argument("--stride", type=int, required=True)
-    windows.set_defaults(run=_cmd_plan_windows)
-
-    tiles = plan_subs.add_parser("vae-tiles", help="VAE decode tiling plan")
-    _add_common(tiles)
-    tiles.add_argument("--latent", required=True, help="T,H,W latent dims")
-    tiles.add_argument("--tile", required=True, help="T,H,W tile size")
-    tiles.add_argument("--overlap", default="0,0,0", help="T,H,W overlap")
-    tiles.add_argument("--devices", type=int, default=1)
-    tiles.set_defaults(run=_cmd_plan_vae_tiles)
-
-    buckets = subs.add_parser("buckets", help="bucket utilities")
-    bucket_subs = buckets.add_subparsers(dest="bucket_command", required=True)
-    check = bucket_subs.add_parser("check", help="token-balance check across buckets")
-    _add_common(check, config=True)
-    check.add_argument("--tolerance", type=float, default=0.01)
-    check.set_defaults(run=_cmd_buckets_check)
-
-    sim = subs.add_parser("simulate", help="per-stage step estimates")
-    _add_common(sim, config=True, formats=True)
-    sim.add_argument("--stage", default=None, help="only this stage name")
-    sim.add_argument("--chunk-table", default=None)
-    sim.set_defaults(run=_cmd_simulate)
-
-    return parser
-
-
 def _parse_triple(text: str, flag: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -121,13 +61,13 @@ def _parse_triple(text: str, flag: str) -> tuple[int, int, int]:
     return (t, h, w)
 
 
-def _chunks_from(args: argparse.Namespace):
+def _chunks_from(args: SimpleNamespace):
     from .memory import BUILTIN_CHUNKS, load_chunk_table
 
     return load_chunk_table(args.chunk_table) if args.chunk_table else BUILTIN_CHUNKS
 
 
-def _cmd_plan_train(args: argparse.Namespace) -> int:
+def _cmd_plan_train(args: SimpleNamespace) -> int:
     from .config import load_config
     from .report import render, require_feasible, run_train_plan
 
@@ -138,7 +78,7 @@ def _cmd_plan_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_plan_infer(args: argparse.Namespace) -> int:
+def _cmd_plan_infer(args: SimpleNamespace) -> int:
     from .inference import plan_cache
 
     mode = "dit-layer-cache" if args.mode == "dit" else "attention-cache"
@@ -160,7 +100,7 @@ def _cmd_plan_infer(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_plan_recompute(args: argparse.Namespace) -> int:
+def _cmd_plan_recompute(args: SimpleNamespace) -> int:
     from .memory import MIB, chunk_retained_bytes
     from .recompute import memory_latency_ratio, plan_recompute
 
@@ -187,7 +127,7 @@ def _cmd_plan_recompute(args: argparse.Namespace) -> int:
     return EXIT_OK if plan.feasible else EXIT_INFEASIBLE
 
 
-def _cmd_plan_windows(args: argparse.Namespace) -> int:
+def _cmd_plan_windows(args: SimpleNamespace) -> int:
     from .inference import plan_temporal_windows
 
     plan = plan_temporal_windows(args.n_prime, args.n, args.stride)
@@ -203,7 +143,7 @@ def _cmd_plan_windows(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_plan_vae_tiles(args: argparse.Namespace) -> int:
+def _cmd_plan_vae_tiles(args: SimpleNamespace) -> int:
     from .inference import plan_vae_tiles
 
     plan = plan_vae_tiles(
@@ -227,7 +167,7 @@ def _cmd_plan_vae_tiles(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_buckets_check(args: argparse.Namespace) -> int:
+def _cmd_buckets_check(args: SimpleNamespace) -> int:
     from .buckets import check_token_balance
     from .config import load_config, require_valid
 
@@ -261,9 +201,8 @@ def _cmd_buckets_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: SimpleNamespace) -> int:
     import csv
-    import dataclasses
     import io
 
     from .config import load_config
@@ -280,10 +219,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     parallel = config.parallel
     if parallel.pinned is None:
         tp = min(config.cluster.devices_per_node, 8)
-        parallel = dataclasses.replace(
-            parallel, tp=tp, cp=1, dp=max(1, config.cluster.total_devices // tp)
-        )
-    config = dataclasses.replace(config, parallel=parallel, stages=tuple(stages))
+        parallel = parallel._replace(tp=tp, cp=1, dp=max(1, config.cluster.total_devices // tp))
+    config = config._replace(parallel=parallel, stages=tuple(stages))
     report = run_train_plan(config, chunks=_chunks_from(args), offload_mode="auto")
     rows = []
     for doc in report.document["stages"]:
@@ -331,9 +268,156 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The command line as data. _GROUPS maps the command words of the top level
+# and of each group to its help; _LEAVES maps the command words of each
+# subcommand to (help, handler, flags), and each flag to (converter, default
+# or _REQUIRED, choices or None, help).
+_REQUIRED = object()
+_CONFIG = {"--config": (str, _REQUIRED, None, "planning config JSON")}
+_OUT = {"--out": (str, None, None, "write output here instead of stdout")}
+_FORMAT = {"--format": (str, "json", ("json", "table", "csv"), "output format")}
+_CHUNKS = {"--chunk-table": (str, None, None, "chunk table JSON (default: built-in)")}
+_GROUPS = {
+    (): "Planning and what-if simulation for long-context video DiT training and inference.",
+    ("plan",): "produce a plan",
+    ("buckets",): "bucket utilities",
+}
+_LEAVES = {
+    ("plan", "train"): ("enumerate, balance and rank training plans", _cmd_plan_train, {
+        **_CONFIG, **_OUT, **_FORMAT, **_CHUNKS,
+        "--offload": (str, "auto", ("auto", "off", "optimizer-only"), "offload mode"),
+    }),
+    ("plan", "infer"): ("diffusion cache schedule", _cmd_plan_infer, {
+        **_OUT,
+        "--steps": (int, _REQUIRED, None, "denoising steps"),
+        "--warmup": (int, 10, None, "full steps before caching starts"),
+        "--interval": (int, 3, None, "one full step every this many"),
+        "--mode": (str, "dit", ("dit", "attn"), "what the cached steps reuse"),
+        "--cached-cost-fraction": (float, 0.25, None, "cost of a cached step"),
+    }),
+    ("plan", "recompute"): ("select chunks to recompute", _cmd_plan_recompute, {
+        **_OUT, "--required-mb": (float, _REQUIRED, None, "savings target, MiB/layer"), **_CHUNKS,
+    }),
+    ("plan", "windows"): ("temporal sliding-window plan", _cmd_plan_windows, {
+        **_OUT,
+        "--n-prime": (int, _REQUIRED, None, "latent length"),
+        "--n": (int, _REQUIRED, None, "window length"),
+        "--stride": (int, _REQUIRED, None, "window stride"),
+    }),
+    ("plan", "vae-tiles"): ("VAE decode tiling plan", _cmd_plan_vae_tiles, {
+        **_OUT,
+        "--latent": (str, _REQUIRED, None, "T,H,W latent dims"),
+        "--tile": (str, _REQUIRED, None, "T,H,W tile size"),
+        "--overlap": (str, "0,0,0", None, "T,H,W overlap"),
+        "--devices": (int, 1, None, "devices to spread tiles over"),
+    }),
+    ("buckets", "check"): ("token-balance check across buckets", _cmd_buckets_check, {
+        **_CONFIG, **_OUT, "--tolerance": (float, 0.01, None, "largest relative deviation"),
+    }),
+    ("simulate",): ("per-stage step estimates", _cmd_simulate, {
+        **_CONFIG, **_OUT, **_FORMAT, "--stage": (str, None, None, "only this stage name"), **_CHUNKS,
+    }),
+}
+_HELP = ("-h", "--help")
+
+
+def _commands(words: tuple[str, ...]) -> dict[str, str]:
+    """The command words one level below ``words``, with their help."""
+    below = {**_GROUPS, **{key: leaf[0] for key, leaf in _LEAVES.items()}}
+    return {key[-1]: text for key, text in below.items() if key and key[:-1] == words}
+
+
+def _spec(flag: str, choices: tuple[str, ...] | None) -> str:
+    return f"{flag} " + (f"{{{','.join(choices)}}}" if choices else flag[2:].upper().replace("-", "_"))
+
+
+def _usage(words: tuple[str, ...]) -> str:
+    if words not in _LEAVES:
+        return " ".join(("usage: ditplan", *words, f"[-h] {{{','.join(_commands(words))}}} ..."))
+    specs = [_spec(flag, choices) if default is _REQUIRED else f"[{_spec(flag, choices)}]"
+             for flag, (_, default, choices, _) in _LEAVES[words][2].items()]
+    return " ".join(("usage: ditplan", *words, "[-h]", *specs))
+
+
+def _fail(words: tuple[str, ...], message: str):
+    """Report a usage error as argparse does: usage and error lines on stderr, exit 2."""
+    sys.stderr.write(f"{_usage(words)}\n{' '.join(('ditplan', *words))}: error: {message}\n")
+    raise SystemExit(EXIT_CONFIG)
+
+
+def _invalid_choice(name: str, value: str, choices) -> str:
+    return f"argument {name}: invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+
+
+def _help(words: tuple[str, ...]):
+    """Print the commands or flags one level below ``words`` and exit 0."""
+    if words in _LEAVES:
+        title, rows = "flags:", [("-h, --help", "show this help and exit")]
+        for flag, (_, default, choices, text) in _LEAVES[words][2].items():
+            note = " (required)" if default is _REQUIRED else "" if default is None else f" (default: {default})"
+            rows.append((_spec(flag, choices), text + note))
+    else:
+        title, rows = "commands:", list(_commands(words).items())
+    width = max(len(name) for name, _ in rows) + 2
+    lines = [_usage(words), "", _GROUPS.get(words) or _LEAVES[words][0], "", title]
+    sys.stdout.write("\n".join(lines + [f"  {name:<{width}}{text}" for name, text in rows]) + "\n")
+    raise SystemExit(EXIT_OK)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Walk ``argv`` once: the command words down to a leaf, then the leaf's
+    flags. Returns the flag values by name plus ``run``, the leaf's handler."""
+    words: tuple[str, ...] = ()
+    tokens = iter(argv)
+    while words not in _LEAVES:
+        token = next(tokens, None)
+        if token in _HELP:
+            _help(words)
+        commands = _commands(words)
+        if token not in commands:
+            _fail(words, "the following arguments are required: command" if token is None
+                  else _invalid_choice("command", token, commands))
+        words += (token,)
+    _, handler, flags = _LEAVES[words]
+    given: dict[str, str] = {}
+    unknown: list[str] = []
+    for token in tokens:
+        if token in _HELP:
+            _help(words)
+        flag, has_value, value = token.partition("=")
+        if flag not in flags:
+            unknown.append(token)
+        elif has_value or (value := next(tokens, None)) is not None:
+            given[flag] = value  # the token after a flag is its value; the last repeat wins
+        else:
+            _fail(words, f"argument {flag}: expected one argument")
+    values = {"run": handler}
+    for flag, (convert, default, choices, _) in flags.items():
+        value = default
+        if flag in given:
+            try:
+                value = convert(given[flag])
+            except ValueError:
+                _fail(words, f"argument {flag}: invalid {convert.__name__} value: {given[flag]!r}")
+            if choices and value not in choices:
+                _fail(words, _invalid_choice(flag, value, choices))
+        values[flag[2:].replace("-", "_")] = value
+    missing = [flag for flag, spec in flags.items() if spec[1] is _REQUIRED and flag not in given]
+    if missing:
+        _fail(words, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _fail(words, f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(**values)
+
+
+def build_parser() -> SimpleNamespace:
+    """The parser as an object, for callers that build it and then call
+    ``build_parser().parse_args(argv)``."""
+    return SimpleNamespace(parse_args=parse_args)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.run(args)
     except ConfigError as exc:

@@ -1,20 +1,25 @@
 """Static input descriptions: model, cluster, dtype policy, parallel layout, stages.
 
-Everything here is an immutable value object. Construction enforces only
-local sanity (positive counts, known enum values); cross-object rules such
-as "tp divides the hidden size" are checked by :func:`validate`, which
-returns violations as data instead of raising, so that a report can list
-every problem at once.
+Every config record (the classes below and ``buckets.Bucket``) is an
+immutable ``__slots__`` value object whose fields come from one table,
+``_SCHEMA``: per field its key, JSON kind, default and the checks that
+construction enforces (positive counts, known enum values). The same rows
+drive JSON parsing (unknown-key, missing-key and type errors). Records
+compare and hash by value and offer ``_fields``, ``_asdict()`` and
+``_replace()``, which re-runs the checks. Cross-object rules such as "tp
+divides the hidden size" are checked by :func:`validate`, which returns
+violations as data instead of raising, so that a report can list every
+problem at once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Mapping, NamedTuple
 
-from .errors import MAX_INTEGER, MAX_MAGNITUDE, MIN_MAGNITUDE, ConfigError, finite_number, integer_value
+from .errors import ConfigError, finite_number, integer_value
 
 ADALN_MODES = ("shared-weights", "per-block-dedicated")
 ZERO_STAGES = ("none", "optimizer-partitioned")
@@ -29,9 +34,252 @@ VAE_TEMPORAL_RATIO = 4
 VAE_SPATIAL_RATIO = 8
 VAE_LATENT_CHANNELS = 8
 
+# ---------------------------------------------------------------------------
+# The schema: record -> (section, rows). A row is (keys, kind, default,
+# *checks) and gives each of its space-separated keys, in order, one field.
+# ``kind`` names the JSON parser in ``_PARSERS`` (a trailing "?" lets a null
+# keep the default; None marks a field JSON cannot set); _REQUIRED marks a key
+# the JSON object must carry. A check is (condition, message[, path]):
+# construction raises ConfigError(message, path) unless the condition holds,
+# where ``v`` is the field's value and the record's other fields are in
+# scope; ``path`` is an f-string template, ``section.key`` by default.
+# ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelArch:
+_REQUIRED = object()
+_NON_NEGATIVE = ("isinstance(v, int) and v >= 0", "must be a non-negative integer")
+_PATCH = ("v >= 1", "patch dims must be >= 1")
+_POSITIVE = ("v > 0", "must be positive")
+_WIDTH = ("v in _DTYPE_WIDTHS", f"must be one of {_DTYPE_WIDTHS}")
+_DEGREE = ("v >= 1", "degree must be >= 1")
+_ZERO = ("v in ZERO_STAGES", f"zero_stage must be one of {ZERO_STAGES}")
+_AT_LEAST_ONE = ("v >= 1", "must be >= 1")
+
+_SCHEMA = {
+    "ModelArch": ("model", (
+        ("hidden_size num_heads", "int", _REQUIRED, _NON_NEGATIVE,
+         ("v >= 1", "hidden_size and num_heads must be >= 1", "model")),
+        ("num_layers", "int", _REQUIRED, _NON_NEGATIVE),
+        ("ffn_multiplier", "int", 4, _NON_NEGATIVE),
+        ("adaln_mode", "str", "per-block-dedicated",
+         ("v in ADALN_MODES", f"adaln_mode must be one of {ADALN_MODES}")),
+        ("patch_t", "int", 1, _PATCH),
+        ("patch_h patch_w", "int", 2, _PATCH),
+        ("param_count", "float?", None,
+         ("v is None or v > 0", "param_count must be positive when supplied")),
+        ("extra_unpartitioned_layers", "names", ("patchify", "final_proj")),
+    )),
+    "ClusterSpec": ("cluster", (
+        ("num_nodes devices_per_node", "int", _REQUIRED, _POSITIVE),
+        ("device_mem peak_flops_per_device intra_node_bw inter_node_bw pcie_bw_per_device "
+         "host_write_bw_per_numa", "float", _REQUIRED, _POSITIVE),
+        ("devices_per_numa", "int", _REQUIRED, _POSITIVE,
+         ("v <= devices_per_node", "devices_per_numa cannot exceed devices_per_node")),
+        ("host_mem", "float", _REQUIRED, _POSITIVE),
+    )),
+    "DTypePolicy": ("dtypes", (
+        ("param_bytes grad_bytes", "int", 2, _WIDTH),
+        ("master_bytes moment_bytes ema_bytes", "int", 4, _WIDTH),
+        ("act_bytes", "int", 2, _WIDTH),
+    )),
+    "ParallelConfig": ("parallel", (
+        ("tp cp dp", "int", 1, _DEGREE),
+        ("zero_stage", "str", "optimizer-partitioned", _ZERO),
+        ("grad_accum", "int", 1, _DEGREE),
+    )),
+    "ParallelSection": ("parallel", (
+        ("tp cp dp", "int?", None),
+        ("zero_stage", "str", "optimizer-partitioned", _ZERO),
+        ("grad_accum", "int", 1, _AT_LEAST_ONE),
+    )),
+    "OverlapConfig": ("overlap", (
+        ("tp_sp_fraction", "float", 0.8, ("0.0 <= v <= 1.0", "must be in [0, 1]")),
+        ("collective_latency_ms", "float", 0.02, ("v >= 0", "must be >= 0")),
+        ("efficiency", "float", 0.5, ("0.0 < v <= 1.0", "must be in (0, 1]")),
+    )),
+    "StageScenario": ("stages", (
+        ("name", "str", _REQUIRED),
+        ("image_bucket", "bucket?", None),
+        ("video_bucket", "bucket?", None,
+         ("image_bucket is not None or v is not None", "stage needs at least one bucket",
+          "stages.{name}")),
+        ("global_batch step_count", "int", 1,
+         ("v >= 1", "batch and step counts must be >= 1", "stages.{name}")),
+    )),
+    "Bucket": ("bucket", (("batch frames height width", "int", _REQUIRED, _AT_LEAST_ONE),)),
+    # The whole JSON document. A callable default is called once, when the
+    # record class is built: the section records exist only then.
+    "PlanningConfig": ("", (
+        ("model", "ModelArch", _REQUIRED),
+        ("cluster", "ClusterSpec", _REQUIRED),
+        ("dtypes", "DTypePolicy", lambda: DTypePolicy()),
+        ("parallel", "ParallelSection", lambda: ParallelSection()),
+        ("overlap", "OverlapConfig", lambda: OverlapConfig()),
+        ("stages", "stages", ()),
+        ("buckets", "buckets", ()),
+        ("fitted_fields", None, ()),
+    )),
+}
+
+
+def _rows(record: str) -> list[tuple]:
+    """``record``'s schema rows, one per field."""
+    return [(key, *rest) for keys, *rest in _SCHEMA[record][1] for key in keys.split()]
+
+
+def _field_names(record: str) -> tuple[str, ...]:
+    return tuple(row[0] for row in _rows(record))
+
+
+# JSON parsers by schema kind: each takes the raw value and its path. Strict:
+# unknown keys are rejected with the offending path.
+
+
+def _require_mapping(obj: Any, path: str) -> Mapping[str, Any]:
+    if not isinstance(obj, Mapping):
+        raise ConfigError("expected a JSON object", path)
+    return obj
+
+
+def _parse_record(cls: type, doc: Any, path: str) -> Any:
+    """Build record ``cls`` from JSON object ``doc`` found at ``path`` ("" for the root)."""
+    doc = _require_mapping(doc, path or "<root>")
+    prefix = f"{path}." if path else ""
+    kinds = cls._kinds
+    for key in doc:
+        if key not in kinds:
+            raise ConfigError("unknown key", prefix + key)
+    for key in cls._required:
+        if key not in doc:
+            raise ConfigError(f"missing required {'key' if path else 'section'}", prefix + key)
+    kwargs = {}
+    for key, kind in kinds.items():
+        if key in doc:
+            value = doc[key]
+            if value is not None or kind[-1] != "?":
+                kwargs[key] = _PARSERS[kind.rstrip("?")](value, prefix + key)
+    return cls(**kwargs)
+
+
+def _parse_names(value: Any, path: str) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(x, str) for x in value):
+        raise ConfigError("expected a list of layer names", path)
+    return tuple(value)
+
+
+def _parse_bucket(entry: Any, path: str) -> "Bucket":
+    from .buckets import Bucket
+
+    if not isinstance(entry, (list, tuple)) or len(entry) != 4:
+        raise ConfigError("bucket must be [batch, frames, height, width]", path)
+    values = [integer_value(v, f"{path}[{i}]") for i, v in enumerate(entry)]
+    try:
+        return Bucket(*values)
+    except ConfigError as exc:
+        raise ConfigError(str(exc), path) from exc
+
+
+def _parse_buckets(entries: Any, path: str) -> tuple["Bucket", ...]:
+    if not isinstance(entries, (list, tuple)):
+        raise ConfigError("expected an array of buckets", path)
+    return tuple(_parse_bucket(entry, f"{path}[{i}]") for i, entry in enumerate(entries))
+
+
+def _parse_stages(entries: Any, path: str) -> tuple[StageScenario, ...]:
+    if not isinstance(entries, (list, tuple)):
+        raise ConfigError("expected an array of stages", path)
+    stages: list[StageScenario] = []
+    for i, entry in enumerate(entries):
+        where = f"{path}[{i}]"
+        name = _require_mapping(entry, where).get("name")
+        if not isinstance(name, str):
+            raise ConfigError("stage needs a string name", f"{where}.name")
+        if any(stage.name == name for stage in stages):
+            raise ConfigError(f"duplicate stage name {name!r}", f"{where}.name")
+        stages.append(_parse_record(StageScenario, entry, where))
+    return tuple(stages)
+
+
+_PARSERS = {
+    "int": integer_value,
+    "float": lambda value, path: float(finite_number(value, path)),
+    "str": lambda value, path: value,
+    "names": _parse_names,
+    "bucket": _parse_bucket,
+    "buckets": _parse_buckets,
+    "stages": _parse_stages,
+}  # plus one entry per record class, added as each class is built
+
+
+_set_field = object.__setattr__
+
+
+class _Record:
+    """Base of the config records: value equality, hashing, immutability,
+    ``repr`` and the ``_fields``/``_asdict``/``_replace`` helpers.
+
+    A subclass declares ``__slots__ = _field_names(<its name>)``. Its
+    ``__init__`` is generated once from its ``_SCHEMA`` rows: one inline
+    test per check and one store per field, with no per-field loop, so a
+    record costs no more to build than a hand-written class.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        section, rows = _SCHEMA[cls.__name__][0], _rows(cls.__name__)
+        cls._fields = tuple(row[0] for row in rows)
+        cls._values = attrgetter(*cls._fields)
+        cls._kinds = {key: kind for key, kind, *_ in rows if kind is not None}
+        cls._required = tuple(key for key, _, default, *_ in rows if default is _REQUIRED)
+        cls._field_defaults = {key: default() if callable(default) else default
+                               for key, _, default, *_ in rows if default is not _REQUIRED}
+        lines = []
+        for key, kind, _, *checks in rows:
+            if checks:
+                lines.append(f"v = {key}")
+            for condition, message, *path in checks:
+                where = path[0] if path else f"{section}.{key}"
+                lines.append(f"if not ({condition}): raise ConfigError({message!r}, f{where!r})")
+        for key, kind, *_ in rows:
+            lines.append(f"_set_field(self, {key!r}, {f'tuple({key})' if kind == 'names' else key})")
+        namespace: dict[str, Any] = {}
+        exec(f"def __init__(self, {', '.join(cls._fields)}):\n    " + "\n    ".join(lines),
+             globals(), namespace)
+        init = namespace["__init__"]
+        init.__defaults__ = tuple(cls._field_defaults.values()) or None
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+        _PARSERS[cls.__name__] = lambda value, path: _parse_record(cls, value, path)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def _asdict(self) -> dict[str, Any]:
+        return dict(zip(self._fields, self._values(self)))
+
+    def _replace(self, **changes: Any):
+        """A copy with ``changes`` applied, checked like a new record."""
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class ModelArch(_Record):
     """Transformer shape description.
 
     ``param_count`` may be supplied directly when the true total is known
@@ -39,127 +287,47 @@ class ModelArch:
     where only the dims are known.
     """
 
-    hidden_size: int
-    num_heads: int
-    num_layers: int
-    ffn_multiplier: int = 4
-    adaln_mode: str = "per-block-dedicated"
-    patch_t: int = 1
-    patch_h: int = 2
-    patch_w: int = 2
-    param_count: float | None = None
-    extra_unpartitioned_layers: tuple[str, ...] = ("patchify", "final_proj")
-
-    def __post_init__(self):
-        for name in ("hidden_size", "num_heads", "num_layers", "ffn_multiplier"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ConfigError("must be a non-negative integer", f"model.{name}")
-        if self.hidden_size < 1 or self.num_heads < 1:
-            raise ConfigError("hidden_size and num_heads must be >= 1", "model")
-        for name in ("patch_t", "patch_h", "patch_w"):
-            if getattr(self, name) < 1:
-                raise ConfigError("patch dims must be >= 1", f"model.{name}")
-        if self.adaln_mode not in ADALN_MODES:
-            raise ConfigError(f"adaln_mode must be one of {ADALN_MODES}", "model.adaln_mode")
-        if self.param_count is not None and self.param_count <= 0:
-            raise ConfigError("param_count must be positive when supplied", "model.param_count")
-        object.__setattr__(
-            self, "extra_unpartitioned_layers", tuple(self.extra_unpartitioned_layers)
-        )
+    __slots__ = _field_names("ModelArch")
 
     @property
     def patch_volume(self) -> int:
         return self.patch_t * self.patch_h * self.patch_w
 
 
-@dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(_Record):
     """Hardware description. Bandwidths in bytes/s, memory in bytes, FLOPs in FLOP/s."""
 
-    num_nodes: int
-    devices_per_node: int
-    device_mem: float
-    peak_flops_per_device: float
-    intra_node_bw: float
-    inter_node_bw: float
-    pcie_bw_per_device: float
-    host_write_bw_per_numa: float
-    devices_per_numa: int
-    host_mem: float
-
-    def __post_init__(self):
-        for field in fields(self):
-            if getattr(self, field.name) <= 0:
-                raise ConfigError("must be positive", f"cluster.{field.name}")
-        if self.devices_per_numa > self.devices_per_node:
-            raise ConfigError(
-                "devices_per_numa cannot exceed devices_per_node", "cluster.devices_per_numa"
-            )
+    __slots__ = _field_names("ClusterSpec")
 
     @property
     def total_devices(self) -> int:
         return self.num_nodes * self.devices_per_node
 
 
-@dataclass(frozen=True)
-class DTypePolicy:
+class DTypePolicy(_Record):
     """Bytes per element for each model-state class.
 
     The default (2-byte params/grads/activations, 4-byte master weights,
     AdamW moments and EMA) puts a 13.4B model at 268 GB of model states.
     """
 
-    param_bytes: int = 2
-    grad_bytes: int = 2
-    master_bytes: int = 4
-    moment_bytes: int = 4
-    ema_bytes: int = 4
-    act_bytes: int = 2
-
-    def __post_init__(self):
-        for field in fields(self):
-            if getattr(self, field.name) not in _DTYPE_WIDTHS:
-                raise ConfigError(f"must be one of {_DTYPE_WIDTHS}", f"dtypes.{field.name}")
+    __slots__ = _field_names("DTypePolicy")
 
 
-@dataclass(frozen=True)
-class ParallelConfig:
+class ParallelConfig(_Record):
     """One candidate parallel layout: tensor/context/data degrees plus options."""
 
-    tp: int = 1
-    cp: int = 1
-    dp: int = 1
-    zero_stage: str = "optimizer-partitioned"
-    grad_accum: int = 1
-
-    def __post_init__(self):
-        for name in ("tp", "cp", "dp", "grad_accum"):
-            if getattr(self, name) < 1:
-                raise ConfigError("degree must be >= 1", f"parallel.{name}")
-        if self.zero_stage not in ZERO_STAGES:
-            raise ConfigError(f"zero_stage must be one of {ZERO_STAGES}", "parallel.zero_stage")
+    __slots__ = _field_names("ParallelConfig")
 
     @property
     def devices_used(self) -> int:
         return self.tp * self.cp * self.dp
 
 
-@dataclass(frozen=True)
-class StageScenario:
+class StageScenario(_Record):
     """One training-stage row: which bucket(s) it runs and at what batch size."""
 
-    name: str
-    image_bucket: "Bucket | None" = None
-    video_bucket: "Bucket | None" = None
-    global_batch: int = 1
-    step_count: int = 1
-
-    def __post_init__(self):
-        if self.image_bucket is None and self.video_bucket is None:
-            raise ConfigError("stage needs at least one bucket", f"stages.{self.name}")
-        if self.global_batch < 1 or self.step_count < 1:
-            raise ConfigError("batch and step counts must be >= 1", f"stages.{self.name}")
+    __slots__ = _field_names("StageScenario")
 
     def buckets(self) -> list[tuple[str, "Bucket"]]:
         out = []
@@ -242,8 +410,7 @@ def resolved_param_count(arch: ModelArch) -> float:
     return estimate_param_count(arch).total
 
 
-@dataclass(frozen=True)
-class OverlapConfig:
+class OverlapConfig(_Record):
     """Overlap and collective-cost knobs.
 
     ``tp_sp_fraction`` is the fraction of TP-SP collective time hidden by
@@ -251,34 +418,13 @@ class OverlapConfig:
     is an explicit assumption (default 0.8) and is echoed in reports.
     """
 
-    tp_sp_fraction: float = 0.8
-    collective_latency_ms: float = 0.02
-    efficiency: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.tp_sp_fraction <= 1.0:
-            raise ConfigError("must be in [0, 1]", "overlap.tp_sp_fraction")
-        if self.collective_latency_ms < 0:
-            raise ConfigError("must be >= 0", "overlap.collective_latency_ms")
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ConfigError("must be in (0, 1]", "overlap.efficiency")
+    __slots__ = _field_names("OverlapConfig")
 
 
-@dataclass(frozen=True)
-class ParallelSection:
+class ParallelSection(_Record):
     """The ``parallel`` config block: degrees may be left null to enumerate."""
 
-    tp: int | None = None
-    cp: int | None = None
-    dp: int | None = None
-    zero_stage: str = "optimizer-partitioned"
-    grad_accum: int = 1
-
-    def __post_init__(self):
-        if self.zero_stage not in ZERO_STAGES:
-            raise ConfigError(f"zero_stage must be one of {ZERO_STAGES}", "parallel.zero_stage")
-        if self.grad_accum < 1:
-            raise ConfigError("must be >= 1", "parallel.grad_accum")
+    __slots__ = _field_names("ParallelSection")
 
     @property
     def pinned(self) -> ParallelConfig | None:
@@ -295,18 +441,10 @@ class ParallelSection:
         )
 
 
-@dataclass(frozen=True)
-class PlanningConfig:
+class PlanningConfig(_Record):
     """Everything one planning run needs, as parsed from a single JSON document."""
 
-    model: ModelArch
-    cluster: ClusterSpec
-    dtypes: DTypePolicy = DTypePolicy()
-    parallel: ParallelSection = ParallelSection()
-    overlap: OverlapConfig = OverlapConfig()
-    stages: tuple[StageScenario, ...] = ()
-    buckets: tuple["Bucket", ...] = ()
-    fitted_fields: tuple[str, ...] = ()
+    __slots__ = _field_names("PlanningConfig")
 
 
 def require_valid(config: PlanningConfig) -> None:
@@ -317,140 +455,9 @@ def require_valid(config: PlanningConfig) -> None:
         raise ConfigError("; ".join(violations), "config")
 
 
-# ---------------------------------------------------------------------------
-# Strict JSON ingestion. Unknown keys are rejected with the offending path.
-# ---------------------------------------------------------------------------
-
-_TOP_LEVEL_KEYS = ("model", "cluster", "dtypes", "parallel", "stages", "buckets", "overlap")
-
-def _require_mapping(obj: Any, path: str) -> Mapping[str, Any]:
-    if not isinstance(obj, Mapping):
-        raise ConfigError("expected a JSON object", path)
-    return obj
-
-
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(field.name for field in fields(cls))
-
-
-def _reject_unknown(obj: Mapping[str, Any], allowed: Iterable[str], path: str) -> None:
-    allowed = set(allowed)
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError("unknown key", f"{path}.{key}" if path else key)
-
-
-def _require_fields(obj: Mapping[str, Any], cls: type, path: str) -> None:
-    """Reject ``obj`` when it lacks a field of dataclass ``cls`` that has no default."""
-    for field in fields(cls):
-        if field.default is MISSING and field.name not in obj:
-            raise ConfigError("missing required key", f"{path}.{field.name}")
-
-
-# Parsers for the scalar field annotations of the config dataclasses, keyed
-# by annotation string (``from __future__ import annotations`` keeps them
-# strings).
-_SCALAR_PARSERS = {
-    "int": integer_value,
-    "float": lambda value, path: float(finite_number(value, path)),
-    "str": lambda value, path: value,
-}
-
-
-def _scalar_fields(obj: Mapping[str, Any], cls: type, path: str) -> dict[str, Any]:
-    """The int, float and str fields of dataclass ``cls`` present in ``obj``,
-    each parsed by its annotation. A null in an optional field keeps the
-    default; other fields (buckets, name lists) are left to the caller."""
-    kwargs: dict[str, Any] = {}
-    for field in fields(cls):
-        kind = field.type.removesuffix(" | None")
-        if field.name not in obj or kind not in _SCALAR_PARSERS:
-            continue
-        if obj[field.name] is None and kind != field.type:
-            continue
-        kwargs[field.name] = _SCALAR_PARSERS[kind](obj[field.name], f"{path}.{field.name}")
-    return kwargs
-
-
-def _parse_bucket(entry: Any, path: str) -> "Bucket":
-    from .buckets import Bucket
-
-    if not isinstance(entry, (list, tuple)) or len(entry) != 4:
-        raise ConfigError("bucket must be [batch, frames, height, width]", path)
-    values = [integer_value(v, f"{path}[{i}]") for i, v in enumerate(entry)]
-    try:
-        return Bucket(*values)
-    except ConfigError as exc:
-        raise ConfigError(str(exc), path) from exc
-
-
 def parse_config(doc: Mapping[str, Any]) -> PlanningConfig:
     """Build a :class:`PlanningConfig` from a parsed JSON document."""
-    doc = _require_mapping(doc, "<root>")
-    _reject_unknown(doc, _TOP_LEVEL_KEYS, "")
-    for required in ("model", "cluster"):
-        if required not in doc:
-            raise ConfigError("missing required section", required)
-
-    model_doc = _require_mapping(doc["model"], "model")
-    _reject_unknown(model_doc, _field_names(ModelArch), "model")
-    _require_fields(model_doc, ModelArch, "model")
-    model_kwargs = _scalar_fields(model_doc, ModelArch, "model")
-    if "extra_unpartitioned_layers" in model_doc:
-        layers = model_doc["extra_unpartitioned_layers"]
-        if not isinstance(layers, (list, tuple)) or not all(isinstance(x, str) for x in layers):
-            raise ConfigError("expected a list of layer names", "model.extra_unpartitioned_layers")
-        model_kwargs["extra_unpartitioned_layers"] = tuple(layers)
-    model = ModelArch(**model_kwargs)
-
-    cluster_doc = _require_mapping(doc["cluster"], "cluster")
-    _reject_unknown(cluster_doc, _field_names(ClusterSpec), "cluster")
-    _require_fields(cluster_doc, ClusterSpec, "cluster")
-    cluster = ClusterSpec(**_scalar_fields(cluster_doc, ClusterSpec, "cluster"))
-
-    sections: dict[str, Any] = {}
-    for key, cls in (
-        ("dtypes", DTypePolicy),
-        ("parallel", ParallelSection),
-        ("overlap", OverlapConfig),
-    ):
-        if key in doc:
-            section = _require_mapping(doc[key], key)
-            _reject_unknown(section, _field_names(cls), key)
-            sections[key] = cls(**_scalar_fields(section, cls, key))
-
-    buckets: list[Any] = []
-    if "buckets" in doc:
-        if not isinstance(doc["buckets"], (list, tuple)):
-            raise ConfigError("expected an array of buckets", "buckets")
-        buckets = [
-            _parse_bucket(entry, f"buckets[{i}]") for i, entry in enumerate(doc["buckets"])
-        ]
-
-    stages: list[StageScenario] = []
-    if "stages" in doc:
-        if not isinstance(doc["stages"], (list, tuple)):
-            raise ConfigError("expected an array of stages", "stages")
-        for i, entry in enumerate(doc["stages"]):
-            path = f"stages[{i}]"
-            stage_doc = _require_mapping(entry, path)
-            _reject_unknown(stage_doc, _field_names(StageScenario), path)
-            if not isinstance(stage_doc.get("name"), str):
-                raise ConfigError("stage needs a string name", f"{path}.name")
-            if any(stage.name == stage_doc["name"] for stage in stages):
-                raise ConfigError(f"duplicate stage name {stage_doc['name']!r}", f"{path}.name")
-            buckets_kwargs = {
-                which: _parse_bucket(stage_doc[which], f"{path}.{which}")
-                for which in ("image_bucket", "video_bucket")
-                if stage_doc.get(which) is not None
-            }
-            stages.append(
-                StageScenario(**buckets_kwargs, **_scalar_fields(stage_doc, StageScenario, path))
-            )
-
-    return PlanningConfig(
-        model=model, cluster=cluster, **sections, stages=tuple(stages), buckets=tuple(buckets)
-    )
+    return _parse_record(PlanningConfig, doc, "")
 
 
 def load_config(path: str | Path) -> PlanningConfig:

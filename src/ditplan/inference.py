@@ -218,13 +218,6 @@ class WindowPlan(_WindowFields):
             delta[end] -= 1
         return tuple(accumulate(delta[:-1]))
 
-    def averaging_weights(self, index: int) -> float:
-        """Eq. weight 1/|S(i)| applied to every clip covering ``index``."""
-        count = self.coverage[index]
-        if count == 0:
-            raise ConfigError(f"index {index} uncovered", "windows")
-        return 1.0 / count
-
 
 def plan_temporal_windows(n_prime: int, n: int, s: int) -> WindowPlan:
     """Slide a length-``n`` window by ``s`` over an ``n_prime``-long latent.

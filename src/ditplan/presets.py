@@ -9,7 +9,6 @@ inferred values, not published ones; reports label them fitted.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -61,4 +60,4 @@ def load_reference_config() -> PlanningConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:  # shipped file, should never happen
         raise ConfigError(f"invalid reference config: {exc}") from exc
-    return replace(parse_config(doc), fitted_fields=TABLE2_FIT_FITTED_FIELDS)
+    return parse_config(doc)._replace(fitted_fields=TABLE2_FIT_FITTED_FIELDS)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import asdict
 from typing import Any, NamedTuple
 
 from .buckets import Bucket, check_token_balance, snap_bucket, token_count
@@ -82,8 +81,8 @@ def _echo_input(config: PlanningConfig, chunks: ChunkTable) -> dict[str, Any]:
             "extra_unpartitioned_layers": list(model.extra_unpartitioned_layers),
             "fitted_fields": list(config.fitted_fields),
         },
-        "cluster": {k: _round3(v) for k, v in asdict(config.cluster).items()},
-        "dtypes": asdict(config.dtypes),
+        "cluster": {k: _round3(v) for k, v in config.cluster._asdict().items()},
+        "dtypes": config.dtypes._asdict(),
         "assumptions": {
             "tp_sp_overlap_fraction": _round3(config.overlap.tp_sp_fraction),
             "tp_sp_overlap_is_assumed": True,

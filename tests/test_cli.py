@@ -441,12 +441,16 @@ _MODULES_PROBE = """
 import contextlib, io, json, sys
 from ditplan.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
+    code = main(sys.argv[2:])
 ditplan = sorted(m for m in sys.modules if m == "ditplan" or m.startswith("ditplan."))
-stdlib = {name: name in sys.modules for name in ("csv", "dataclasses", "inspect")}
+stdlib = {name: name in sys.modules for name in ("csv", *sys.argv[1].split(","))}
 print(json.dumps({"code": code, "ditplan": ditplan, **stdlib}))
 """
 _CLI_CORE = ["ditplan", "ditplan.cli", "ditplan.emit", "ditplan.errors"]
+# Standard-library modules no subcommand needs: the argument parser and the
+# config records are built without argparse (and its gettext) or dataclasses
+# (and its inspect).
+_NEVER_LOADED = ["argparse", "gettext", "dataclasses", "inspect"]
 _PLANNER = ["buckets", "comm", "config", "memory", "offload", "recompute", "report", "simulate"]
 
 
@@ -466,16 +470,13 @@ _SUBCOMMAND_MODULES = {
 def test_subcommands_import_only_their_modules(subcommand, ref_config):
     argv, modules = _SUBCOMMAND_MODULES[subcommand]
     argv = [ref_config if a == "REF" else a for a in argv]
-    proc = _python("-c", _MODULES_PROBE, *argv)
+    proc = _python("-c", _MODULES_PROBE, ",".join(_NEVER_LOADED), *argv)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["code"] == EXIT_OK
     assert result["ditplan"] == sorted(_CLI_CORE + [f"ditplan.{m}" for m in modules])
     assert result["csv"] == (modules == _PLANNER)
-    # Only the config dataclasses need dataclasses (and, through it, inspect):
-    # the four subcommands that read no config never load either.
-    reads_config = "config" in modules
-    assert result["dataclasses"] == result["inspect"] == reads_config
+    assert {name: result[name] for name in _NEVER_LOADED} == dict.fromkeys(_NEVER_LOADED, False)
 
 
 # numpy is a test-only dependency: with it unimportable, every exported
@@ -586,3 +587,179 @@ def test_non_finite_float_flags_rejected(argv, flag, value, ref_config, capsys):
     argv = [ref_config if a == "REF" else a for a in argv]
     assert main([*argv, f"{flag}={value}"]) == EXIT_CONFIG
     assert f"{flag}: expected a finite number" in capsys.readouterr().err
+
+
+# The parser contract, leaf by leaf: leaf -> (a valid call, its required
+# flags, every flag it takes, a flag with choices, an int or float flag).
+_LEAF_CONTRACT = {
+    "plan-train": (
+        ["plan", "train", "--config", "REF"],
+        ["--config"],
+        ["--config", "--out", "--format", "--offload", "--chunk-table"],
+        "--format",
+        None,
+    ),
+    "plan-infer": (
+        ["plan", "infer", "--steps", "10"],
+        ["--steps"],
+        ["--out", "--steps", "--warmup", "--interval", "--mode", "--cached-cost-fraction"],
+        "--mode",
+        ("--steps", "int"),
+    ),
+    "plan-recompute": (
+        ["plan", "recompute", "--required-mb", "400"],
+        ["--required-mb"],
+        ["--out", "--required-mb", "--chunk-table"],
+        None,
+        ("--required-mb", "float"),
+    ),
+    "plan-windows": (
+        ["plan", "windows", "--n-prime", "32", "--n", "8", "--stride", "4"],
+        ["--n-prime", "--n", "--stride"],
+        ["--out", "--n-prime", "--n", "--stride"],
+        None,
+        ("--n", "int"),
+    ),
+    "plan-vae-tiles": (
+        ["plan", "vae-tiles", "--latent", "8,64,64", "--tile", "4,32,32"],
+        ["--latent", "--tile"],
+        ["--out", "--latent", "--tile", "--overlap", "--devices"],
+        None,
+        ("--devices", "int"),
+    ),
+    "buckets-check": (
+        ["buckets", "check", "--config", "REF"],
+        ["--config"],
+        ["--config", "--out", "--tolerance"],
+        None,
+        ("--tolerance", "float"),
+    ),
+    "simulate": (
+        ["simulate", "--config", "REF", "--stage", "t2v-29x320"],
+        ["--config"],
+        ["--config", "--out", "--format", "--stage", "--chunk-table"],
+        "--format",
+        None,
+    ),
+}
+
+
+def _leaf_call(leaf, ref_config):
+    return [ref_config if a == "REF" else a for a in _LEAF_CONTRACT[leaf][0]]
+
+
+def _words(argv):
+    return argv[: next(i for i, a in enumerate(argv) if a.startswith("-"))]
+
+
+def _usage_error(argv, capsys) -> str:
+    """stderr of a call that must be a usage error: SystemExit(2), usage and error lines."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert "error: " in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "leaf, flag",
+    [(leaf, flag) for leaf, contract in _LEAF_CONTRACT.items() for flag in contract[1]],
+)
+def test_missing_required_flag_is_a_usage_error(leaf, flag, ref_config, capsys):
+    argv = _leaf_call(leaf, ref_config)
+    index = argv.index(flag)
+    err = _usage_error(argv[:index] + argv[index + 2 :], capsys)
+    assert "required" in err and flag in err
+
+
+@pytest.mark.parametrize("leaf", list(_LEAF_CONTRACT))
+def test_unknown_flag_is_a_usage_error(leaf, ref_config, capsys):
+    err = _usage_error([*_leaf_call(leaf, ref_config), "--bogus", "1"], capsys)
+    assert "unrecognized arguments: --bogus" in err
+
+
+@pytest.mark.parametrize(
+    "leaf", [leaf for leaf, contract in _LEAF_CONTRACT.items() if contract[4] is not None]
+)
+def test_bad_number_is_a_usage_error(leaf, ref_config, capsys):
+    flag, kind = _LEAF_CONTRACT[leaf][4]
+    err = _usage_error([*_leaf_call(leaf, ref_config), flag, "x"], capsys)
+    assert f"argument {flag}: invalid {kind} value: 'x'" in err
+
+
+@pytest.mark.parametrize(
+    "leaf", [leaf for leaf, contract in _LEAF_CONTRACT.items() if contract[3] is not None]
+)
+def test_bad_choice_is_a_usage_error(leaf, ref_config, capsys):
+    flag = _LEAF_CONTRACT[leaf][3]
+    err = _usage_error([*_leaf_call(leaf, ref_config), flag, "bogus"], capsys)
+    assert f"argument {flag}: invalid choice: 'bogus'" in err
+
+
+@pytest.mark.parametrize("leaf", list(_LEAF_CONTRACT))
+def test_equals_form_and_last_repeat_wins(leaf, ref_config, tmp_path, capsys):
+    argv = _leaf_call(leaf, ref_config)
+    assert main(argv) == EXIT_OK
+    expected = capsys.readouterr().out
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    assert main(joined) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    first, last = tmp_path / "first.out", tmp_path / "last.out"
+    assert main([*argv, "--out", str(first), f"--out={last}"]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert last.read_text() == expected
+    assert not first.exists()
+
+
+@pytest.mark.parametrize("leaf", list(_LEAF_CONTRACT))
+@pytest.mark.parametrize("help_flag", ["-h", "--help"])
+def test_leaf_help_names_every_flag(leaf, help_flag, ref_config, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*_words(_LEAF_CONTRACT[leaf][0]), help_flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for flag in _LEAF_CONTRACT[leaf][2]:
+        assert flag in out
+
+
+@pytest.mark.parametrize(
+    "words, commands",
+    [
+        ([], ["plan", "buckets", "simulate"]),
+        (["plan"], ["train", "infer", "recompute", "windows", "vae-tiles"]),
+        (["buckets"], ["check"]),
+    ],
+    ids=["top", "plan", "buckets"],
+)
+def test_group_help_names_every_command(words, commands, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*words, "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command in commands:
+        assert command in out
+
+
+@pytest.mark.parametrize("argv", [[], ["plan"], ["buckets"], ["plan", "bogus"], ["bogus"]])
+def test_missing_or_unknown_command_is_a_usage_error(argv, capsys):
+    _usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--overlap", "-1,0,0", "vae.overlap[0]: need tile size > overlap >= 0"),
+        ("--latent", "-8,64,64", "vae.latent[0]: latent dims must be >= 1"),
+    ],
+    ids=["overlap", "latent"],
+)
+def test_flag_value_may_start_with_a_dash(flag, value, message, capsys):
+    values = {"--latent": "8,64,64", "--tile": "4,32,32", flag: value}
+    argv = ["plan", "vae-tiles", *(token for pair in values.items() for token in pair)]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"

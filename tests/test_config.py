@@ -1,6 +1,5 @@
 import copy
 import json
-from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -204,10 +203,10 @@ SECTIONS = {
 # Every field whose reference value (or default, where the reference
 # leaves it out) is a number.
 NUMERIC_FIELDS = [
-    (section, field.name)
+    (section, name)
     for section, cls in SECTIONS.items()
-    for field in fields(cls)
-    if type(REFERENCE[section].get(field.name, field.default)) in (int, float)
+    for name in cls._fields
+    if type(REFERENCE[section].get(name, cls._field_defaults.get(name))) in (int, float)
 ]
 
 
@@ -226,7 +225,7 @@ def test_string_in_numeric_field_names_its_path(section, name):
 
 @pytest.mark.parametrize(
     "section, name",
-    [("cluster", field.name) for field in fields(ClusterSpec)]
+    [("cluster", name) for name in ClusterSpec._fields]
     + [("model", name) for name in ("hidden_size", "num_heads", "num_layers")],
     ids=lambda v: v,
 )

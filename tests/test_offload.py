@@ -1,6 +1,5 @@
 import pytest
 
-from dataclasses import replace
 
 from ditplan.config import ClusterSpec
 from ditplan.errors import InfeasibleError
@@ -162,7 +161,7 @@ def test_balance_exhaustion_diagnostic():
 
 def test_balance_host_memory_diagnostic():
     # flash attention's 110.6 MB per layer over 54 layers needs 6.0 GB of host memory
-    cluster = replace(REFERENCE_CLUSTER, host_mem=1e9)
+    cluster = REFERENCE_CLUSTER._replace(host_mem=1e9)
     with pytest.raises(InfeasibleError, match=r"^cp=1: offloaded activations \(6\.0 GB\)"):
         balance_strategies(
             100 * MIB,

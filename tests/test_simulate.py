@@ -185,9 +185,8 @@ def test_mfu_invariant_under_joint_rescaling():
         recompute=plan, comm=comm,
     )
     # doubling peak FLOPs while halving every latency term leaves MFU fixed
-    from dataclasses import replace
 
-    cluster2 = replace(REFERENCE_CLUSTER, peak_flops_per_device=2 * 312e12)
+    cluster2 = REFERENCE_CLUSTER._replace(peak_flops_per_device=2 * 312e12)
     comm2 = CommPlan(
         comm.tp_sp_raw_ms_per_layer / 2,
         comm.tp_sp_exposed_ms_per_layer / 2,
