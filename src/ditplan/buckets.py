@@ -10,14 +10,15 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .config import VAE_SPATIAL_RATIO, VAE_TEMPORAL_RATIO, ModelArch, _field_names, _Record
-from .errors import ConfigError, DimensionError
+from .config import _AT_LEAST_ONE, VAE_SPATIAL_RATIO, VAE_TEMPORAL_RATIO, ModelArch
+from .errors import _REQUIRED, ConfigError, DimensionError, _field_names, _Record
 
 
 class Bucket(_Record):
     """One shape class of training samples: ``batch``, ``frames``, ``height``, ``width``."""
 
-    __slots__ = _field_names("Bucket")
+    _schema = ("bucket", (("batch frames height width", "int", _REQUIRED, _AT_LEAST_ONE),))
+    __slots__ = _field_names(_schema)
 
     def key(self) -> tuple[int, int, int, int]:
         return (self.batch, self.frames, self.height, self.width)

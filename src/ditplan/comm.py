@@ -229,15 +229,16 @@ def enumerate_parallel_configs(
 ) -> list[ParallelConfig]:
     """All placement-rule-respecting (tp, cp, dp) splits, by ascending tp then cp.
 
-    TP stays inside a node (divisor of devices_per_node, must divide H);
-    CP takes power-of-two degrees only above the token gate, keeping
-    context parallelism minimally viable; DP absorbs the rest.
+    TP stays inside a node (divisor of devices_per_node) and must divide
+    both H and the head count; CP takes power-of-two degrees only above the
+    token gate, keeping context parallelism minimally viable; DP absorbs
+    the rest.
     """
     tokens_batch = token_count(bucket, arch).tokens_batch
     total = cluster.total_devices
     candidates: list[ParallelConfig] = []
     for tp in _divisors(cluster.devices_per_node):
-        if arch.hidden_size % tp != 0:
+        if arch.hidden_size % tp != 0 or arch.num_heads % tp != 0:
             continue
         cp = 1
         while tp * cp <= total:

@@ -6,15 +6,20 @@ activations) and B*A*S (per-head attention statistics), divided by the
 tensor-parallel degree. Coefficients already include the 2-byte element
 size, i.e. they are byte formulas, which is the only reading that
 reproduces the reference measurements.
+
+The inputs :class:`ChunkSpec`, :class:`ChunkTable` and :class:`TimelineEvent`
+are records (see :mod:`ditplan.errors`), so their schema rows parse a chunk
+table file; :class:`MemoryBreakdown` and :class:`ActivationTimeline` are results.
 """
 
 from __future__ import annotations
 
-import json
+from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Sequence
 
-from .errors import ConfigError, MalformedTimelineError, finite_number, integer_value
+from .errors import (_PARSERS, _REQUIRED, ConfigError, MalformedTimelineError, _field_names,
+                     _parse_record, _Record, read_json)
 
 if TYPE_CHECKING:
     from .config import DTypePolicy, ParallelConfig
@@ -27,23 +32,11 @@ SHARED_STORAGE = "shared-storage"
 MERGED_REDUNDANT = "merged-redundant"
 _LIFECYCLE_TAGS = (SHARED_STORAGE, MERGED_REDUNDANT)
 
-
-@classmethod
-def _checked_make(cls, iterable):
-    """``_make`` that runs ``__new__``'s checks; ``_replace`` goes through it."""
-    return cls(*iterable)
+_COEFFICIENT = ("v >= 0", "coefficients must be >= 0", "chunk.{name}")
+_AT_LEAST_ONE = ("v >= 1", "must be >= 1")
 
 
-class _ChunkFields(NamedTuple):
-    name: str
-    coeff_bsh: float
-    coeff_bas: float = 0.0
-    fwd_latency_ms: float = 1.0
-    recomputable: bool = True
-    offloadable: bool = True
-
-
-class ChunkSpec(_ChunkFields):
+class ChunkSpec(_Record):
     """One fused operation of the transformer block.
 
     ``coeff_bsh`` multiplies B*S*H, ``coeff_bas`` multiplies B*A*S, both in
@@ -51,15 +44,15 @@ class ChunkSpec(_ChunkFields):
     table's reference shape.
     """
 
-    def __new__(cls, *args, **kwargs):
-        self = _ChunkFields.__new__(cls, *args, **kwargs)
-        if self.coeff_bsh < 0 or self.coeff_bas < 0:
-            raise ConfigError("coefficients must be >= 0", f"chunk.{self.name}")
-        if self.fwd_latency_ms <= 0:
-            raise ConfigError("fwd_latency_ms must be positive", f"chunk.{self.name}")
-        return self
-
-    _make = _checked_make
+    _schema = ("chunk", (
+        ("name", "str", _REQUIRED),
+        ("coeff_bsh", "number", _REQUIRED, _COEFFICIENT),
+        ("coeff_bas", "number", 0.0, _COEFFICIENT),
+        ("fwd_latency_ms", "number", 1.0,
+         ("v > 0", "fwd_latency_ms must be positive", "chunk.{name}")),
+        ("recomputable offloadable", "bool", True),
+    ))
+    __slots__ = _field_names(_schema)
 
     @property
     def is_attention_class(self) -> bool:
@@ -75,34 +68,33 @@ def chunk_retained_bytes(chunk: ChunkSpec, B: int, S: int, H: int, A: int, tp: i
     return round(raw)
 
 
-_CHUNK_TABLE_REFS = ("ref_batch", "ref_seqlen", "ref_hidden", "ref_heads", "ref_tp")
+def _parse_chunks(entries: Any, path: str) -> tuple[ChunkSpec, ...]:
+    if not isinstance(entries, list):
+        raise ConfigError("expected an array of chunks", path)
+    return tuple(_parse_record(ChunkSpec, entry, f"{path}[{i}]") for i, entry in enumerate(entries))
 
 
-class _ChunkTableFields(NamedTuple):
-    chunks: tuple[ChunkSpec, ...]
-    ref_batch: int = 1
-    ref_seqlen: int = 115_200
-    ref_hidden: int = 3072
-    ref_heads: int = 24
-    ref_tp: int = 8
+_PARSERS["chunks"] = _parse_chunks
 
 
-class ChunkTable(_ChunkTableFields):
+class ChunkTable(_Record):
     """A named set of chunks plus the shape their latencies were profiled at."""
 
-    def __new__(cls, *args, **kwargs):
-        self = _ChunkTableFields.__new__(cls, *args, **kwargs)
-        index = {c.name: c for c in self.chunks}
-        if len(index) != len(self.chunks):
-            raise ConfigError("duplicate chunk names", "chunks")
-        for name in _CHUNK_TABLE_REFS:
-            if getattr(self, name) < 1:
-                raise ConfigError("must be >= 1", name)
-        # Name -> chunk, built once per table; kept out of the tuple, so never compared.
-        self._index = index
-        return self
+    _schema = ("", (
+        ("chunks", "chunks", _REQUIRED,
+         ("len({c.name for c in v}) == len(v)", "duplicate chunk names", "chunks")),
+        ("ref_batch", "int", 1, _AT_LEAST_ONE),
+        ("ref_seqlen", "int", 115_200, _AT_LEAST_ONE),
+        ("ref_hidden", "int", 3072, _AT_LEAST_ONE),
+        ("ref_heads", "int", 24, _AT_LEAST_ONE),
+        ("ref_tp", "int", 8, _AT_LEAST_ONE),
+    ))
+    __slots__ = (*_field_names(_schema), "__dict__")  # the dict holds _index only
 
-    _make = _checked_make
+    @cached_property
+    def _index(self) -> dict[str, ChunkSpec]:
+        """Name -> chunk, built on first lookup; not a field, so never compared."""
+        return {c.name: c for c in self.chunks}
 
     def by_name(self, name: str) -> ChunkSpec:
         chunk = self._index.get(name)
@@ -133,35 +125,8 @@ BUILTIN_CHUNKS = ChunkTable(
 
 
 def load_chunk_table(path: str | Path) -> ChunkTable:
-    """Load a chunk table from JSON: {"chunks": [{name, coeff_bsh, ...}], ...}."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read chunk table: {exc}", str(path)) from exc
-    except ValueError as exc:
-        raise ConfigError(f"invalid JSON: {exc}", str(path)) from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("chunks"), list):
-        raise ConfigError("expected an object with a 'chunks' array", str(path))
-    for key in doc:
-        if key != "chunks" and key not in _CHUNK_TABLE_REFS:
-            raise ConfigError("unknown key", key)
-    chunks = []
-    for i, entry in enumerate(doc["chunks"]):
-        where = f"chunks[{i}]"
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise ConfigError("chunk entry needs a string name", where)
-        unknown = set(entry) - set(ChunkSpec._fields)
-        if unknown:
-            raise ConfigError("unknown key", f"{where}.{sorted(unknown)[0]}")
-        for key in ("coeff_bsh", "coeff_bas", "fwd_latency_ms"):
-            if key in entry:
-                finite_number(entry[key], f"{where}.{key}")
-        for key in ("recomputable", "offloadable"):
-            if key in entry and not isinstance(entry[key], bool):
-                raise ConfigError("expected true or false", f"{where}.{key}")
-        chunks.append(ChunkSpec(**entry))
-    meta = {k: integer_value(doc[k], k) for k in _CHUNK_TABLE_REFS if k in doc}
-    return ChunkTable(chunks=tuple(chunks), **meta)
+    """Load a chunk table from JSON: {"chunks": [{name, coeff_bsh, ...}], "ref_<x>": ...}."""
+    return _parse_record(ChunkTable, read_json(path, "chunk table"), "")
 
 
 class MemoryBreakdown(NamedTuple):
@@ -234,16 +199,7 @@ def activation_per_layer(
 # ---------------------------------------------------------------------------
 
 
-class _EventFields(NamedTuple):
-    time: int
-    kind: str  # "alloc" | "free"
-    name: str
-    bytes: int
-    tag: str | None = None
-    last_consumer_time: int | None = None
-
-
-class TimelineEvent(_EventFields):
+class TimelineEvent(_Record):
     """One alloc/free event at an integer time index.
 
     Tagged free events carry ``last_consumer_time``: the time index of the
@@ -251,17 +207,18 @@ class TimelineEvent(_EventFields):
     moves such frees to just after that point.
     """
 
-    def __new__(cls, *args, **kwargs):
-        self = _EventFields.__new__(cls, *args, **kwargs)
-        if self.kind not in ("alloc", "free"):
-            raise ConfigError("event kind must be 'alloc' or 'free'", f"timeline.{self.name}")
-        if self.bytes < 0:
-            raise ConfigError("event bytes must be >= 0", f"timeline.{self.name}")
-        if self.tag is not None and self.tag not in _LIFECYCLE_TAGS:
-            raise ConfigError(f"tag must be one of {_LIFECYCLE_TAGS}", f"timeline.{self.name}")
-        return self
-
-    _make = _checked_make
+    _schema = ("timeline", (
+        ("time", "int", _REQUIRED),
+        ("kind", "choice", _REQUIRED,
+         ("v in ('alloc', 'free')", "event kind must be 'alloc' or 'free'", "timeline.{name}")),
+        ("name", "str", _REQUIRED),
+        ("bytes", "int", _REQUIRED, ("v >= 0", "event bytes must be >= 0", "timeline.{name}")),
+        ("tag", "choice?", None,
+         (f"v is None or v in {_LIFECYCLE_TAGS}", f"tag must be one of {_LIFECYCLE_TAGS}",
+          "timeline.{name}")),
+        ("last_consumer_time", "int?", None),
+    ))
+    __slots__ = _field_names(_schema)
 
 
 class ActivationTimeline(NamedTuple):

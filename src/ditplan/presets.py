@@ -8,12 +8,10 @@ inferred values, not published ones; reports label them fitted.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 from pathlib import Path
 
-from .config import ClusterSpec, ModelArch, PlanningConfig, parse_config
-from .errors import ConfigError
+from .config import ClusterSpec, ModelArch, PlanningConfig, load_config
 
 TABLE2_FIT_FITTED_FIELDS = ("hidden_size", "num_heads", "num_layers")
 
@@ -55,9 +53,4 @@ def reference_config_path() -> Path:
 
 def load_reference_config() -> PlanningConfig:
     """The shipped reference planning config with fitted fields labeled."""
-    text = resources.files("ditplan.data").joinpath("reference_config.json").read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:  # shipped file, should never happen
-        raise ConfigError(f"invalid reference config: {exc}") from exc
-    return parse_config(doc)._replace(fitted_fields=TABLE2_FIT_FITTED_FIELDS)
+    return load_config(reference_config_path())._replace(fitted_fields=TABLE2_FIT_FITTED_FIELDS)

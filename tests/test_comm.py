@@ -10,7 +10,7 @@ from ditplan.comm import (
     enumerate_parallel_configs,
     tp_sp_layer_comm,
 )
-from ditplan.config import DTypePolicy, OverlapConfig, ParallelConfig
+from ditplan.config import DTypePolicy, OverlapConfig, ParallelConfig, validate
 from ditplan.errors import InfeasibleError
 from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT
 
@@ -140,6 +140,17 @@ def test_enumerate_admits_cp2_above_gate():
     for tp in {c.tp for c in configs}:
         ordered = [c.cp for c in configs if c.tp == tp]
         assert ordered == sorted(ordered)
+
+
+def test_tp_must_divide_the_head_count():
+    """16 divides H=3072 but not 24 heads, so a 16-device node offers no
+    tp=16 candidate and validate names a pinned tp=16."""
+    cluster = REFERENCE_CLUSTER._replace(devices_per_node=16)
+    configs = enumerate_parallel_configs(TABLE2_FIT, cluster, Bucket(1, 1, 320, 320))
+    assert sorted({c.tp for c in configs}) == [1, 2, 4, 8]
+    assert validate(TABLE2_FIT, cluster, ParallelConfig(tp=16, dp=2)) == [
+        "tp does not divide num_heads (24 % 16 != 0)"
+    ]
 
 
 def test_enumerate_single_device():

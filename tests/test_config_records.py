@@ -1,4 +1,5 @@
-"""The construction contract of the config records.
+"""The construction contract of the records: the config sections, buckets,
+chunk specs and tables, and timeline events.
 
 Each record keeps its field names, order and defaults under positional
 and keyword construction, compares and hashes by value, refuses field
@@ -25,10 +26,12 @@ from ditplan.config import (
     StageScenario,
 )
 from ditplan.errors import ConfigError
+from ditplan.memory import ChunkSpec, ChunkTable, TimelineEvent
 from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT
 
 BUCKET = Bucket(1, 29, 480, 848)
 STAGE = StageScenario("t2i", image_bucket=Bucket(8, 1, 320, 320))
+GELU = ChunkSpec("gelu", coeff_bsh=8, fwd_latency_ms=0.64)
 
 # record -> (every field in declaration order with a sample value,
 #            the fields left to their defaults, with those defaults)
@@ -75,6 +78,19 @@ CONTRACT = {
              stages=(), buckets=(), fitted_fields=()),
     ),
     Bucket: (dict(batch=2, frames=29, height=480, width=848), {}),
+    ChunkSpec: (
+        dict(name="gate", coeff_bsh=2, coeff_bas=1.5, fwd_latency_ms=0.36, recomputable=False,
+             offloadable=False),
+        dict(coeff_bas=0.0, fwd_latency_ms=1.0, recomputable=True, offloadable=True),
+    ),
+    ChunkTable: (
+        dict(chunks=(GELU,), ref_batch=2, ref_seqlen=1024, ref_hidden=64, ref_heads=4, ref_tp=2),
+        dict(ref_batch=1, ref_seqlen=115_200, ref_hidden=3072, ref_heads=24, ref_tp=8),
+    ),
+    TimelineEvent: (
+        dict(time=3, kind="free", name="x", bytes=8, tag="merged-redundant", last_consumer_time=1),
+        dict(tag=None, last_consumer_time=None),
+    ),
 }
 RECORDS = list(CONTRACT)
 

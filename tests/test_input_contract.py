@@ -1,5 +1,5 @@
-"""Malformed numbers in configs and chunk tables, and chunk flags that are not
-JSON bools, are config errors (exit 2)."""
+"""Malformed numbers in configs and chunk tables, chunk flags that are not
+JSON bools and missing keys are config errors (exit 2)."""
 
 import contextlib
 import io
@@ -22,14 +22,30 @@ from ditplan.presets import reference_config_path
 REFERENCE_PATH = reference_config_path()
 REFERENCE = json.loads(REFERENCE_PATH.read_text())
 CHUNK_TABLE = {"chunks": [{"name": "gelu", "coeff_bsh": 8, "fwd_latency_ms": 0.64}]}
+# Every chunk-table key set, for the one-bad-field sweep.
+FULL_CHUNK_TABLE = {
+    "chunks": [
+        {"name": "flash_attention", "coeff_bsh": 2, "coeff_bas": 64, "fwd_latency_ms": 127.5,
+         "recomputable": True, "offloadable": True},
+        {"name": "gelu", "coeff_bsh": 8, "coeff_bas": 0.0, "fwd_latency_ms": 0.64,
+         "recomputable": True, "offloadable": False},
+    ],
+    "ref_batch": 1, "ref_seqlen": 115_200, "ref_hidden": 3072, "ref_heads": 24, "ref_tp": 8,
+}
+REMOVE = "<remove the key>"
 
 
 def _replaced(doc, keys, value):
+    """A copy of ``doc`` with the value at ``keys`` set to ``value``, or
+    deleted when ``value`` is REMOVE."""
     doc = json.loads(json.dumps(doc))
     node = doc
     for key in keys[:-1]:
         node = node[key]
-    node[keys[-1]] = value
+    if value == REMOVE:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
     return doc
 
 
@@ -95,6 +111,19 @@ def test_stage_learning_rate_is_an_unknown_key(tmp_path):
     assert code == EXIT_CONFIG
     assert out == ""
     assert err == "config error: stages[3].learning_rate: unknown key\n"
+
+
+@pytest.mark.parametrize("argv", [["plan", "recompute", "--required-mb", "100"],
+                                  ["plan", "train", "--config", str(REFERENCE_PATH)]],
+                         ids=["recompute", "train"])
+def test_chunk_missing_required_key_is_config_error(argv, tmp_path):
+    """A chunk without ``coeff_bsh`` is rejected at its path, not a traceback."""
+    path = tmp_path / "chunks.json"
+    path.write_text(json.dumps({"chunks": [{"name": "a"}]}))
+    code, out, err = _run([*argv, "--chunk-table", str(path)])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == "config error: chunks[0].coeff_bsh: missing required key\n"
 
 
 @pytest.mark.parametrize("key", ["recomputable", "offloadable"])
@@ -170,6 +199,7 @@ def _field_paths(node, prefix=()):
 
 
 FIELD_PATHS = list(_field_paths(REFERENCE))
+CHUNK_TABLE_PATHS = list(_field_paths(FULL_CHUNK_TABLE))
 
 
 def _mutant(original, kind):
@@ -182,29 +212,49 @@ def _mutant(original, kind):
     return round(scaled) if isinstance(original, int) and math.isfinite(scaled) else scaled
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    keys=st.sampled_from(FIELD_PATHS),
-    kind=st.one_of(
-        st.sampled_from(["x", None, True, False, math.nan, math.inf, -math.inf, 0, -1]),
-        st.one_of(
-            st.floats(min_value=1e-3, max_value=1e3), st.sampled_from([1e-300, 1e300])
-        ).map(lambda factor: ("scale", factor)),
-    ),
+# A bad value, or ("scale", factor) for the field's own value times factor.
+BAD_KINDS = st.one_of(
+    st.sampled_from(["x", None, True, False, math.nan, math.inf, -math.inf, 0, -1]),
+    st.one_of(
+        st.floats(min_value=1e-3, max_value=1e3), st.sampled_from([1e-300, 1e300])
+    ).map(lambda factor: ("scale", factor)),
 )
+
+
+def _mutated(doc, keys, kind):
+    original = doc
+    for key in keys:
+        original = original[key]
+    return _replaced(doc, keys, _mutant(original, kind))
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=st.sampled_from(FIELD_PATHS), kind=BAD_KINDS)
 def test_one_bad_field_never_crashes_or_prints_non_finite(keys, kind):
     """Replace one field of the reference config with a string, null, bool,
     NaN, +-Infinity, 0, -1, or 1e-3..1e3, 1e-300 or 1e300 times its value
     (rounded for integers). ``plan train`` and ``simulate`` must exit 0,
     2, 3 or 4 and print no NaN or Infinity."""
-    original = REFERENCE
-    for key in keys:
-        original = original[key]
-    doc = _replaced(REFERENCE, keys, _mutant(original, kind))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(_mutated(REFERENCE, keys, kind)))
         for argv in (["plan", "train"], ["simulate"]):
             code, out, _ = _run([*argv, "--config", str(path)])
+            assert code in (0, 2, 3, 4)
+            assert "NaN" not in out and "Infinity" not in out
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=st.sampled_from(CHUNK_TABLE_PATHS), kind=st.one_of(BAD_KINDS, st.just(REMOVE)))
+def test_one_bad_chunk_table_field_never_crashes_or_prints_non_finite(keys, kind):
+    """Replace one field of a chunk table as above, or remove it. ``plan
+    recompute`` and ``plan train --chunk-table`` must exit 0, 2, 3 or 4 and
+    print no NaN or Infinity."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "chunks.json"
+        path.write_text(json.dumps(_mutated(FULL_CHUNK_TABLE, keys, kind)))
+        for argv in (["plan", "recompute", "--required-mb", "400"],
+                     ["plan", "train", "--config", str(REFERENCE_PATH)]):
+            code, out, _ = _run([*argv, "--chunk-table", str(path)])
             assert code in (0, 2, 3, 4)
             assert "NaN" not in out and "Infinity" not in out
