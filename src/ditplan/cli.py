@@ -205,6 +205,7 @@ def _cmd_simulate(args: SimpleNamespace) -> int:
     import csv
     import io
 
+    from .comm import tp_degrees
     from .config import load_config
     from .report import run_train_plan
 
@@ -218,7 +219,7 @@ def _cmd_simulate(args: SimpleNamespace) -> int:
         raise ConfigError("config has no stages", "stages")
     parallel = config.parallel
     if parallel.pinned is None:
-        tp = min(config.cluster.devices_per_node, 8)
+        tp = max(tp for tp in tp_degrees(config.model, config.cluster) if tp <= 8)
         parallel = parallel._replace(tp=tp, cp=1, dp=max(1, config.cluster.total_devices // tp))
     config = config._replace(parallel=parallel, stages=tuple(stages))
     report = run_train_plan(config, chunks=_chunks_from(args), offload_mode="auto")

@@ -220,6 +220,13 @@ def _divisors(n: int) -> list[int]:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
+def tp_degrees(arch: ModelArch, cluster: ClusterSpec) -> list[int]:
+    """The TP degrees the placement rule allows, ascending: divisors of
+    devices_per_node that divide both H and the head count."""
+    return [tp for tp in _divisors(cluster.devices_per_node)
+            if arch.hidden_size % tp == 0 and arch.num_heads % tp == 0]
+
+
 def enumerate_parallel_configs(
     arch: ModelArch,
     cluster: ClusterSpec,
@@ -237,9 +244,7 @@ def enumerate_parallel_configs(
     tokens_batch = token_count(bucket, arch).tokens_batch
     total = cluster.total_devices
     candidates: list[ParallelConfig] = []
-    for tp in _divisors(cluster.devices_per_node):
-        if arch.hidden_size % tp != 0 or arch.num_heads % tp != 0:
-            continue
+    for tp in tp_degrees(arch, cluster):
         cp = 1
         while tp * cp <= total:
             # cp=2 needs the whole batch above the gate, and each further

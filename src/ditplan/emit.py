@@ -2,14 +2,14 @@
 
 :func:`dump` writes ``json.dumps(value, indent=2)``'s exact bytes. It is a
 leaf module so that a CLI call that only prints a small payload never
-loads the planner.
+loads the planner; it takes json's C string encoder from ``_json``, so it
+never loads the ``json`` package either.
 """
 
 from __future__ import annotations
 
-import io
-from json.encoder import encode_basestring_ascii
-from typing import Any, Callable
+from _json import encode_basestring_ascii
+from typing import Any
 
 
 def _json_scalar(value: Any) -> str:
@@ -31,44 +31,40 @@ def _json_scalar(value: Any) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_json(value: Any, write: Callable[[str], Any], indent: str) -> None:
-    """Write ``value`` as ``json.dumps(value, indent=2)`` does, nested at ``indent``."""
-    if isinstance(value, dict):
-        if not value:
-            write("{}")
-            return
-        inner = indent + "  "
-        sep = "{\n" + inner
-        for key, item in value.items():
-            head = sep + encode_basestring_ascii(key) + ": "
-            if isinstance(item, (dict, list, tuple)):
-                write(head)
-                _write_json(item, write, inner)
-            else:
-                write(head + _json_scalar(item))
-            sep = ",\n" + inner
-        write("\n" + indent + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            write("[]")
-            return
-        inner = indent + "  "
-        sep = "[\n" + inner
-        for item in value:
-            if isinstance(item, (dict, list, tuple)):
-                write(sep)
-                _write_json(item, write, inner)
-            else:
-                write(sep + _json_scalar(item))
-            sep = ",\n" + inner
-        write("\n" + indent + "]")
-    else:
-        write(_json_scalar(value))
+def _emit(value: Any, parts: list[str], indent: str) -> None:
+    """Append the container ``value`` to ``parts`` as ``json.dumps(value,
+    indent=2)`` writes it, nested at ``indent``."""
+    is_dict = isinstance(value, dict)
+    if not value:
+        parts.append("{}" if is_dict else "[]")
+        return
+    inner = indent + "  "
+    head, sep = ("{\n" if is_dict else "[\n") + inner, ",\n" + inner
+    for item in value.items() if is_dict else value:
+        if is_dict:
+            key, item = item
+            head = f"{head}{encode_basestring_ascii(key)}: "
+        # Exact finite floats, ints and strs, the report's leaves, skip
+        # _json_scalar's isinstance checks (subclasses still take them).
+        kind = type(item)
+        if kind is float and item - item == 0.0 or kind is int:
+            parts.append(f"{head}{item!r}")
+        elif kind is str:
+            parts.append(head + encode_basestring_ascii(item))
+        elif isinstance(item, (dict, list, tuple)):
+            parts.append(head)
+            _emit(item, parts, inner)
+        else:
+            parts.append(head + _json_scalar(item))
+        head = sep
+    parts.append("\n" + indent + ("}" if is_dict else "]"))
 
 
 def dump(value: Any) -> str:
     """``json.dumps(value, indent=2)``, byte for byte (dict keys must be str), in
     about half the time of the pure-Python encoder json falls back to for ``indent``."""
-    buffer = io.StringIO()
-    _write_json(value, buffer.write, "")
-    return buffer.getvalue()
+    if not isinstance(value, (dict, list, tuple)):
+        return _json_scalar(value)
+    parts: list[str] = []
+    _emit(value, parts, "")
+    return "".join(parts)

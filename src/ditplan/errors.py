@@ -11,7 +11,6 @@ input is a :class:`ConfigError` that names its path. Results are plain
 
 from __future__ import annotations
 
-import json
 import math
 from operator import attrgetter
 from pathlib import Path
@@ -90,6 +89,8 @@ def integer_value(value: Any, path: str) -> int:
 def read_json(path: str | Path, what: str) -> Any:
     """The JSON document in file ``path``. An unreadable file or bad JSON is a
     :class:`ConfigError` at ``path``; ``what`` names the file in the former."""
+    import json  # here, so that a call that reads no JSON file never loads json
+
     try:
         return json.loads(Path(path).read_text())
     except OSError as exc:

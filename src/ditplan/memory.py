@@ -60,12 +60,17 @@ class ChunkSpec(_Record):
         return self.coeff_bas > 0
 
 
+def chunk_bytes_numerator(chunk: ChunkSpec, B: int, S: int, H: int, A: int) -> float:
+    """The chunk's retained bytes per layer before tensor-parallel sharding."""
+    return chunk.coeff_bsh * B * S * H + chunk.coeff_bas * B * A * S
+
+
 def chunk_retained_bytes(chunk: ChunkSpec, B: int, S: int, H: int, A: int, tp: int) -> int:
-    """Activation bytes this chunk keeps alive per layer per rank."""
+    """Activation bytes this chunk keeps alive per layer per rank:
+    ``round(chunk_bytes_numerator(...) / tp)``."""
     if tp < 1:
         raise ConfigError("tp must be >= 1", "parallel.tp")
-    raw = (chunk.coeff_bsh * B * S * H + chunk.coeff_bas * B * A * S) / tp
-    return round(raw)
+    return round(chunk_bytes_numerator(chunk, B, S, H, A) / tp)
 
 
 def _parse_chunks(entries: Any, path: str) -> tuple[ChunkSpec, ...]:

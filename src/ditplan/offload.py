@@ -106,25 +106,25 @@ def balance_strategies(
     chunk_list = chunks.chunks if isinstance(chunks, ChunkTable) else tuple(chunks)
     bw = effective_pcie_bw(cluster, cluster.devices_per_numa)
 
-    overlappable = [
-        c
+    # Attention-class chunks first, then by bytes, then by name.
+    overlappable = sorted(
+        (not c.is_attention_class, -sizes[c.name], c.name)
         for c in chunk_list
         if c.offloadable
         and sizes[c.name] >= OFFLOAD_THRESHOLD_BYTES
         and sizes[c.name] / bw * 1e3 <= block_compute_ms
-    ]
-    overlappable.sort(key=lambda c: (not c.is_attention_class, -sizes[c.name], c.name))
-    offload_sel: list[ChunkSpec] = []
+    )
+    offloaded: set[str] = set()
     offload_bytes = 0
-    for chunk in overlappable:
+    for _, neg_size, name in overlappable:
         if offload_bytes >= deficit:
             break
-        offload_sel.append(chunk)
-        offload_bytes += sizes[chunk.name]
+        offloaded.add(name)
+        offload_bytes -= neg_size
 
-    offloaded = {c.name for c in offload_sel}
-    pool = [c for c in chunk_list if c.recomputable and c.name not in offloaded]
-    recompute = cover(pool, sizes, max(0, deficit - offload_bytes))
+    pool = [(sizes[c.name], c.fwd_latency_ms, c.name)
+            for c in chunk_list if c.recomputable and c.name not in offloaded]
+    recompute = cover(pool, max(0, deficit - offload_bytes))
     host_needed = offload_bytes * num_layers
     if host_needed > cluster.host_mem:
         raise InfeasibleError(
@@ -137,9 +137,5 @@ def balance_strategies(
             f"+ recomputable savings {(offload_bytes + recompute.bytes_saved_per_layer) / MIB:.0f} MiB/layer"
         )
     transfer_ms = offload_bytes / bw * 1e3 if offload_bytes else 0.0
-    offload = ActivationOffloadPlan(
-        selected=tuple(sorted(offloaded)),
-        bytes_per_layer=offload_bytes,
-        exposed_ms_per_layer_per_direction=max(0.0, transfer_ms - block_compute_ms),
-    )
-    return recompute, offload
+    exposed_ms = max(0.0, transfer_ms - block_compute_ms)
+    return recompute, ActivationOffloadPlan(tuple(sorted(offloaded)), offload_bytes, exposed_ms)

@@ -39,77 +39,78 @@ def _resolve(chunks: ChunkTable | Sequence[ChunkSpec]) -> tuple[ChunkSpec, ...]:
     return chunks.chunks if isinstance(chunks, ChunkTable) else tuple(chunks)
 
 
-def _plan_from(selection: Iterable[ChunkSpec], saved: dict[str, int], feasible: bool) -> RecomputePlan:
-    names = tuple(sorted(c.name for c in selection))
+# A pool entry: (bytes the chunk retains per layer, its table latency in ms, its name).
+PoolEntry = tuple[int, float, str]
+
+
+def _plan_from(selection: Sequence[PoolEntry], feasible: bool) -> RecomputePlan:
     return RecomputePlan(
-        selected=names,
-        bytes_saved_per_layer=sum(saved[n] for n in names),
-        latency_added_per_layer_ms=round(
-            sum(c.fwd_latency_ms for c in selection), 9
-        ),
-        feasible=feasible,
+        tuple(sorted(name for _, _, name in selection)),
+        sum(size for size, _, _ in selection),
+        round(sum(lat for _, lat, _ in selection), 9),
+        feasible,
     )
 
 
-def _prune(selection: list[ChunkSpec], saved: dict[str, int], required: int) -> list[ChunkSpec]:
-    # Drop chunks the cover does not need, most expensive latency first.
-    kept = list(selection)
-    spare = sum(saved[c.name] for c in kept) - required
-    for chunk in sorted(selection, key=lambda c: (-c.fwd_latency_ms, c.name)):
-        if saved[chunk.name] <= spare:
-            kept.remove(chunk)
-            spare -= saved[chunk.name]
-    return kept
+_NOTHING = _plan_from((), feasible=True)  # its latency is the int 0
 
 
-def cover(pool: Sequence[ChunkSpec], saved: dict[str, int], required: int) -> RecomputePlan:
+def _prune(selection: list[PoolEntry], required: int) -> list[PoolEntry]:
+    # Drop entries the cover does not need, most expensive latency first.
+    spare = sum(size for size, _, _ in selection) - required
+    dropped = set()
+    for _, name, size in sorted((-lat, name, size) for size, lat, name in selection):
+        if size <= spare:
+            dropped.add(name)
+            spare -= size
+    return [entry for entry in selection if entry[2] not in dropped]
+
+
+def cover(pool: Sequence[PoolEntry], required: int) -> RecomputePlan:
     """Pick a minimal-latency subset of ``pool`` saving at least ``required`` bytes per layer.
 
-    ``saved`` maps chunk names to the bytes each retains per layer; it may
-    also name chunks outside the pool. Infeasibility (even the whole pool
-    saves too little) is encoded in the plan, not raised.
+    ``pool`` holds one ``(bytes, latency_ms, name)`` entry per candidate
+    chunk, names unique. Infeasibility (even the whole pool saves too
+    little) is encoded in the plan, not raised.
     """
     if required == 0:
-        return _plan_from([], saved, feasible=True)
-    if sum(saved[c.name] for c in pool) < required:
-        return _plan_from(pool, saved, feasible=False)
+        return _NOTHING
+    if sum(size for size, _, _ in pool) < required:
+        return _plan_from(pool, feasible=False)
 
-    order = sorted(
-        pool,
-        key=lambda c: (-(saved[c.name] / MIB) / c.fwd_latency_ms, c.fwd_latency_ms, c.name),
-    )
-    prefix: list[ChunkSpec] = []
+    # Descending memory-latency ratio, then latency, then name.
+    ranked = sorted([(-(size / MIB) / lat, lat, name, size) for size, lat, name in pool])
+    prefix: list[PoolEntry] = []
     cum = 0
-    for chunk in order:
-        prefix.append(chunk)
-        cum += saved[chunk.name]
+    for _, lat, name, size in ranked:
+        prefix.append((size, lat, name))
+        cum += size
         if cum >= required:
             break
 
-    candidates = [_prune(prefix, saved, required)]
+    candidates = [_prune(prefix, required)]
     # Swap the crossing chunk for the cheapest single chunk covering the
     # deficit left by the rest of the prefix.
     head = prefix[:-1]
-    deficit = required - sum(saved[c.name] for c in head)
-    head_names = {c.name for c in head}
-    swaps = [c for c in pool if c.name not in head_names and saved[c.name] >= deficit]
+    deficit = required - (cum - prefix[-1][0])
+    head_names = {name for _, _, name in head}
+    swaps = [(lat, name, size) for size, lat, name in pool
+             if name not in head_names and size >= deficit]
     if swaps:
-        cheapest = min(swaps, key=lambda c: (c.fwd_latency_ms, c.name))
-        candidates.append(_prune(head + [cheapest], saved, required))
+        lat, name, size = min(swaps)
+        candidates.append(_prune(head + [(size, lat, name)], required))
     # Best single-chunk cover, if any chunk alone suffices.
-    singles = [c for c in pool if saved[c.name] >= required]
+    singles = [(lat, name, size) for size, lat, name in pool if size >= required]
     if singles:
-        candidates.append([min(singles, key=lambda c: (c.fwd_latency_ms, c.name))])
+        lat, name, size = min(singles)
+        candidates.append([(size, lat, name)])
 
-    best = min(
-        candidates,
-        key=lambda sel: (
-            sum(c.fwd_latency_ms for c in sel),
-            len(sel),
-            tuple(sorted(c.name for c in sel)),
-        ),
+    # Least summed latency, then fewest chunks, then names; the first on a full tie.
+    latency, _, names, i = min(
+        (sum(lat for _, lat, _ in sel), len(sel), tuple(sorted(name for _, _, name in sel)), i)
+        for i, sel in enumerate(candidates)
     )
-    return _plan_from(best, saved, feasible=True)
+    return RecomputePlan(names, sum(size for size, _, _ in candidates[i]), round(latency, 9), True)
 
 
 def plan_recompute(
@@ -132,5 +133,7 @@ def plan_recompute(
         raise ConfigError("required savings must be >= 0", "recompute.required")
     excluded = set(exclude)
     pool = [c for c in _resolve(chunks) if c.recomputable and c.name not in excluded]
-    saved = {c.name: chunk_retained_bytes(c, B, S, H, A, tp) for c in pool}
-    return cover(pool, saved, required_savings_per_layer)
+    return cover(
+        [(chunk_retained_bytes(c, B, S, H, A, tp), c.fwd_latency_ms, c.name) for c in pool],
+        required_savings_per_layer,
+    )

@@ -26,7 +26,7 @@ from .config import (
 )
 from .emit import dump
 from .errors import ConfigError, InfeasibleError
-from .memory import BUILTIN_CHUNKS, ChunkTable, chunk_retained_bytes, model_states_bytes
+from .memory import BUILTIN_CHUNKS, ChunkTable, chunk_bytes_numerator, model_states_bytes
 from .offload import (
     ActivationOffloadPlan,
     OffloadPlan,
@@ -35,14 +35,17 @@ from .offload import (
     plan_optimizer_offload,
 )
 from .recompute import cover
-from .simulate import _cost_step, flops_per_microstep
+from .simulate import _cost_step, flops_per_microstep, recompute_ms_per_chunk
 
-OFFLOAD_MODES = ("auto", "off", "optimizer-only")
+# Offload mode -> the (offload_optimizer, offload_activations) strategies tried, in order.
+_ATTEMPTS = {"auto": ((False, True), (True, True)), "off": ((False, False),),
+             "optimizer-only": ((True, False),)}
+OFFLOAD_MODES = tuple(_ATTEMPTS)
 
 
 def _round3(value: Any) -> Any:
-    """Floats to three decimals, never ``-0.0``; ints and bools untouched
-    (an empty recompute set's latency stays the int ``0``)."""
+    """Floats to three decimals, never ``-0.0``; ints and bools untouched.
+    For the echoed input, whose numbers may be either."""
     if isinstance(value, float):
         value = round(value, 3)
         return value if value else 0.0
@@ -66,7 +69,7 @@ class PlanReport(NamedTuple):
         return list(self.document["warnings"])
 
 
-def _echo_input(config: PlanningConfig, chunks: ChunkTable) -> dict[str, Any]:
+def _echo_input(config: PlanningConfig, chunks: ChunkTable, P: float) -> dict[str, Any]:
     model = config.model
     return {
         "model": {
@@ -76,7 +79,7 @@ def _echo_input(config: PlanningConfig, chunks: ChunkTable) -> dict[str, Any]:
             "ffn_multiplier": model.ffn_multiplier,
             "adaln_mode": model.adaln_mode,
             "patch": [model.patch_t, model.patch_h, model.patch_w],
-            "param_count": _round3(resolved_param_count(model)),
+            "param_count": _round3(P),
             "param_count_source": "supplied" if model.param_count is not None else "estimated",
             "extra_unpartitioned_layers": list(model.extra_unpartitioned_layers),
             "fitted_fields": list(config.fitted_fields),
@@ -98,12 +101,35 @@ def _bucket_doc(bucket: Bucket) -> list[int]:
     return [bucket.batch, bucket.frames, bucket.height, bucket.width]
 
 
+class _Run(NamedTuple):
+    """What every candidate of one report shares. ``attempts`` lists the
+    (offload_optimizer, offload_activations) strategies to try, in order;
+    ``recomputable`` the (name, fwd_latency_ms) of each recomputable chunk."""
+
+    config: PlanningConfig
+    chunks: ChunkTable
+    P: float
+    pcie: float
+    attempts: tuple[tuple[bool, bool], ...]
+    recomputable: list[tuple[str, float]]
+
+
+class _Bucket(NamedTuple):
+    """What every candidate layout of one bucket shares. ``shards`` maps a
+    cp degree, once a candidate passes the CP gate with it, to each chunk's
+    (name, unsharded byte numerator) and rescaled recompute ms at that shard;
+    a candidate's retained bytes are ``round(numerator / tp)``, the formula
+    of :func:`chunk_retained_bytes`."""
+
+    B: int
+    S: int
+    fwd_flops: float
+    tokens: dict[str, int]
+    shards: dict[int, tuple[list[tuple[str, float]], dict[str, float]]]
+
+
 def _evaluate_candidate(
-    bucket: Bucket,
-    par: ParallelConfig,
-    config: PlanningConfig,
-    chunks: ChunkTable,
-    offload_mode: str,
+    run: _Run, bucket: _Bucket, par: ParallelConfig
 ) -> tuple[dict[str, Any], float | None]:
     """Balance strategies for one candidate and cost its step.
 
@@ -111,62 +137,35 @@ def _evaluate_candidate(
     Infeasible candidates carry ``feasible=False`` plus a diagnostic
     instead of timings, and ``None`` for the step time.
     """
-    arch, cluster, dtypes = config.model, config.cluster, config.dtypes
-    shape = token_count(bucket, arch)
-    B, S = bucket.batch, shape.tokens
-    s_shard = S // par.cp if par.cp > 1 else S
-    P = resolved_param_count(arch)
-    L = arch.num_layers
-
-    base = {
-        "parallel": {
-            "tp": par.tp,
-            "cp": par.cp,
-            "dp": par.dp,
-            "zero_stage": par.zero_stage,
-            "grad_accum": par.grad_accum,
-        },
-        "tokens_per_sample": shape.tokens,
-        "tokens_per_batch": shape.tokens_batch,
-    }
-
-    fwd_flops = flops_per_microstep(arch, B, S)
+    config = run.config
+    arch, cluster = config.model, config.cluster
+    B, L = bucket.B, arch.num_layers
+    base = {"parallel": {"tp": par.tp, "cp": par.cp, "dp": par.dp, "zero_stage": par.zero_stage,
+                         "grad_accum": par.grad_accum}, **bucket.tokens}
     eff_share = config.overlap.efficiency * cluster.peak_flops_per_device * par.tp * par.cp
-    fwd_microstep_ms = fwd_flops / eff_share * 1e3
+    fwd_microstep_ms = bucket.fwd_flops / eff_share * 1e3
     block_compute_ms = fwd_microstep_ms / L
     bwd_window_ms = 2 * fwd_microstep_ms
     try:
-        comm = build_comm_plan(
-            arch,
-            cluster,
-            dtypes,
-            par,
-            B,
-            S,
-            P,
-            config.overlap,
-            first_fwd_window_ms=fwd_microstep_ms,
-            last_bwd_window_ms=bwd_window_ms,
-        )
+        comm = build_comm_plan(arch, cluster, config.dtypes, par, B, bucket.S, run.P, config.overlap,
+                               first_fwd_window_ms=fwd_microstep_ms, last_bwd_window_ms=bwd_window_ms)
     except InfeasibleError as exc:
         return {**base, "feasible": False, "diagnostic": str(exc)}, None
 
-    states = model_states_bytes(P, dtypes, par)
-    H, A = arch.hidden_size, arch.num_heads
-    sizes = {c.name: chunk_retained_bytes(c, B, s_shard, H, A, par.tp) for c in chunks.chunks}
+    shard = bucket.shards.get(par.cp)
+    if shard is None:
+        s_shard = bucket.S // par.cp if par.cp > 1 else bucket.S
+        H, A = arch.hidden_size, arch.num_heads
+        numerators = [(c.name, chunk_bytes_numerator(c, B, s_shard, H, A)) for c in run.chunks.chunks]
+        shard = bucket.shards[par.cp] = numerators, recompute_ms_per_chunk(run.chunks, B, s_shard)
+    numerators, recompute_costs = shard
+    tp = par.tp
+    sizes = {name: round(numerator / tp) for name, numerator in numerators}
     full_act = sum(sizes.values())
-    pcie = effective_pcie_bw(cluster, cluster.devices_per_numa)
-
-    attempts: list[tuple[bool, bool]]  # (offload_optimizer, offload_activations)
-    if offload_mode == "auto":
-        attempts = [(False, True), (True, True)]
-    elif offload_mode == "off":
-        attempts = [(False, False)]
-    else:
-        attempts = [(True, False)]
+    states = model_states_bytes(run.P, config.dtypes, par)
 
     last_diag = "no strategy attempted"
-    for opt_off, act_off in attempts:
+    for opt_off, act_off in run.attempts:
         states_resident = states.total - (states.optimizer if opt_off else 0.0)
         act_budget = cluster.device_mem - states_resident
         if act_budget < 0:
@@ -179,10 +178,11 @@ def _evaluate_candidate(
         try:
             if act_off:
                 recompute, act_plan = balance_strategies(
-                    required, chunks, sizes, cluster, par.cp, block_compute_ms, L
+                    required, run.chunks, sizes, cluster, par.cp, block_compute_ms, L
                 )
             else:
-                recompute = cover([c for c in chunks.chunks if c.recomputable], sizes, required)
+                pool = [(sizes[name], lat, name) for name, lat in run.recomputable]
+                recompute = cover(pool, required)
                 if not recompute.feasible:
                     raise InfeasibleError(
                         f"deficit {required / 1e6:.0f} MB/layer exceeds recomputable savings "
@@ -196,7 +196,7 @@ def _evaluate_candidate(
         opt_exposed = 0.0
         if opt_off:
             _, opt_exposed = plan_optimizer_offload(
-                states.optimizer, pcie, fwd_microstep_ms, bwd_window_ms
+                states.optimizer, run.pcie, fwd_microstep_ms, bwd_window_ms
             )
         offload = OffloadPlan(
             optimizer_offloaded=opt_off,
@@ -206,48 +206,51 @@ def _evaluate_candidate(
         )
         retained = full_act - recompute.bytes_saved_per_layer - act_plan.bytes_per_layer
         est = _cost_step(
-            arch, par, cluster, chunks, B, s_shard, fwd_flops, states, retained,
+            arch, par, cluster, recompute_costs, bucket.fwd_flops, states, retained,
             recompute, offload, comm, config.overlap.efficiency,
         )
         step_ms = est.step_time_ms
+        memory = est.memory
+        # Rounded to three decimals, never -0.0. The latency is never
+        # negative, and an empty recompute set's int 0 stays an int.
         return {
             **base,
             "feasible": True,
             "comm": {
-                "tp_sp_raw_ms_per_layer": _round3(comm.tp_sp_raw_ms_per_layer),
-                "tp_sp_exposed_ms_per_layer": _round3(comm.tp_sp_exposed_ms_per_layer),
-                "cp_ms_per_layer": _round3(comm.cp_ms_per_layer),
-                "dp_raw_ms_per_step": _round3(comm.dp_raw_ms_per_step),
-                "dp_exposed_ms_per_step": _round3(comm.dp_exposed_ms_per_step),
+                "tp_sp_raw_ms_per_layer": round(comm.tp_sp_raw_ms_per_layer, 3) or 0.0,
+                "tp_sp_exposed_ms_per_layer": round(comm.tp_sp_exposed_ms_per_layer, 3) or 0.0,
+                "cp_ms_per_layer": round(comm.cp_ms_per_layer, 3) or 0.0,
+                "dp_raw_ms_per_step": round(comm.dp_raw_ms_per_step, 3) or 0.0,
+                "dp_exposed_ms_per_step": round(comm.dp_exposed_ms_per_step, 3) or 0.0,
             },
             "recompute": {
                 "selected": list(recompute.selected),
-                "mib_saved_per_layer": _round3(recompute.mib_saved_per_layer),
-                "latency_ms_per_layer": _round3(recompute.latency_added_per_layer_ms),
+                "mib_saved_per_layer": round(recompute.mib_saved_per_layer, 3) or 0.0,
+                "latency_ms_per_layer": round(recompute.latency_added_per_layer_ms, 3),
             },
             "offload": {
-                "optimizer_offloaded": offload.optimizer_offloaded,
-                "optimizer_exposed_ms": _round3(offload.optimizer_exposed_ms),
-                "activation_set": list(offload.activation_offload_set),
-                "activation_exposed_ms_per_microstep": _round3(
-                    offload.activation_exposed_ms_per_microstep
-                ),
+                "optimizer_offloaded": opt_off,
+                "optimizer_exposed_ms": round(opt_exposed, 3) or 0.0,
+                "activation_set": list(act_plan.selected),
+                "activation_exposed_ms_per_microstep": round(
+                    offload.activation_exposed_ms_per_microstep, 3
+                ) or 0.0,
             },
             "memory": {
-                "params_gb": _round3(est.memory.params / 1e9),
-                "grads_gb": _round3(est.memory.grads / 1e9),
-                "optimizer_gb": _round3(est.memory.optimizer / 1e9),
-                "activations_gb": _round3(est.memory.activations_peak / 1e9),
-                "peak_gb": _round3(est.peak_mem_bytes / 1e9),
+                "params_gb": round(memory.params / 1e9, 3) or 0.0,
+                "grads_gb": round(memory.grads / 1e9, 3) or 0.0,
+                "optimizer_gb": round(memory.optimizer / 1e9, 3) or 0.0,
+                "activations_gb": round(memory.activations_peak / 1e9, 3) or 0.0,
+                "peak_gb": round(est.peak_mem_bytes / 1e9, 3) or 0.0,
             },
             "timing": {
-                "t_compute_ms": _round3(est.t_compute_ms),
-                "t_recompute_ms": _round3(est.t_recompute_ms),
-                "t_exposed_comm_ms": _round3(est.t_exposed_comm_ms),
-                "t_exposed_offload_ms": _round3(est.t_exposed_offload_ms),
-                "step_time_ms": _round3(step_ms),
+                "t_compute_ms": round(est.t_compute_ms, 3) or 0.0,
+                "t_recompute_ms": round(est.t_recompute_ms, 3) or 0.0,
+                "t_exposed_comm_ms": round(est.t_exposed_comm_ms, 3) or 0.0,
+                "t_exposed_offload_ms": round(est.t_exposed_offload_ms, 3) or 0.0,
+                "step_time_ms": round(step_ms, 3) or 0.0,
             },
-            "mfu": _round3(est.mfu),
+            "mfu": round(est.mfu, 3) or 0.0,
         }, step_ms
     return {**base, "feasible": False, "diagnostic": last_diag}, None
 
@@ -259,8 +262,11 @@ def run_train_plan(
 ) -> PlanReport:
     """Enumerate, balance, simulate and rank plans for every stage bucket.
 
-    Output is deterministic for identical input: candidates are evaluated
-    independently and a final sort fixes the order.
+    Work is done at four levels, each once: per run (the param count, the
+    PCIe bandwidth, the offload attempts), per bucket (the token shape and
+    forward FLOPs), per (bucket, cp shard) (each chunk's byte numerator and
+    rescaled recompute latency) and per candidate layout. Output is
+    deterministic for identical input: a final sort fixes the order.
     """
     if offload_mode not in OFFLOAD_MODES:
         raise ConfigError(f"offload mode must be one of {OFFLOAD_MODES}", "offload")
@@ -268,6 +274,9 @@ def run_train_plan(
     arch, cluster = config.model, config.cluster
     require_valid(config)
     pinned = config.parallel.pinned
+    recomputable = [(c.name, c.fwd_latency_ms) for c in chunks.chunks if c.recomputable]
+    pcie = effective_pcie_bw(cluster, cluster.devices_per_numa)
+    run = _Run(config, chunks, resolved_param_count(arch), pcie, _ATTEMPTS[offload_mode], recomputable)
 
     warnings: list[str] = []
     if len(config.buckets) >= 2:
@@ -293,16 +302,15 @@ def run_train_plan(
             if pinned is not None:
                 pars = [pinned]
             else:
-                pars = enumerate_parallel_configs(
-                    arch,
-                    cluster,
-                    bucket,
-                    zero_stage=config.parallel.zero_stage,
-                    grad_accum=config.parallel.grad_accum,
-                )
+                pars = enumerate_parallel_configs(arch, cluster, bucket, zero_stage=config.parallel.zero_stage,
+                                                  grad_accum=config.parallel.grad_accum)
+            shape = token_count(bucket, arch)
+            B, S = bucket.batch, shape.tokens
+            tokens = {"tokens_per_sample": S, "tokens_per_batch": shape.tokens_batch}
+            context = _Bucket(B, S, flops_per_microstep(arch, B, S), tokens, {})
             ranked, infeasible = [], []
             for par in pars:
-                entry, step_ms = _evaluate_candidate(bucket, par, config, chunks, offload_mode)
+                entry, step_ms = _evaluate_candidate(run, context, par)
                 if step_ms is None:
                     infeasible.append(entry)
                 else:
@@ -327,7 +335,7 @@ def run_train_plan(
             )
 
     document = {
-        "input": _echo_input(config, chunks),
+        "input": _echo_input(config, chunks, run.P),
         "buckets": [_bucket_doc(b) for b in config.buckets],
         "stages": stage_docs,
         "warnings": warnings,

@@ -10,10 +10,11 @@ not model throughput).
 
 One function, ``_cost_step``, costs a step: arithmetic over the chosen
 recompute and offload sets that reports the peak and checks nothing about
-capacity. The plan evaluator sizes each chunk once, covers the memory
-deficit with offload and recompute and calls it directly, so the plans it
-ranks fit device memory by construction. Public ``estimate_step`` derives
-the FLOPs, model states and retained bytes from its arguments and hands
+capacity. The plan evaluator sizes and rescales each chunk once per
+(bucket, cp shard), covers the memory deficit with offload and recompute
+and calls it directly, so the plans it ranks fit device memory by
+construction. Public ``estimate_step`` derives the FLOPs, rescaled chunk
+latencies, model states and retained bytes from its arguments and hands
 them on.
 """
 
@@ -74,13 +75,22 @@ def flops_per_microstep(arch: ModelArch, B: int, S: int) -> float:
     return arch.num_layers * per_layer + head
 
 
+def recompute_ms_per_chunk(chunks: ChunkTable, B: int, s_shard: int) -> dict[str, float]:
+    """Each chunk's forward latency rescaled from the table's shape to
+    ``(B, s_shard)``: by ``S^2`` for attention-class chunks, by ``S`` for the rest."""
+    scale = B / chunks.ref_batch
+    ratio = s_shard / chunks.ref_seqlen
+    return {
+        c.name: c.fwd_latency_ms * (scale * ratio**2 if c.is_attention_class else scale * ratio)
+        for c in chunks.chunks
+    }
+
+
 def _cost_step(
     arch: ModelArch,
     par: ParallelConfig,
     cluster: ClusterSpec,
-    chunks: ChunkTable,
-    B: int,
-    s_shard: int,
+    recompute_costs: dict[str, float],
     fwd_flops: float,
     states: MemoryBreakdown,
     retained_per_layer: int,
@@ -90,21 +100,15 @@ def _cost_step(
     efficiency: float,
 ) -> StepEstimate:
     """Cost one step from the candidate's precomputed numbers: one
-    micro-batch's forward FLOPs, the model states before optimizer offload
-    and the bytes a layer retains once recomputed and offloaded chunks are
-    dropped. ``estimate_step`` and the plan evaluator both end here."""
+    micro-batch's forward FLOPs, each chunk's rescaled recompute latency
+    (:func:`recompute_ms_per_chunk`), the model states before optimizer
+    offload and the bytes a layer retains once recomputed and offloaded
+    chunks are dropped. ``estimate_step`` and the plan evaluator both end here."""
     device_share = efficiency * cluster.peak_flops_per_device * par.tp * par.cp
     t_compute = par.grad_accum * (1 + BACKWARD_FLOPS_FACTOR) * fwd_flops / device_share * 1e3
-    # Re-run the selected chunk forwards, rescaled from the table's shape.
     recompute_ms = 0.0
     for name in recompute.selected:
-        chunk = chunks.by_name(name)
-        scale = B / chunks.ref_batch
-        if chunk.is_attention_class:
-            scale *= (s_shard / chunks.ref_seqlen) ** 2
-        else:
-            scale *= s_shard / chunks.ref_seqlen
-        recompute_ms += chunk.fwd_latency_ms * scale
+        recompute_ms += recompute_costs[name]
     t_recompute = par.grad_accum * (recompute_ms * arch.num_layers)
     t_comm = comm.exposed_ms_per_step(par.grad_accum) if comm is not None else 0.0
     t_offload = (
@@ -164,6 +168,6 @@ def estimate_step(
     )
     states = model_states_bytes(resolved_param_count(arch), dtypes, par)
     return _cost_step(
-        arch, par, cluster, chunks, B, s_shard, flops_per_microstep(arch, B, S), states,
-        retained, recompute, offload, comm, efficiency,
+        arch, par, cluster, recompute_ms_per_chunk(chunks, B, s_shard),
+        flops_per_microstep(arch, B, S), states, retained, recompute, offload, comm, efficiency,
     )

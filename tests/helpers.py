@@ -1,6 +1,7 @@
 """Shared test oracles and generators: random timelines, a from-scratch
-peak, the exhaustive recompute search, whole-latent VAE blend weights,
-and seeded planning configs and chunk tables for whole-report digests."""
+peak, the exhaustive recompute search, the record-based recompute cover,
+whole-latent VAE blend weights, and seeded planning configs and chunk
+tables for whole-report digests."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import numpy as np
 from ditplan.errors import ConfigError
 from ditplan.inference import TilePlan
 from ditplan.memory import (
+    MIB,
     ActivationTimeline,
     ChunkSpec,
     ChunkTable,
@@ -127,6 +129,68 @@ def brute_force_recompute(
             if best is None or key < best:
                 best, best_sel = key, subset
     return plan(best_sel, feasible=True)
+
+
+def reference_cover(
+    pool: Sequence[ChunkSpec], saved: dict[str, int], required: int
+) -> RecomputePlan:
+    """Oracle: the refined-greedy recompute cover as it read chunk records
+    through a name -> bytes map, kept verbatim so that the tuple-based
+    ``recompute.cover`` can be checked to return the very same plan."""
+
+    def plan_from(selection, feasible):
+        names = tuple(sorted(c.name for c in selection))
+        return RecomputePlan(
+            selected=names,
+            bytes_saved_per_layer=sum(saved[n] for n in names),
+            latency_added_per_layer_ms=round(sum(c.fwd_latency_ms for c in selection), 9),
+            feasible=feasible,
+        )
+
+    def prune(selection):
+        kept = list(selection)
+        spare = sum(saved[c.name] for c in kept) - required
+        for chunk in sorted(selection, key=lambda c: (-c.fwd_latency_ms, c.name)):
+            if saved[chunk.name] <= spare:
+                kept.remove(chunk)
+                spare -= saved[chunk.name]
+        return kept
+
+    if required == 0:
+        return plan_from([], feasible=True)
+    if sum(saved[c.name] for c in pool) < required:
+        return plan_from(pool, feasible=False)
+    order = sorted(
+        pool,
+        key=lambda c: (-(saved[c.name] / MIB) / c.fwd_latency_ms, c.fwd_latency_ms, c.name),
+    )
+    prefix: list[ChunkSpec] = []
+    cum = 0
+    for chunk in order:
+        prefix.append(chunk)
+        cum += saved[chunk.name]
+        if cum >= required:
+            break
+    candidates = [prune(prefix)]
+    head = prefix[:-1]
+    deficit = required - sum(saved[c.name] for c in head)
+    head_names = {c.name for c in head}
+    swaps = [c for c in pool if c.name not in head_names and saved[c.name] >= deficit]
+    if swaps:
+        cheapest = min(swaps, key=lambda c: (c.fwd_latency_ms, c.name))
+        candidates.append(prune(head + [cheapest]))
+    singles = [c for c in pool if saved[c.name] >= required]
+    if singles:
+        candidates.append([min(singles, key=lambda c: (c.fwd_latency_ms, c.name))])
+    best = min(
+        candidates,
+        key=lambda sel: (
+            sum(c.fwd_latency_ms for c in sel),
+            len(sel),
+            tuple(sorted(c.name for c in sel)),
+        ),
+    )
+    return plan_from(best, feasible=True)
 
 
 # Criterion 8's 100 (latent, tile, overlap) cases: five latents, five tile

@@ -260,6 +260,30 @@ def test_simulate_matches_plan_train_at_same_layout(tmp_path, capsys):
         )
 
 
+def test_simulate_default_tp_divides_the_head_count(tmp_path, capsys):
+    # 12 heads rule out tp=8 on an 8-device node; simulate takes the largest
+    # tp plan train enumerates (4) and reports plan train's tp=4/cp=1 entries.
+    doc = json.loads(reference_config_path().read_text())
+    doc["model"]["num_heads"] = 12
+    config = _write_config(tmp_path, doc)
+    assert main(["simulate", "--config", config]) == EXIT_OK
+    simulated = json.loads(capsys.readouterr().out)
+    devices = doc["cluster"]["num_nodes"] * doc["cluster"]["devices_per_node"]
+    assert simulated["parallel"] == {"tp": 4, "cp": 1, "dp": devices // 4}
+    assert main(["plan", "train", "--config", config]) == EXIT_OK
+    planned = json.loads(capsys.readouterr().out)
+    entries = {
+        (s["stage"], s["bucket_kind"]): entry
+        for s in planned["stages"]
+        for entry in s["plans"]
+        if (entry["parallel"]["tp"], entry["parallel"]["cp"]) == (4, 1)
+    }
+    assert len(simulated["stages"]) == len(entries) > 0
+    for row in simulated["stages"]:
+        entry = entries[(row["stage"], row["bucket_kind"])]
+        assert {key: row[key] for key in entry} == entry
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["plan", "train"]])
 def test_csv_quotes_stage_names(command, tmp_path, capsys):
     doc = json.loads(reference_config_path().read_text())
@@ -437,13 +461,16 @@ def test_subcommands_load_no_numpy_or_thread_pool(argv, ref_config):
     assert json.loads(proc.stdout) == {"code": EXIT_OK, "loaded": []}
 
 
+# sys.modules is read before the probe imports json to print its answer.
 _MODULES_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from ditplan.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[2:])
-ditplan = sorted(m for m in sys.modules if m == "ditplan" or m.startswith("ditplan."))
-stdlib = {name: name in sys.modules for name in ("csv", *sys.argv[1].split(","))}
+loaded = set(sys.modules)
+import json
+ditplan = sorted(m for m in loaded if m == "ditplan" or m.startswith("ditplan."))
+stdlib = {name: name in loaded for name in ("csv", "json", *sys.argv[1].split(","))}
 print(json.dumps({"code": code, "ditplan": ditplan, **stdlib}))
 """
 _CLI_CORE = ["ditplan", "ditplan.cli", "ditplan.emit", "ditplan.errors"]
@@ -476,6 +503,8 @@ def test_subcommands_import_only_their_modules(subcommand, ref_config):
     assert result["code"] == EXIT_OK
     assert result["ditplan"] == sorted(_CLI_CORE + [f"ditplan.{m}" for m in modules])
     assert result["csv"] == (modules == _PLANNER)
+    # Only the subcommands that read a config file decode JSON.
+    assert result["json"] == ("--config" in argv)
     assert {name: result[name] for name in _NEVER_LOADED} == dict.fromkeys(_NEVER_LOADED, False)
 
 

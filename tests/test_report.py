@@ -18,9 +18,30 @@ from ditplan.report import OFFLOAD_MODES, dump, render, run_train_plan
 
 from helpers import random_chunk_table, sweep_config
 
+class _Int(int):
+    def __repr__(self):
+        return "not json"
+
+
+class _Str(str):
+    def __str__(self):
+        return "not json"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not json"
+
+
+# Subclass leaves (and bools, an int subclass) must take the emitter's
+# isinstance path and keep json's bytes.
 _scalars = (
     st.none()
     | st.booleans()
+    | st.lists(st.booleans(), min_size=1, max_size=3)
+    | st.integers(min_value=-(2**70), max_value=2**70).map(_Int)
+    | st.text().map(_Str)
+    | st.floats(allow_nan=True, allow_infinity=True).map(_Float)
     | st.integers(min_value=-(2**70), max_value=2**70)
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.sampled_from([0.0, -0.0, 1e-7, 1e16, math.nan, math.inf, -math.inf])
@@ -150,8 +171,9 @@ def test_feasible_plans_fit_device_memory_with_disjoint_sets():
     assert plans > 0 and mixed > 0
 
 
-def test_chunks_sized_once_per_candidate(monkeypatch):
-    original = importlib.import_module("ditplan.memory").chunk_retained_bytes
+def _count_calls(monkeypatch, module_names, function_name):
+    """Count calls of ``function_name`` through every listed ditplan module that binds it."""
+    original = None
     calls = 0
 
     def counted(*args, **kwargs):
@@ -159,10 +181,43 @@ def test_chunks_sized_once_per_candidate(monkeypatch):
         calls += 1
         return original(*args, **kwargs)
 
-    for name in ("memory", "recompute", "offload", "report"):
+    for name in module_names:
         module = importlib.import_module(f"ditplan.{name}")
-        if getattr(module, "chunk_retained_bytes", None) is original:
-            monkeypatch.setattr(module, "chunk_retained_bytes", counted)
+        if hasattr(module, function_name):
+            original = original or getattr(module, function_name)
+            monkeypatch.setattr(module, function_name, counted)
+    return lambda: calls
+
+
+def test_chunks_sized_once_per_candidate(monkeypatch):
+    # Each chunk's byte numerator is computed at most once per (bucket, cp
+    # shard); a candidate only divides it by its tp.
+    numerators = _count_calls(
+        monkeypatch, ("memory", "recompute", "offload", "report"), "chunk_bytes_numerator"
+    )
+    sized = _count_calls(
+        monkeypatch, ("memory", "recompute", "offload", "report"), "chunk_retained_bytes"
+    )
     report = run_train_plan(load_config(reference_config_path()))
-    candidates = report.feasible_count + report.infeasible_count
-    assert 0 < calls <= len(BUILTIN_CHUNKS.chunks) * candidates
+    shards = {
+        (stage["stage"], stage["bucket_kind"], entry["parallel"]["cp"])
+        for stage in report.document["stages"]
+        for entry in stage["plans"] + stage["infeasible"]
+    }
+    assert 0 < numerators() <= len(BUILTIN_CHUNKS.chunks) * len(shards)
+    assert sized() == 0
+
+
+def test_bucket_and_run_quantities_computed_once(monkeypatch):
+    # The token shape and forward FLOPs are per bucket, the param count per
+    # run: none of them is recomputed for each candidate layout.
+    names = ("token_count", "flops_per_microstep", "resolved_param_count")
+    counters = {name: _count_calls(monkeypatch, ("report",), name) for name in names}
+    for seed in range(4):
+        before = {name: count() for name, count in counters.items()}
+        report = run_train_plan(parse_config(sweep_config(seed)))
+        calls = {name: count() - before[name] for name, count in counters.items()}
+        buckets = len(report.document["stages"])
+        assert report.feasible_count + report.infeasible_count > buckets
+        per_bucket = dict(token_count=buckets, flops_per_microstep=buckets)
+        assert calls == {**per_bucket, "resolved_param_count": 1}
