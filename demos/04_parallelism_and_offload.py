@@ -62,10 +62,15 @@ transfer, exposed = plan_optimizer_offload(13.4e9, bw, 600.0, 1200.0)
 print(f"  optimizer states 13.4 GB: {transfer:.0f} ms round trip, {exposed:.0f} ms exposed")
 sizes = {c.name: chunk_retained_bytes(c, 1, 115_200, 3072, 24, 8) for c in BUILTIN_CHUNKS.chunks}
 recompute, offload = balance_strategies(
-    400 * MIB, BUILTIN_CHUNKS, sizes, REFERENCE_CLUSTER, cp=1, block_compute_ms=480.0, num_layers=54,
+    400 * MIB, BUILTIN_CHUNKS, sizes, REFERENCE_CLUSTER, block_compute_ms=480.0, num_layers=54,
 )
 print(
     f"  activation deficit 400 MiB/layer: offload {list(offload.selected)} "
     f"({offload.bytes_per_layer / MIB:.0f} MiB/layer, exposed {offload.exposed_ms_per_layer:.1f} ms "
     f"under 480 ms blocks), recompute {list(recompute.selected) or 'nothing'}"
 )
+recompute, _ = balance_strategies(
+    400 * MIB, BUILTIN_CHUNKS, sizes, REFERENCE_CLUSTER, block_compute_ms=480.0, num_layers=54,
+    offload_activations=False,
+)
+print(f"  the same deficit with activation offload off: recompute {list(recompute.selected)}")

@@ -178,7 +178,7 @@ def model_states_bytes(P: float, dtypes: DTypePolicy, par: ParallelConfig) -> Me
 
 
 def activation_per_layer(
-    chunks: ChunkTable | Sequence[ChunkSpec],
+    chunks: ChunkTable,
     B: int,
     S: int,
     H: int,
@@ -188,14 +188,12 @@ def activation_per_layer(
     offload_set: Iterable[str] = (),
 ) -> int:
     """Bytes retained per layer per rank after discarding recomputed/offloaded chunks."""
-    chunk_list = chunks.chunks if isinstance(chunks, ChunkTable) else tuple(chunks)
-    names = {c.name for c in chunk_list}
     excluded = set(recompute_set) | set(offload_set)
-    unknown = excluded - names
+    unknown = excluded.difference(chunks.names())
     if unknown:
         raise ConfigError(f"unknown chunk name(s) in plan: {sorted(unknown)}", "recompute_set")
     return sum(
-        chunk_retained_bytes(c, B, S, H, A, tp) for c in chunk_list if c.name not in excluded
+        chunk_retained_bytes(c, B, S, H, A, tp) for c in chunks.chunks if c.name not in excluded
     )
 
 

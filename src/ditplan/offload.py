@@ -5,15 +5,20 @@ when they hide under computation: optimizer shards ride the first forward
 and last backward micro-steps, per-block activations ride the adjacent
 block's compute. Concurrent devices in one NUMA domain share host DDR
 write bandwidth, capping the per-device PCIe rate.
+
+:func:`balance_strategies` is the planner's one keep/recompute/offload
+selector: every offload attempt of every candidate, with or without
+activation offload, turns its per-layer deficit into a recompute set and
+an activation-offload set there.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .config import ClusterSpec
 from .errors import ConfigError, InfeasibleError
-from .memory import MIB, ChunkSpec, ChunkTable
+from .memory import MIB, ChunkTable
 from .recompute import RecomputePlan, cover
 
 # Tensors below this size are not worth an offload round trip.
@@ -78,64 +83,65 @@ NO_OFFLOAD = OffloadPlan(
 
 def balance_strategies(
     deficit: int,
-    chunks: ChunkTable | Sequence[ChunkSpec],
+    chunks: ChunkTable,
     sizes: dict[str, int],
     cluster: ClusterSpec,
-    cp: int,
     block_compute_ms: float,
     num_layers: int,
+    *,
+    offload_activations: bool = True,
 ) -> tuple[RecomputePlan, ActivationOffloadPlan]:
-    """Cover a per-layer memory deficit with offload first, then recompute.
+    """Decide which chunks to keep, offload and recompute to cover a
+    per-layer memory deficit: offload first, then recompute.
 
-    (1) Offload, attention-class chunks first (their recomputation is the
-    costliest), then by bytes, until the deficit is covered. A chunk is
-    eligible when it is offloadable, at least ``OFFLOAD_THRESHOLD_BYTES``
-    and its own transfer fits under one block's compute. The test is per
-    chunk, but the selected chunks' transfers are summed: whatever of
-    that sum exceeds ``block_compute_ms`` is exposed, per layer, per
-    direction. (2) Recompute whatever deficit remains.
+    (1) Offload, when ``offload_activations`` is true, attention-class
+    chunks first (their recomputation is the costliest), then by bytes,
+    until the deficit is covered. A chunk is eligible when it is
+    offloadable, at least ``OFFLOAD_THRESHOLD_BYTES`` and its own transfer
+    fits under one block's compute. The test is per chunk, but the
+    selected chunks' transfers are summed: whatever of that sum exceeds
+    ``block_compute_ms`` is exposed, per layer, per direction.
+    (2) Recompute whatever deficit remains; with nothing offloaded that
+    is the whole deficit.
 
     ``sizes`` maps every chunk name to the bytes it retains per layer per
-    rank at the candidate's shape (its context-parallel shard included),
-    and ``deficit`` is the per-layer shortfall at context-parallel degree
-    ``cp``. Returns ``(recompute, offload)``. Raises
-    :class:`InfeasibleError`, its message prefixed ``cp=N:``, when the
-    offloaded activations of all layers exceed host memory or the deficit
-    exceeds what offload and recompute can save together.
+    rank at the candidate's shape (its context-parallel shard included).
+    Returns ``(recompute, offload)``. Raises :class:`InfeasibleError` when
+    the offloaded activations of all layers exceed host memory or the
+    deficit exceeds what offload and recompute can save together.
     """
-    chunk_list = chunks.chunks if isinstance(chunks, ChunkTable) else tuple(chunks)
-    bw = effective_pcie_bw(cluster, cluster.devices_per_numa)
-
-    # Attention-class chunks first, then by bytes, then by name.
-    overlappable = sorted(
-        (not c.is_attention_class, -sizes[c.name], c.name)
-        for c in chunk_list
-        if c.offloadable
-        and sizes[c.name] >= OFFLOAD_THRESHOLD_BYTES
-        and sizes[c.name] / bw * 1e3 <= block_compute_ms
-    )
     offloaded: set[str] = set()
     offload_bytes = 0
-    for _, neg_size, name in overlappable:
-        if offload_bytes >= deficit:
-            break
-        offloaded.add(name)
-        offload_bytes -= neg_size
+    exposed_ms = 0.0
+    if offload_activations:
+        bw = effective_pcie_bw(cluster, cluster.devices_per_numa)
+        # Attention-class chunks first, then by bytes, then by name.
+        overlappable = sorted(
+            (not c.is_attention_class, -sizes[c.name], c.name)
+            for c in chunks.chunks
+            if c.offloadable
+            and sizes[c.name] >= OFFLOAD_THRESHOLD_BYTES
+            and sizes[c.name] / bw * 1e3 <= block_compute_ms
+        )
+        for _, neg_size, name in overlappable:
+            if offload_bytes >= deficit:
+                break
+            offloaded.add(name)
+            offload_bytes -= neg_size
+        exposed_ms = max(0.0, offload_bytes / bw * 1e3 - block_compute_ms)
 
     pool = [(sizes[c.name], c.fwd_latency_ms, c.name)
-            for c in chunk_list if c.recomputable and c.name not in offloaded]
+            for c in chunks.chunks if c.recomputable and c.name not in offloaded]
     recompute = cover(pool, max(0, deficit - offload_bytes))
     host_needed = offload_bytes * num_layers
     if host_needed > cluster.host_mem:
         raise InfeasibleError(
-            f"cp={cp}: offloaded activations ({host_needed / 1e9:.1f} GB) "
+            f"offloaded activations ({host_needed / 1e9:.1f} GB) "
             f"exceed host memory ({cluster.host_mem / 1e9:.1f} GB)"
         )
     if not recompute.feasible:
         raise InfeasibleError(
-            f"cp={cp}: deficit {deficit / MIB:.0f} MiB/layer exceeds offloadable "
+            f"deficit {deficit / MIB:.0f} MiB/layer exceeds offloadable "
             f"+ recomputable savings {(offload_bytes + recompute.bytes_saved_per_layer) / MIB:.0f} MiB/layer"
         )
-    transfer_ms = offload_bytes / bw * 1e3 if offload_bytes else 0.0
-    exposed_ms = max(0.0, transfer_ms - block_compute_ms)
     return recompute, ActivationOffloadPlan(tuple(sorted(offloaded)), offload_bytes, exposed_ms)

@@ -1,46 +1,28 @@
 """Named presets and the shipped reference configuration.
 
-The "table2-fit" model preset carries dims inferred from the reference
-per-layer accounting (hidden 3072, 24 heads) and a layer count fitted so
-that per-block modulation layers add just over 3B parameters. These are
-inferred values, not published ones; reports label them fitted.
+The shipped reference config is the one source of the presets:
+``TABLE2_FIT`` is its model and ``REFERENCE_CLUSTER`` (the two-node
+desk-scale cluster the demos use) its cluster. Both are read on first
+use (PEP 562), so importing this module opens no file. The "table2-fit"
+model carries dims inferred from the reference per-layer accounting
+(hidden 3072, 24 heads) and a layer count fitted so that per-block
+modulation layers add just over 3B parameters. These are inferred
+values, not published ones; reports label them fitted.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 from pathlib import Path
+from typing import Any
 
-from .config import ClusterSpec, ModelArch, PlanningConfig, load_config
+from .config import PlanningConfig, load_config
 
 TABLE2_FIT_FITTED_FIELDS = ("hidden_size", "num_heads", "num_layers")
 
-TABLE2_FIT = ModelArch(
-    hidden_size=3072,
-    num_heads=24,
-    num_layers=54,
-    ffn_multiplier=4,
-    adaln_mode="per-block-dedicated",
-    patch_t=1,
-    patch_h=2,
-    patch_w=2,
-    param_count=13.4e9,
-    extra_unpartitioned_layers=("patchify", "final_proj"),
-)
-
-# Two-node desk-scale cluster used by the reference config and the demos.
-REFERENCE_CLUSTER = ClusterSpec(
-    num_nodes=2,
-    devices_per_node=8,
-    device_mem=64e9,
-    peak_flops_per_device=312e12,
-    intra_node_bw=200e9,
-    inter_node_bw=50e9,
-    pcie_bw_per_device=25e9,
-    host_write_bw_per_numa=80e9,
-    devices_per_numa=4,
-    host_mem=2e12,
-)
+# Preset name -> the reference config section it is.
+_SECTIONS = {"TABLE2_FIT": "model", "REFERENCE_CLUSTER": "cluster"}
 
 
 def reference_config_path() -> Path:
@@ -51,6 +33,15 @@ def reference_config_path() -> Path:
         return Path(path)
 
 
+@cache
 def load_reference_config() -> PlanningConfig:
-    """The shipped reference planning config with fitted fields labeled."""
+    """The shipped reference planning config with fitted fields labeled,
+    parsed once; config records are immutable, so callers share it."""
     return load_config(reference_config_path())._replace(fitted_fields=TABLE2_FIT_FITTED_FIELDS)
+
+
+def __getattr__(name: str) -> Any:
+    section = _SECTIONS.get(name)
+    if section is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(load_reference_config(), section)

@@ -35,10 +35,6 @@ def memory_latency_ratio(
     return retained_mib / chunk.fwd_latency_ms
 
 
-def _resolve(chunks: ChunkTable | Sequence[ChunkSpec]) -> tuple[ChunkSpec, ...]:
-    return chunks.chunks if isinstance(chunks, ChunkTable) else tuple(chunks)
-
-
 # A pool entry: (bytes the chunk retains per layer, its table latency in ms, its name).
 PoolEntry = tuple[int, float, str]
 
@@ -114,7 +110,7 @@ def cover(pool: Sequence[PoolEntry], required: int) -> RecomputePlan:
 
 
 def plan_recompute(
-    chunks: ChunkTable | Sequence[ChunkSpec],
+    chunks: ChunkTable,
     required_savings_per_layer: int,
     B: int = 1,
     S: int = 115_200,
@@ -132,7 +128,7 @@ def plan_recompute(
     if required_savings_per_layer < 0:
         raise ConfigError("required savings must be >= 0", "recompute.required")
     excluded = set(exclude)
-    pool = [c for c in _resolve(chunks) if c.recomputable and c.name not in excluded]
+    pool = [c for c in chunks.chunks if c.recomputable and c.name not in excluded]
     return cover(
         [(chunk_retained_bytes(c, B, S, H, A, tp), c.fwd_latency_ms, c.name) for c in pool],
         required_savings_per_layer,

@@ -2,8 +2,11 @@
 
 ``run_train_plan`` walks every stage bucket, enumerates candidate
 parallel layouts, balances offload/recompute per candidate and costs the
-step once, producing one ranked report. Floats are rounded to three
-decimals where each entry is built; ranking reads the unrounded step time.
+step once, producing one ranked report. Every offload attempt of every
+mode picks its recompute and activation-offload sets through the one
+selector, :func:`ditplan.offload.balance_strategies`. Floats are rounded
+to three decimals where each entry is built; ranking reads the unrounded
+step time.
 Emission is byte-stable (fixed key order); JSON goes through
 :func:`ditplan.emit.dump`, the one JSON emitter.
 """
@@ -27,14 +30,7 @@ from .config import (
 from .emit import dump
 from .errors import ConfigError, InfeasibleError
 from .memory import BUILTIN_CHUNKS, ChunkTable, chunk_bytes_numerator, model_states_bytes
-from .offload import (
-    ActivationOffloadPlan,
-    OffloadPlan,
-    balance_strategies,
-    effective_pcie_bw,
-    plan_optimizer_offload,
-)
-from .recompute import cover
+from .offload import OffloadPlan, balance_strategies, effective_pcie_bw, plan_optimizer_offload
 from .simulate import _cost_step, flops_per_microstep, recompute_ms_per_chunk
 
 # Offload mode -> the (offload_optimizer, offload_activations) strategies tried, in order.
@@ -103,15 +99,13 @@ def _bucket_doc(bucket: Bucket) -> list[int]:
 
 class _Run(NamedTuple):
     """What every candidate of one report shares. ``attempts`` lists the
-    (offload_optimizer, offload_activations) strategies to try, in order;
-    ``recomputable`` the (name, fwd_latency_ms) of each recomputable chunk."""
+    (offload_optimizer, offload_activations) strategies to try, in order."""
 
     config: PlanningConfig
     chunks: ChunkTable
     P: float
     pcie: float
     attempts: tuple[tuple[bool, bool], ...]
-    recomputable: list[tuple[str, float]]
 
 
 class _Bucket(NamedTuple):
@@ -132,6 +126,9 @@ def _evaluate_candidate(
     run: _Run, bucket: _Bucket, par: ParallelConfig
 ) -> tuple[dict[str, Any], float | None]:
     """Balance strategies for one candidate and cost its step.
+
+    Each offload attempt asks :func:`balance_strategies` for its recompute
+    and activation-offload sets; the first attempt that fits is costed.
 
     Returns the plan entry and its unrounded step time, the ranking key.
     Infeasible candidates carry ``feasible=False`` plus a diagnostic
@@ -176,19 +173,9 @@ def _evaluate_candidate(
             continue
         required = max(0, full_act - math.floor(act_budget / L))
         try:
-            if act_off:
-                recompute, act_plan = balance_strategies(
-                    required, run.chunks, sizes, cluster, par.cp, block_compute_ms, L
-                )
-            else:
-                pool = [(sizes[name], lat, name) for name, lat in run.recomputable]
-                recompute = cover(pool, required)
-                if not recompute.feasible:
-                    raise InfeasibleError(
-                        f"deficit {required / 1e6:.0f} MB/layer exceeds recomputable savings "
-                        f"{recompute.bytes_saved_per_layer / 1e6:.0f} MB/layer"
-                    )
-                act_plan = ActivationOffloadPlan((), 0, 0.0)
+            recompute, act_plan = balance_strategies(
+                required, run.chunks, sizes, cluster, block_compute_ms, L, offload_activations=act_off
+            )
         except InfeasibleError as exc:
             last_diag = str(exc)
             continue
@@ -274,9 +261,8 @@ def run_train_plan(
     arch, cluster = config.model, config.cluster
     require_valid(config)
     pinned = config.parallel.pinned
-    recomputable = [(c.name, c.fwd_latency_ms) for c in chunks.chunks if c.recomputable]
     pcie = effective_pcie_bw(cluster, cluster.devices_per_numa)
-    run = _Run(config, chunks, resolved_param_count(arch), pcie, _ATTEMPTS[offload_mode], recomputable)
+    run = _Run(config, chunks, resolved_param_count(arch), pcie, _ATTEMPTS[offload_mode])
 
     warnings: list[str] = []
     if len(config.buckets) >= 2:

@@ -83,7 +83,7 @@ def prefix_max_peak(timeline: ActivationTimeline) -> int:
 
 
 def brute_force_recompute(
-    chunks: ChunkTable | Sequence[ChunkSpec],
+    chunks: ChunkTable,
     required_savings_per_layer: int,
     B: int = 1,
     S: int = 115_200,
@@ -98,8 +98,7 @@ def brute_force_recompute(
     shape as ``plan_recompute`` returns.
     """
     excluded = set(exclude)
-    table = chunks.chunks if isinstance(chunks, ChunkTable) else tuple(chunks)
-    pool = [c for c in table if c.recomputable and c.name not in excluded]
+    pool = [c for c in chunks.chunks if c.recomputable and c.name not in excluded]
     if len(pool) > 20:
         raise ConfigError(f"brute force limited to 20 chunks, got {len(pool)}", "chunks")
     saved = {c.name: chunk_retained_bytes(c, B, S, H, A, tp) for c in pool}
@@ -261,6 +260,12 @@ def sweep_config(seed: int) -> dict[str, Any]:
     if rng.random() < 0.25:
         doc["stages"].append({"name": "long-125x1088x1920", "video_bucket": [1, 125, 1088, 1920]})
     return doc
+
+
+# How an uncovered per-layer deficit reads, in every offload mode.
+DEFICIT_DIAGNOSTIC = (
+    r"^deficit \d+ MiB/layer exceeds offloadable \+ recomputable savings \d+ MiB/layer$"
+)
 
 
 def random_chunk_table(seed: int) -> tuple[list[dict[str, Any]], dict[str, Any]]:

@@ -3,9 +3,17 @@ import pytest
 
 from ditplan.config import ClusterSpec
 from ditplan.errors import InfeasibleError
-from ditplan.memory import BUILTIN_CHUNKS, MIB, ChunkSpec, chunk_retained_bytes
-from ditplan.offload import balance_strategies, effective_pcie_bw, plan_optimizer_offload
+from ditplan.memory import BUILTIN_CHUNKS, MIB, ChunkSpec, ChunkTable, chunk_retained_bytes
+from ditplan.offload import (
+    ActivationOffloadPlan,
+    balance_strategies,
+    effective_pcie_bw,
+    plan_optimizer_offload,
+)
 from ditplan.presets import REFERENCE_CLUSTER
+from ditplan.recompute import cover
+
+from helpers import DEFICIT_DIAGNOSTIC, random_chunk_table
 
 REF = dict(B=1, S=115_200, H=3072, A=24, tp=8)
 
@@ -69,9 +77,9 @@ def test_activation_offload_exposure_when_transfer_exceeds_block():
     # 20 ms block on its own, but both are charged together: 35.39 ms of
     # transfer leaves 15.39 ms exposed per direction. The hiding test is
     # per chunk (see ROADMAP item 3).
-    chunks = [ChunkSpec("a", coeff_bsh=8), ChunkSpec("b", coeff_bsh=8)]
+    chunks = ChunkTable(chunks=(ChunkSpec("a", coeff_bsh=8), ChunkSpec("b", coeff_bsh=8)))
     recompute, offload = balance_strategies(
-        600 * MIB, chunks, _sizes(chunks), REFERENCE_CLUSTER, 1, block_compute_ms=20.0, num_layers=54
+        600 * MIB, chunks, _sizes(chunks.chunks), REFERENCE_CLUSTER, block_compute_ms=20.0, num_layers=54
     )
     assert offload.selected == ("a", "b")
     assert recompute.selected == ()
@@ -88,7 +96,6 @@ def test_activation_offload_threshold_skips_small_tensors():
         BUILTIN_CHUNKS,
         _sizes(BUILTIN_CHUNKS.chunks, S=1024),
         REFERENCE_CLUSTER,
-        1,
         block_compute_ms=480.0,
         num_layers=54,
     )
@@ -103,7 +110,6 @@ def test_balance_zero_deficit_noop():
             BUILTIN_CHUNKS,
             REF_SIZES,
             REFERENCE_CLUSTER,
-            1,
             block_compute_ms=480.0,
             num_layers=54,
         )
@@ -122,7 +128,6 @@ def test_balance_small_deficit_offload_only():
         BUILTIN_CHUNKS,
         REF_SIZES,
         REFERENCE_CLUSTER,
-        1,
         block_compute_ms=480.0,
         num_layers=54,
     )
@@ -138,7 +143,6 @@ def test_balance_mixes_recompute_when_overlap_runs_out():
         BUILTIN_CHUNKS,
         REF_SIZES,
         REFERENCE_CLUSTER,
-        1,
         block_compute_ms=0.1,
         num_layers=54,
     )
@@ -147,13 +151,12 @@ def test_balance_mixes_recompute_when_overlap_runs_out():
 
 
 def test_balance_exhaustion_diagnostic():
-    with pytest.raises(InfeasibleError, match=r"^cp=1: deficit "):
+    with pytest.raises(InfeasibleError, match=r"^deficit "):
         balance_strategies(
             10**15,
             BUILTIN_CHUNKS,
             REF_SIZES,
             REFERENCE_CLUSTER,
-            1,
             block_compute_ms=480.0,
             num_layers=54,
         )
@@ -162,13 +165,12 @@ def test_balance_exhaustion_diagnostic():
 def test_balance_host_memory_diagnostic():
     # flash attention's 110.6 MB per layer over 54 layers needs 6.0 GB of host memory
     cluster = REFERENCE_CLUSTER._replace(host_mem=1e9)
-    with pytest.raises(InfeasibleError, match=r"^cp=1: offloaded activations \(6\.0 GB\)"):
+    with pytest.raises(InfeasibleError, match=r"^offloaded activations \(6\.0 GB\)"):
         balance_strategies(
             100 * MIB,
             BUILTIN_CHUNKS,
             REF_SIZES,
             cluster,
-            1,
             block_compute_ms=480.0,
             num_layers=54,
         )
@@ -180,9 +182,51 @@ def test_balance_disjoint_recompute_and_offload():
         BUILTIN_CHUNKS,
         REF_SIZES,
         REFERENCE_CLUSTER,
-        1,
         block_compute_ms=6.0,
         num_layers=54,
     )
     assert not (set(recompute.selected) & set(offload.selected))
     assert recompute.bytes_saved_per_layer + offload.bytes_per_layer >= 800 * MIB
+
+
+def _former_recompute_only(required, table, sizes):
+    """Oracle: the evaluator's former inline branch for the attempts that
+    offload no activations, written out as it read."""
+    recomputable = [(c.name, c.fwd_latency_ms) for c in table.chunks if c.recomputable]
+    pool = [(sizes[name], lat, name) for name, lat in recomputable]
+    recompute = cover(pool, required)
+    if not recompute.feasible:
+        raise InfeasibleError(
+            f"deficit {required / 1e6:.0f} MB/layer exceeds recomputable savings "
+            f"{recompute.bytes_saved_per_layer / 1e6:.0f} MB/layer"
+        )
+    return recompute, ActivationOffloadPlan((), 0, 0.0)
+
+
+def test_balance_without_activation_offload_is_the_recompute_cover():
+    # Every offloadable chunk would hide under a 1e9 ms block, and a 1-byte
+    # host would reject any offload: neither matters once activation
+    # offload is off, so the plan is the cover over the recomputable chunks.
+    tiny_host = REFERENCE_CLUSTER._replace(host_mem=1.0)
+    plans = raised = 0
+    for seed in range(10):
+        chunks, _ = random_chunk_table(seed)
+        table = ChunkTable(chunks=tuple(ChunkSpec(**c) for c in chunks))
+        for tp in (1, 8):
+            sizes = _sizes(table.chunks, tp=tp)
+            total = sum(sizes[c.name] for c in table.chunks if c.recomputable)
+            for deficit in (0, 1, total // 3, total - 1, total, total + 1, 2 * total):
+                try:
+                    expected = _former_recompute_only(deficit, table, sizes)
+                except InfeasibleError:
+                    expected = None
+                for cluster in (REFERENCE_CLUSTER, tiny_host):
+                    args = (deficit, table, sizes, cluster, 1e9, 54)
+                    if expected is None:
+                        with pytest.raises(InfeasibleError, match=DEFICIT_DIAGNOSTIC):
+                            balance_strategies(*args, offload_activations=False)
+                        raised += 1
+                    else:
+                        assert balance_strategies(*args, offload_activations=False) == expected
+                        plans += 1
+    assert plans > 0 and raised > 0

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditplan.errors import ConfigError
-from ditplan.memory import BUILTIN_CHUNKS, MIB, ChunkSpec
+from ditplan.memory import BUILTIN_CHUNKS, MIB, ChunkSpec, ChunkTable
 from ditplan.recompute import cover, memory_latency_ratio, plan_recompute
 
 from helpers import brute_force_recompute, reference_cover
@@ -76,17 +76,17 @@ def test_plan_400mib_matches_oracle():
 
 
 def test_plan_two_chunk_dominance():
-    chunks = (
+    chunks = ChunkTable(chunks=(
         ChunkSpec("cheap", coeff_bsh=2, fwd_latency_ms=1.0),
         ChunkSpec("dear", coeff_bsh=2, fwd_latency_ms=2.0),
-    )
+    ))
     saved = 2 * 1 * 1024 * 8 // 1  # coeff*B*S*H at the shape below
     oracle = brute_force_recompute(chunks, saved, B=1, S=1024, H=8, A=1, tp=1)
     assert oracle.selected == ("cheap",)
 
 
 def test_brute_force_size_guard():
-    chunks = tuple(ChunkSpec(f"c{i}", coeff_bsh=1) for i in range(21))
+    chunks = ChunkTable(chunks=tuple(ChunkSpec(f"c{i}", coeff_bsh=1) for i in range(21)))
     with pytest.raises(ConfigError):
         brute_force_recompute(chunks, 1, B=1, S=8, H=8, A=1, tp=1)
 
@@ -127,14 +127,14 @@ def test_greedy_feasible_iff_oracle_feasible(seed, n, required_kib):
     import random
 
     rng = random.Random(seed)
-    chunks = tuple(
+    chunks = ChunkTable(chunks=tuple(
         ChunkSpec(
             f"c{i}",
             coeff_bsh=rng.choice([1, 2, 4, 8]),
             fwd_latency_ms=round(rng.uniform(0.1, 50.0), 2),
         )
         for i in range(n)
-    )
+    ))
     required = required_kib * 1024
     shape = dict(B=1, S=4096, H=64, A=4, tp=1)
     greedy = plan_recompute(chunks, required, **shape)
