@@ -2,11 +2,11 @@
 
 A training bucket is a {batch, frames, height, width} quadruple. The VAE
 compresses 4x temporally (keeping the leading frame) and 8x spatially,
-then 1x2x2 patchify turns the latent into tokens. Buckets are chosen so
+then the model preset's 1x2x2 patchify turns the latent into tokens. Buckets are chosen so
 different shape classes carry near-equal token counts per batch.
 """
 
-from ditplan import Bucket, check_token_balance, latent_shape, token_count
+from ditplan import TABLE2_FIT, Bucket, check_token_balance, latent_shape, token_count
 
 print("== latent shapes ==")
 for frames, h, w in [(125, 720, 1280), (29, 640, 640), (1, 640, 640)]:
@@ -23,7 +23,7 @@ buckets = [
     Bucket(8, 29, 320, 320),   # the odd one out, see below
 ]
 print(f"  {'bucket':<20} {'snapped':<20} {'tokens/sample':>14} {'tokens/batch':>13}")
-report = check_token_balance(buckets, tolerance=0.01)
+report = check_token_balance(buckets, TABLE2_FIT, tolerance=0.01)
 for entry in report.entries:
     print(
         f"  {entry.bucket.label():<20} {entry.snapped.label():<20} "
@@ -35,5 +35,5 @@ print("  flags it rather than silently rescaling the batch dimension.")
 
 print()
 print("== the 115k-token regime ==")
-shape = token_count(Bucket(1, 125, 720, 1280))
+shape = token_count(Bucket(1, 125, 720, 1280), TABLE2_FIT)
 print(f"  125-frame 1280x720 video -> {shape.tokens:,} tokens per sample")

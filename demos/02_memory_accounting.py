@@ -9,7 +9,6 @@ larger still, which is why the planner spends most of its effort on them.
 from ditplan import (
     BUILTIN_CHUNKS,
     MIB,
-    ActivationTimeline,
     DTypePolicy,
     ParallelConfig,
     TimelineEvent,
@@ -63,9 +62,8 @@ events = [
     TimelineEvent(4, "free", "attn_out", 50 * MIB),
     TimelineEvent(5, "free", "mlp_in", 80 * MIB),
 ]
-timeline = ActivationTimeline.build(events)
-plain = peak_memory(timeline)
-optimized = peak_memory(timeline, lifecycle_optimized=True)
+plain = peak_memory(events)
+optimized = peak_memory(events, lifecycle_optimized=True)
 print(f"  recorded frees:   peak {plain / MIB:.0f} MiB")
 print(f"  prompt frees:     peak {optimized / MIB:.0f} MiB")
 print(f"  moving the tagged free to its last true consumer saves {(plain - optimized) / MIB:.0f} MiB")

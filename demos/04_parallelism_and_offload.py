@@ -3,8 +3,9 @@
 Placement rules: TP-SP innermost (inside the node), context parallelism
 only for ultra-long sequences (above 200k tokens, and kept minimal), then
 ZeRO-style data parallelism outermost with optimizer states partitioned.
-Offloading rides PCIe and is throttled by shared host write bandwidth
-inside a NUMA domain.
+Offloading rides PCIe and is throttled by the host write bandwidth that
+all devices of a NUMA domain share. Each comm helper takes the launch
+latency (0.02 ms here, the ``OverlapConfig`` default) explicitly.
 """
 
 from ditplan import (
@@ -22,24 +23,27 @@ from ditplan.memory import BUILTIN_CHUNKS, MIB, chunk_retained_bytes
 from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT
 
 dtypes = DTypePolicy()
+LATENCY_MS = 0.02
 
 print("== TP-SP per-layer collectives (115k tokens, 2-byte activations) ==")
 for tp in (2, 4, 8):
-    raw, exposed = tp_sp_layer_comm(1, 115_200, 3072, tp, 2, 200e9, overlap_fraction=0.8)
+    raw, exposed = tp_sp_layer_comm(1, 115_200, 3072, tp, 2, 200e9, 0.8, LATENCY_MS)
     print(f"  tp={tp}: raw {raw:6.2f} ms/layer, exposed {exposed:5.2f} ms at 0.8 fused overlap")
 
 print()
 print("== the context-parallel gate ==")
 for tokens in (115_200, 230_400):
-    result = cp_gate_and_comm(tokens, 1, tokens, 3072, 2, 2, 50e9)
+    result = cp_gate_and_comm(tokens, 1, tokens, 3072, 2, 2, 50e9, LATENCY_MS)
     if result.violation:
         print(f"  {tokens:,} tokens, cp=2: REJECTED ({result.violation})")
     else:
         print(f"  {tokens:,} tokens, cp=2: enabled, {result.time_ms:.2f} ms/layer all-to-all")
 
 print()
-print("== data-parallel collectives amortized per accumulation step ==")
-raw, exposed = dp_comm(13.4e9, dtypes, 8, 16, 4, 50e9, first_fwd_window_ms=700, last_bwd_window_ms=700)
+print("== data-parallel collectives, once per optimizer step ==")
+raw, exposed = dp_comm(
+    13.4e9, dtypes, 8, 16, 50e9, LATENCY_MS, first_fwd_window_ms=700, last_bwd_window_ms=700
+)
 print(f"  P=13.4e9, tp=8, dp=16: raw {raw:.1f} ms/step, exposed {exposed:.1f} ms under wide windows")
 
 print()
@@ -54,12 +58,12 @@ for bucket, label in [
 
 print()
 print("== offloading against the NUMA write-bandwidth cap ==")
-for concurrent in (1, 2, 4, 8):
-    bw = effective_pcie_bw(REFERENCE_CLUSTER, concurrent)
-    print(f"  {concurrent} concurrent devices per NUMA: {bw / 1e9:.0f} GB/s per device")
-bw = effective_pcie_bw(REFERENCE_CLUSTER, 4)
-transfer, exposed = plan_optimizer_offload(13.4e9, bw, 600.0, 1200.0)
-print(f"  optimizer states 13.4 GB: {transfer:.0f} ms round trip, {exposed:.0f} ms exposed")
+for per_numa in (1, 2, 4, 8):
+    bw = effective_pcie_bw(REFERENCE_CLUSTER._replace(devices_per_numa=per_numa))
+    print(f"  {per_numa} devices per NUMA domain: {bw / 1e9:.0f} GB/s per device")
+bw = effective_pcie_bw(REFERENCE_CLUSTER)
+exposed = plan_optimizer_offload(13.4e9, bw, 600.0, 1200.0)
+print(f"  optimizer states 13.4 GB: {2 * 13.4e9 / bw * 1e3:.0f} ms round trip, {exposed:.0f} ms exposed")
 sizes = {c.name: chunk_retained_bytes(c, 1, 115_200, 3072, 24, 8) for c in BUILTIN_CHUNKS.chunks}
 recompute, offload = balance_strategies(
     400 * MIB, BUILTIN_CHUNKS, sizes, REFERENCE_CLUSTER, block_compute_ms=480.0, num_layers=54,

@@ -25,7 +25,7 @@ _EXPORTS = {
     "validate",
     "errors": "ConfigError DimensionError InfeasibleError MalformedTimelineError PlanningError",
     "inference": "CacheSchedule TilePlan WindowPlan plan_cache plan_temporal_windows plan_vae_tiles",
-    "memory": "BUILTIN_CHUNKS MIB ActivationTimeline ChunkSpec ChunkTable MemoryBreakdown TimelineEvent "
+    "memory": "BUILTIN_CHUNKS MIB ChunkSpec ChunkTable MemoryBreakdown TimelineEvent "
     "activation_per_layer chunk_retained_bytes load_chunk_table model_states_bytes peak_memory",
     "offload": "ActivationOffloadPlan OffloadPlan balance_strategies effective_pcie_bw "
     "plan_optimizer_offload",

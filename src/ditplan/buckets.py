@@ -61,12 +61,12 @@ def latent_shape(frames: int, height: int, width: int) -> tuple[int, int, int]:
     return (t_lat, height // VAE_SPATIAL_RATIO, width // VAE_SPATIAL_RATIO)
 
 
-def token_count(bucket: Bucket, arch: ModelArch | None = None) -> LatentShape:
-    """Tokens per sample (post-patchify, ceiling division) and per batch."""
-    patch = (arch.patch_t, arch.patch_h, arch.patch_w) if arch is not None else (1, 2, 2)
+def token_count(bucket: Bucket, arch: ModelArch) -> LatentShape:
+    """Tokens per sample (post-patchify by ``arch``'s patch, ceiling division) and per batch."""
     t_lat, h_lat, w_lat = latent_shape(bucket.frames, bucket.height, bucket.width)
     tokens = (
-        math.ceil(t_lat / patch[0]) * math.ceil(h_lat / patch[1]) * math.ceil(w_lat / patch[2])
+        math.ceil(t_lat / arch.patch_t) * math.ceil(h_lat / arch.patch_h)
+        * math.ceil(w_lat / arch.patch_w)
     )
     return LatentShape(
         t_lat=t_lat, h_lat=h_lat, w_lat=w_lat, tokens=tokens, tokens_batch=bucket.batch * tokens
@@ -79,19 +79,15 @@ def snap_to_multiple(value: int, multiple: int) -> int:
     return max(multiple, snapped)
 
 
-def snap_bucket(bucket: Bucket, arch: ModelArch | None = None) -> Bucket:
-    """Round bucket height/width to the nearest VAE-and-patch-compatible size.
+def snap_bucket(bucket: Bucket, arch: ModelArch) -> Bucket:
+    """Round bucket height/width to the nearest size the VAE and ``arch``'s patch can ingest.
 
     Published bucket lists include entries such as 480x854 that no 8x
     spatial VAE plus 2x2 patchify can ingest directly; real pipelines
-    snap them (854 -> 848 with the default 16-pixel grain).
+    snap them (854 -> 848 with a 16-pixel grain).
     """
-    patch_h = arch.patch_h if arch is not None else 2
-    patch_w = arch.patch_w if arch is not None else 2
-    grain_h = VAE_SPATIAL_RATIO * patch_h
-    grain_w = VAE_SPATIAL_RATIO * patch_w
-    height = snap_to_multiple(bucket.height, grain_h)
-    width = snap_to_multiple(bucket.width, grain_w)
+    height = snap_to_multiple(bucket.height, VAE_SPATIAL_RATIO * arch.patch_h)
+    width = snap_to_multiple(bucket.width, VAE_SPATIAL_RATIO * arch.patch_w)
     if (height, width) == (bucket.height, bucket.width):
         return bucket
     return Bucket(bucket.batch, bucket.frames, height, width)
@@ -119,8 +115,8 @@ class BucketBalanceReport(NamedTuple):
 
 def check_token_balance(
     buckets: list[Bucket] | tuple[Bucket, ...],
+    arch: ModelArch,
     tolerance: float = 0.01,
-    arch: ModelArch | None = None,
 ) -> BucketBalanceReport:
     """Flag bucket pairs whose per-batch token counts diverge beyond tolerance.
 

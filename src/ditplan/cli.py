@@ -178,7 +178,7 @@ def _cmd_buckets_check(args: SimpleNamespace) -> int:
     tolerance = finite_number(args.tolerance, "--tolerance")
     if tolerance < 0:
         raise ConfigError(f"must be >= 0, got {tolerance}", "--tolerance")
-    report = check_token_balance(config.buckets, tolerance, arch=config.model)
+    report = check_token_balance(config.buckets, config.model, tolerance)
     payload = {
         "tolerance": tolerance,
         "balanced": report.balanced,
@@ -220,7 +220,7 @@ def _cmd_simulate(args: SimpleNamespace) -> int:
     parallel = config.parallel
     if parallel.pinned is None:
         tp = max(tp for tp in tp_degrees(config.model, config.cluster) if tp <= 8)
-        parallel = parallel._replace(tp=tp, cp=1, dp=max(1, config.cluster.total_devices // tp))
+        parallel = parallel._replace(tp=tp, cp=1, dp=config.cluster.total_devices // tp)
     config = config._replace(parallel=parallel, stages=tuple(stages))
     report = run_train_plan(config, chunks=_chunks_from(args), offload_mode="auto")
     rows = []

@@ -6,6 +6,9 @@ launch latency per operation. Context parallelism is priced at inter-node
 bandwidth because TP-SP already occupies the node; it is gated on
 ultra-long sequences (above 200k tokens) since cross-node all-to-all is
 the dominant bottleneck otherwise.
+
+Every helper takes the per-operation launch latency explicitly;
+:func:`build_comm_plan` passes ``OverlapConfig.collective_latency_ms``.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from .config import ClusterSpec, DTypePolicy, ModelArch, OverlapConfig, Parallel
 from .errors import ConfigError, InfeasibleError
 
 CP_TOKEN_GATE = 200_000
-
-DEFAULT_COLLECTIVE_LATENCY_MS = 0.02
 
 # Backward mirrors the forward collectives (all-gather and reduce-scatter
 # swap roles), so one micro-step carries two forward-sized comm legs.
@@ -34,7 +35,7 @@ def tp_sp_layer_comm(
     act_bytes: int,
     intra_bw: float,
     overlap_fraction: float,
-    collective_latency_ms: float = DEFAULT_COLLECTIVE_LATENCY_MS,
+    collective_latency_ms: float,
 ) -> tuple[float, float]:
     """Per-layer forward TP-SP time in ms: (raw, exposed).
 
@@ -55,9 +56,9 @@ def tp_sp_layer_comm(
 
 
 class CpGateResult(NamedTuple):
-    """Outcome of the context-parallel gate plus the per-layer all-to-all cost."""
+    """Outcome of the context-parallel gate plus the per-layer all-to-all cost.
+    CP is enabled when ``cp > 1`` and ``violation`` is ``None``."""
 
-    enabled: bool
     time_ms: float
     violation: str | None = None
 
@@ -70,7 +71,7 @@ def cp_gate_and_comm(
     cp: int,
     act_bytes: int,
     inter_bw: float,
-    collective_latency_ms: float = DEFAULT_COLLECTIVE_LATENCY_MS,
+    collective_latency_ms: float,
 ) -> CpGateResult:
     """Gate CP on the 200k-token threshold and cost its per-layer transposes.
 
@@ -81,10 +82,9 @@ def cp_gate_and_comm(
     if cp < 1:
         raise ConfigError("cp must be >= 1", "parallel.cp")
     if cp == 1:
-        return CpGateResult(enabled=False, time_ms=0.0)
+        return CpGateResult(time_ms=0.0)
     if tokens_batch <= CP_TOKEN_GATE:
         return CpGateResult(
-            enabled=False,
             time_ms=0.0,
             violation=(
                 f"cp={cp} rejected: {tokens_batch} tokens is below the "
@@ -93,7 +93,7 @@ def cp_gate_and_comm(
         )
     volume = 2 * B * S * H * act_bytes * (cp - 1) / cp
     time_ms = volume / inter_bw * 1e3 + 2 * collective_latency_ms
-    return CpGateResult(enabled=True, time_ms=time_ms)
+    return CpGateResult(time_ms=time_ms)
 
 
 def dp_comm(
@@ -101,11 +101,10 @@ def dp_comm(
     dtypes: DTypePolicy,
     tp: int,
     dp: int,
-    grad_accum: int,
     inter_bw: float,
+    collective_latency_ms: float,
     first_fwd_window_ms: float = 0.0,
     last_bwd_window_ms: float = 0.0,
-    collective_latency_ms: float = DEFAULT_COLLECTIVE_LATENCY_MS,
 ) -> tuple[float, float]:
     """Per-optimizer-step data-parallel time in ms: (raw, exposed).
 
@@ -114,8 +113,8 @@ def dp_comm(
     hides under the first forward micro-step, the reduce-scatter under
     the last backward micro-step; whatever does not fit is exposed.
     """
-    if dp < 1 or tp < 1 or grad_accum < 1:
-        raise ConfigError("degrees and grad_accum must be >= 1", "parallel")
+    if dp < 1 or tp < 1:
+        raise ConfigError("degrees must be >= 1", "parallel")
     if dp == 1:
         return (0.0, 0.0)
     shard = P / tp
@@ -135,7 +134,6 @@ class CommPlan(NamedTuple):
     cp_ms_per_layer: float
     dp_raw_ms_per_step: float
     dp_exposed_ms_per_step: float
-    overlap_fraction: float
     num_layers: int
 
     @property
@@ -197,11 +195,10 @@ def build_comm_plan(
         dtypes,
         par.tp,
         par.dp,
-        par.grad_accum,
         cluster.inter_node_bw,
+        overlap.collective_latency_ms,
         first_fwd_window_ms,
         last_bwd_window_ms,
-        overlap.collective_latency_ms,
     )
     return CommPlan(
         tp_sp_raw_ms_per_layer=tp_raw,
@@ -209,7 +206,6 @@ def build_comm_plan(
         cp_ms_per_layer=gate.time_ms,
         dp_raw_ms_per_step=dp_raw,
         dp_exposed_ms_per_step=dp_exposed,
-        overlap_fraction=overlap.tp_sp_fraction,
         num_layers=arch.num_layers,
     )
 

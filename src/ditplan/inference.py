@@ -5,14 +5,13 @@ cache planner trades refresh steps against cheap cached steps after a
 quality-preserving warmup. The VAE tiler cuts a latent into overlapping
 tiles whose linear blend weights sum to one everywhere. The temporal
 window planner slides a fixed-length window over a long latent, clamping
-the last window to the end so every index belongs to at least one clip
-and can be averaged across the clips that share it.
+the last window to the end so every index belongs to at least one clip;
+the plan's ``coverage`` counts the clips that share each index.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import accumulate, product
 from typing import NamedTuple
 
@@ -194,29 +193,18 @@ def plan_vae_tiles(
     )
 
 
-class _WindowFields(NamedTuple):
+class WindowPlan(NamedTuple):
+    """``coverage[i]`` is how many clips cover latent index ``i``."""
+
     n_prime: int
     window: int
     stride: int
     clips: tuple[tuple[int, int], ...]
-
-
-class WindowPlan(_WindowFields):
-    # No __slots__: the instance __dict__ holds the cached coverage.
+    coverage: tuple[int, ...]
 
     @property
     def num_clips(self) -> int:
         return len(self.clips)
-
-    @cached_property
-    def coverage(self) -> tuple[int, ...]:
-        """How many clips cover each latent index, from a difference array
-        over the clips: O(n_prime + clips)."""
-        delta = [0] * (self.n_prime + 1)
-        for start, end in self.clips:
-            delta[start] += 1
-            delta[end] -= 1
-        return tuple(accumulate(delta[:-1]))
 
 
 def plan_temporal_windows(n_prime: int, n: int, s: int) -> WindowPlan:
@@ -226,7 +214,8 @@ def plan_temporal_windows(n_prime: int, n: int, s: int) -> WindowPlan:
     n_prime so the whole latent is covered. The clip count is
     ceil((n_prime - n) / s) + 1. Strides past the window length would
     leave uncovered gaps and are rejected, as are latents longer than
-    ``MAX_WINDOW_LATENT``.
+    ``MAX_WINDOW_LATENT``. Coverage comes from a difference array over the
+    clips: O(n_prime + clips).
     """
     if n_prime < 1 or n < 1:
         raise ConfigError("lengths must be >= 1", "windows")
@@ -242,4 +231,9 @@ def plan_temporal_windows(n_prime: int, n: int, s: int) -> WindowPlan:
             "windows.stride",
         )
     clips = tuple((start, start + n) for start in _axis_starts(n_prime, n, s))
-    return WindowPlan(n_prime=n_prime, window=n, stride=s, clips=clips)
+    delta = [0] * (n_prime + 1)
+    for start, end in clips:
+        delta[start] += 1
+        delta[end] -= 1
+    coverage = tuple(accumulate(delta[:-1]))
+    return WindowPlan(n_prime=n_prime, window=n, stride=s, clips=clips, coverage=coverage)

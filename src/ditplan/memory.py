@@ -9,12 +9,12 @@ reproduces the reference measurements.
 
 The inputs :class:`ChunkSpec`, :class:`ChunkTable` and :class:`TimelineEvent`
 are records (see :mod:`ditplan.errors`), so their schema rows parse a chunk
-table file; :class:`MemoryBreakdown` and :class:`ActivationTimeline` are results.
+table file; :class:`MemoryBreakdown` is a result. :func:`peak_memory` takes
+the alloc/free events as a plain sequence and sorts them by time itself.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Sequence
 
@@ -94,18 +94,7 @@ class ChunkTable(_Record):
         ("ref_heads", "int", 24, _AT_LEAST_ONE),
         ("ref_tp", "int", 8, _AT_LEAST_ONE),
     ))
-    __slots__ = (*_field_names(_schema), "__dict__")  # the dict holds _index only
-
-    @cached_property
-    def _index(self) -> dict[str, ChunkSpec]:
-        """Name -> chunk, built on first lookup; not a field, so never compared."""
-        return {c.name: c for c in self.chunks}
-
-    def by_name(self, name: str) -> ChunkSpec:
-        chunk = self._index.get(name)
-        if chunk is None:
-            raise ConfigError(f"unknown chunk {name!r}", "chunks")
-        return chunk
+    __slots__ = _field_names(_schema)
 
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.chunks)
@@ -187,11 +176,15 @@ def activation_per_layer(
     recompute_set: Iterable[str] = (),
     offload_set: Iterable[str] = (),
 ) -> int:
-    """Bytes retained per layer per rank after discarding recomputed/offloaded chunks."""
-    excluded = set(recompute_set) | set(offload_set)
-    unknown = excluded.difference(chunks.names())
-    if unknown:
-        raise ConfigError(f"unknown chunk name(s) in plan: {sorted(unknown)}", "recompute_set")
+    """Bytes retained per layer per rank after discarding recomputed/offloaded
+    chunks. An unknown name raises :class:`ConfigError` at the set it came from."""
+    excluded: set[str] = set()
+    for path, names in (("recompute_set", recompute_set), ("offload_set", offload_set)):
+        chosen = set(names)
+        unknown = chosen.difference(chunks.names())
+        if unknown:
+            raise ConfigError(f"unknown chunk name(s) in plan: {sorted(unknown)}", path)
+        excluded |= chosen
     return sum(
         chunk_retained_bytes(c, B, S, H, A, tp) for c in chunks.chunks if c.name not in excluded
     )
@@ -224,19 +217,10 @@ class TimelineEvent(_Record):
     __slots__ = _field_names(_schema)
 
 
-class ActivationTimeline(NamedTuple):
-    events: tuple[TimelineEvent, ...]
+def _effective_order(events: Sequence[TimelineEvent], lifecycle_optimized: bool) -> list[TimelineEvent]:
+    """Events by effective time, then recorded time; ties keep input order."""
 
-    @staticmethod
-    def build(events: Sequence[TimelineEvent]) -> "ActivationTimeline":
-        return ActivationTimeline(events=tuple(sorted(events, key=lambda e: e.time)))
-
-
-def _effective_order(
-    timeline: ActivationTimeline, lifecycle_optimized: bool
-) -> list[TimelineEvent]:
-    def sort_key(item: tuple[int, TimelineEvent]) -> tuple[float, int]:
-        index, event = item
+    def sort_key(event: TimelineEvent) -> tuple[float, int]:
         time = float(event.time)
         if (
             lifecycle_optimized
@@ -246,13 +230,14 @@ def _effective_order(
         ):
             # Land between the last consumer and the next time index.
             time = min(time, event.last_consumer_time + 0.5)
-        return (time, index)
+        return (time, event.time)
 
-    return [e for _, e in sorted(enumerate(timeline.events), key=sort_key)]
+    return sorted(events, key=sort_key)
 
 
-def peak_memory(timeline: ActivationTimeline, lifecycle_optimized: bool = False) -> int:
-    """Maximum occupancy of a running alloc/free sweep over the timeline.
+def peak_memory(events: Sequence[TimelineEvent], lifecycle_optimized: bool = False) -> int:
+    """Maximum occupancy of a running alloc/free sweep over ``events``,
+    taken in time order (events at one time index keep their input order).
 
     With ``lifecycle_optimized``, frees tagged shared-storage or
     merged-redundant fire right after their last true consumer instead of
@@ -261,7 +246,7 @@ def peak_memory(timeline: ActivationTimeline, lifecycle_optimized: bool = False)
     live: dict[str, int] = {}
     occupancy = 0
     peak = 0
-    for event in _effective_order(timeline, lifecycle_optimized):
+    for event in _effective_order(events, lifecycle_optimized):
         if event.kind == "alloc":
             if event.name in live:
                 raise MalformedTimelineError(f"double alloc of {event.name!r}")

@@ -3,8 +3,8 @@
 Offloading trades PCIe traffic for device memory. Transfers only pay off
 when they hide under computation: optimizer shards ride the first forward
 and last backward micro-steps, per-block activations ride the adjacent
-block's compute. Concurrent devices in one NUMA domain share host DDR
-write bandwidth, capping the per-device PCIe rate.
+block's compute. All devices of one NUMA domain offload at once and share
+its host DDR write bandwidth, capping the per-device PCIe rate.
 
 :func:`balance_strategies` is the planner's one keep/recompute/offload
 selector: every offload attempt of every candidate, with or without
@@ -30,8 +30,8 @@ def plan_optimizer_offload(
     pcie_bw: float,
     first_fwd_window_ms: float,
     last_bwd_window_ms: float,
-) -> tuple[float, float]:
-    """Optimizer-state staging cost per step in ms: (transfer, exposed).
+) -> float:
+    """Exposed optimizer-state staging time per step in ms.
 
     States move device-to-host after the update and back before the next
     one; the D2H leg hides under the first forward micro-step, the H2D
@@ -40,28 +40,23 @@ def plan_optimizer_offload(
     if first_fwd_window_ms < 0 or last_bwd_window_ms < 0:
         raise ConfigError("overlap windows must be >= 0", "offload.windows")
     if opt_bytes_per_rank <= 0:
-        return (0.0, 0.0)
+        return 0.0
     leg_ms = opt_bytes_per_rank / pcie_bw * 1e3
-    exposed = max(0.0, leg_ms - first_fwd_window_ms) + max(0.0, leg_ms - last_bwd_window_ms)
-    return (2 * leg_ms, exposed)
+    return max(0.0, leg_ms - first_fwd_window_ms) + max(0.0, leg_ms - last_bwd_window_ms)
 
 
-def effective_pcie_bw(cluster: ClusterSpec, concurrent_devices: int) -> float:
-    """Per-device transfer bandwidth once NUMA-domain host writes saturate."""
-    if concurrent_devices < 1:
-        raise ConfigError("concurrent_devices must be >= 1", "offload.concurrent_devices")
-    sharing = min(concurrent_devices, cluster.devices_per_numa)
-    return min(cluster.pcie_bw_per_device, cluster.host_write_bw_per_numa / sharing)
+def effective_pcie_bw(cluster: ClusterSpec) -> float:
+    """Per-device transfer bandwidth once the ``devices_per_numa`` devices of
+    one NUMA domain saturate its host writes."""
+    return min(cluster.pcie_bw_per_device, cluster.host_write_bw_per_numa / cluster.devices_per_numa)
 
 
 class ActivationOffloadPlan(NamedTuple):
+    """``exposed_ms_per_layer`` counts both directions (offload and reload)."""
+
     selected: tuple[str, ...]
     bytes_per_layer: int
-    exposed_ms_per_layer_per_direction: float
-
-    @property
-    def exposed_ms_per_layer(self) -> float:
-        return 2 * self.exposed_ms_per_layer_per_direction
+    exposed_ms_per_layer: float
 
 
 class OffloadPlan(NamedTuple):
@@ -100,7 +95,8 @@ def balance_strategies(
     offloadable, at least ``OFFLOAD_THRESHOLD_BYTES`` and its own transfer
     fits under one block's compute. The test is per chunk, but the
     selected chunks' transfers are summed: whatever of that sum exceeds
-    ``block_compute_ms`` is exposed, per layer, per direction.
+    ``block_compute_ms`` is exposed per layer in each direction, and the
+    plan reports both directions together.
     (2) Recompute whatever deficit remains; with nothing offloaded that
     is the whole deficit.
 
@@ -114,7 +110,7 @@ def balance_strategies(
     offload_bytes = 0
     exposed_ms = 0.0
     if offload_activations:
-        bw = effective_pcie_bw(cluster, cluster.devices_per_numa)
+        bw = effective_pcie_bw(cluster)
         # Attention-class chunks first, then by bytes, then by name.
         overlappable = sorted(
             (not c.is_attention_class, -sizes[c.name], c.name)
@@ -128,7 +124,7 @@ def balance_strategies(
                 break
             offloaded.add(name)
             offload_bytes -= neg_size
-        exposed_ms = max(0.0, offload_bytes / bw * 1e3 - block_compute_ms)
+        exposed_ms = 2 * max(0.0, offload_bytes / bw * 1e3 - block_compute_ms)
 
     pool = [(sizes[c.name], c.fwd_latency_ms, c.name)
             for c in chunks.chunks if c.recomputable and c.name not in offloaded]

@@ -57,10 +57,6 @@ class PlanReport(NamedTuple):
     def feasible_count(self) -> int:
         return sum(len(s["plans"]) for s in self.document["stages"])
 
-    @property
-    def infeasible_count(self) -> int:
-        return sum(len(s["infeasible"]) for s in self.document["stages"])
-
     def warnings(self) -> list[str]:
         return list(self.document["warnings"])
 
@@ -182,7 +178,7 @@ def _evaluate_candidate(
 
         opt_exposed = 0.0
         if opt_off:
-            _, opt_exposed = plan_optimizer_offload(
+            opt_exposed = plan_optimizer_offload(
                 states.optimizer, run.pcie, fwd_microstep_ms, bwd_window_ms
             )
         offload = OffloadPlan(
@@ -261,12 +257,12 @@ def run_train_plan(
     arch, cluster = config.model, config.cluster
     require_valid(config)
     pinned = config.parallel.pinned
-    pcie = effective_pcie_bw(cluster, cluster.devices_per_numa)
+    pcie = effective_pcie_bw(cluster)
     run = _Run(config, chunks, resolved_param_count(arch), pcie, _ATTEMPTS[offload_mode])
 
     warnings: list[str] = []
     if len(config.buckets) >= 2:
-        balance = check_token_balance(config.buckets, arch=arch)
+        balance = check_token_balance(config.buckets, arch)
         for left, right, dev in balance.flagged:
             warnings.append(
                 f"bucket imbalance: {left} vs {right} differ by {dev * 100:.1f}% "

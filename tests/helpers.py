@@ -1,5 +1,5 @@
-"""Shared test oracles and generators: random timelines, a from-scratch
-peak, the exhaustive recompute search, the record-based recompute cover,
+"""Shared test oracles and generators: the built-in chunks by name, random
+timelines, a from-scratch peak, the exhaustive recompute search, the record-based recompute cover,
 whole-latent VAE blend weights, and seeded planning configs and chunk
 tables for whole-report digests."""
 
@@ -15,8 +15,8 @@ import numpy as np
 from ditplan.errors import ConfigError
 from ditplan.inference import TilePlan
 from ditplan.memory import (
+    BUILTIN_CHUNKS,
     MIB,
-    ActivationTimeline,
     ChunkSpec,
     ChunkTable,
     TimelineEvent,
@@ -25,9 +25,12 @@ from ditplan.memory import (
 from ditplan.presets import reference_config_path
 from ditplan.recompute import RecomputePlan
 
+# The built-in chunks, looked up by name.
+BUILTIN = {c.name: c for c in BUILTIN_CHUNKS.chunks}
 
-def make_random_timeline(rng: np.random.Generator, max_pairs: int = 100) -> ActivationTimeline:
-    """A well-formed alloc/free sequence with some lifecycle-tagged frees."""
+
+def make_random_timeline(rng: np.random.Generator, max_pairs: int = 100) -> list[TimelineEvent]:
+    """A well-formed alloc/free sequence in time order with some lifecycle-tagged frees."""
     n_pairs = int(rng.integers(1, max_pairs + 1))
     events: list[TimelineEvent] = []
     live: list[tuple[str, int, int]] = []  # (name, bytes, alloc_time)
@@ -62,14 +65,15 @@ def make_random_timeline(rng: np.random.Generator, max_pairs: int = 100) -> Acti
         # occasional time ties exercise the stable ordering
         if rng.random() < 0.8:
             time += 1
-    return ActivationTimeline.build(events)
+    return events
 
 
-def prefix_max_peak(timeline: ActivationTimeline) -> int:
-    """Oracle: re-sum every prefix from scratch and take the maximum."""
+def prefix_max_peak(events: Sequence[TimelineEvent]) -> int:
+    """Oracle: re-sum every prefix of a time-ordered sequence from scratch
+    and take the maximum."""
     sizes = {}
     deltas = []
-    for event in timeline.events:
+    for event in events:
         if event.kind == "alloc":
             sizes[event.name] = event.bytes
             deltas.append(event.bytes)

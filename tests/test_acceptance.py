@@ -20,6 +20,7 @@ from ditplan.report import render, run_train_plan
 from ditplan.simulate import estimate_step
 
 from helpers import (
+    BUILTIN,
     VAE_GRID_CASES,
     brute_force_recompute,
     make_random_timeline,
@@ -53,7 +54,7 @@ def test_criterion_1_table_reproduction():
     one decimal, so the comparison floor is half a printed unit (0.05);
     the 0.8 attention entry is itself a display-rounding of 0.83."""
     for name, (printed_mb, _, printed_ratio) in PRINTED.items():
-        chunk = BUILTIN_CHUNKS.by_name(name)
+        chunk = BUILTIN[name]
         mib = chunk_retained_bytes(chunk, **REF) / MIB
         assert abs(mib - printed_mb) <= 2.0, name
         ratio = memory_latency_ratio(chunk, **REF)
@@ -71,9 +72,9 @@ def test_criterion_2_model_state_figure():
 
 
 def test_criterion_3_token_geometry():
-    a = token_count(Bucket(1, 125, 320, 320)).tokens
-    b = token_count(Bucket(1, 29, 640, 640)).tokens
-    c = token_count(Bucket(1, 125, 720, 1280)).tokens
+    a = token_count(Bucket(1, 125, 320, 320), TABLE2_FIT).tokens
+    b = token_count(Bucket(1, 29, 640, 640), TABLE2_FIT).tokens
+    c = token_count(Bucket(1, 125, 720, 1280), TABLE2_FIT).tokens
     assert a == b == 12_800
     assert c == 115_200
     _ok(3, "12,800-token buckets agree; 125-frame 1280x720 gives exactly 115,200 tokens")
@@ -100,11 +101,11 @@ def test_criterion_4_greedy_vs_oracle_sweep():
 def test_criterion_5_peak_memory_oracle_sweep():
     rng = np.random.default_rng(20250810)
     for _ in range(1000):
-        timeline = make_random_timeline(rng, max_pairs=100)  # <= 200 events
-        assert len(timeline.events) <= 200
-        swept = peak_memory(timeline)
-        assert swept == prefix_max_peak(timeline)
-        assert peak_memory(timeline, lifecycle_optimized=True) <= swept
+        events = make_random_timeline(rng, max_pairs=100)  # <= 200 events
+        assert len(events) <= 200
+        swept = peak_memory(events)
+        assert swept == prefix_max_peak(events)
+        assert peak_memory(events, lifecycle_optimized=True) <= swept
     _ok(5, "1,000 random timelines: sweep == prefix-max oracle, optimized <= plain")
 
 
@@ -151,7 +152,7 @@ def test_criterion_8_vae_tiling_grid():
 def test_criterion_9_mfu_properties():
     par = ParallelConfig(tp=8, cp=1, dp=2)
     bucket = Bucket(1, 125, 720, 1280)
-    zero_comm = CommPlan(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, TABLE2_FIT.num_layers)
+    zero_comm = CommPlan(0.0, 0.0, 0.0, 0.0, 0.0, TABLE2_FIT.num_layers)
     identity = estimate_step(
         TABLE2_FIT, bucket, par, REFERENCE_CLUSTER, DTypePolicy(),
         comm=zero_comm, efficiency=1.0,
@@ -177,7 +178,7 @@ def test_criterion_9_mfu_properties():
     # MFU decreases monotonically as exposed communication grows
     mfus = []
     for extra_ms in (0.0, 2_000.0, 8_000.0, 30_000.0):
-        loaded = CommPlan(0.0, 0.0, 0.0, extra_ms, extra_ms, 1.0, 1)
+        loaded = CommPlan(0.0, 0.0, 0.0, extra_ms, extra_ms, 1)
         est = estimate_step(
             TABLE2_FIT, bucket, par, REFERENCE_CLUSTER, DTypePolicy(),
             recompute=full_set, comm=loaded, efficiency=0.5,
@@ -188,10 +189,10 @@ def test_criterion_9_mfu_properties():
 
 
 def test_criterion_10_cp_gating():
-    below = cp_gate_and_comm(115_200, 1, 115_200, 3072, 2, 2, 50e9)
-    assert not below.enabled and below.violation is not None
-    above = cp_gate_and_comm(230_400, 1, 230_400, 3072, 2, 2, 50e9)
-    assert above.enabled and above.violation is None
+    below = cp_gate_and_comm(115_200, 1, 115_200, 3072, 2, 2, 50e9, 0.02)
+    assert below.time_ms == 0.0 and below.violation is not None
+    above = cp_gate_and_comm(230_400, 1, 230_400, 3072, 2, 2, 50e9, 0.02)
+    assert above.time_ms > 0.0 and above.violation is None
 
     # the driver rejects a pinned cp=2 plan below the gate with the diagnostic
     doc = json.loads(reference_config_path().read_text())

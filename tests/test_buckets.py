@@ -11,6 +11,7 @@ from ditplan.buckets import (
     token_count,
 )
 from ditplan.errors import ConfigError, DimensionError
+from ditplan.presets import TABLE2_FIT
 
 
 def test_latent_shape_reference_video():
@@ -39,31 +40,31 @@ def test_latent_shape_errors_name_axis():
 
 
 def test_token_count_balanced_pair():
-    # both shapes collapse to 12,800 tokens under 1x2x2 patchify
-    a = token_count(Bucket(1, 29, 640, 640))
-    b = token_count(Bucket(1, 125, 320, 320))
+    # both shapes collapse to 12,800 tokens under the preset's 1x2x2 patchify
+    a = token_count(Bucket(1, 29, 640, 640), TABLE2_FIT)
+    b = token_count(Bucket(1, 125, 320, 320), TABLE2_FIT)
     assert a.tokens == 12_800
     assert b.tokens == 12_800
     assert a.tokens_batch == b.tokens_batch == 12_800
 
 
 def test_token_count_115k_regime():
-    shape = token_count(Bucket(1, 125, 720, 1280))
+    shape = token_count(Bucket(1, 125, 720, 1280), TABLE2_FIT)
     assert shape.tokens == 32 * 45 * 80 == 115_200
 
 
 def test_token_count_minimal():
-    shape = token_count(Bucket(1, 1, 16, 16))
+    shape = token_count(Bucket(1, 1, 16, 16), TABLE2_FIT)
     assert shape.tokens == 1
 
 
 def test_token_count_single_image():
-    assert token_count(Bucket(1, 1, 320, 320)).tokens == 400
+    assert token_count(Bucket(1, 1, 320, 320), TABLE2_FIT).tokens == 400
 
 
 def test_token_count_batch_scaling():
-    one = token_count(Bucket(1, 29, 320, 320))
-    eight = token_count(Bucket(8, 29, 320, 320))
+    one = token_count(Bucket(1, 29, 320, 320), TABLE2_FIT)
+    eight = token_count(Bucket(8, 29, 320, 320), TABLE2_FIT)
     assert eight.tokens == one.tokens
     assert eight.tokens_batch == 8 * one.tokens_batch == 25_600
 
@@ -76,8 +77,8 @@ def test_token_count_batch_scaling():
 def test_tokens_linear_in_batch(b, frames_q, hw):
     frames = 1 + 4 * frames_q
     h, w = hw
-    single = token_count(Bucket(1, frames, h, w))
-    batched = token_count(Bucket(b, frames, h, w))
+    single = token_count(Bucket(1, frames, h, w), TABLE2_FIT)
+    batched = token_count(Bucket(b, frames, h, w), TABLE2_FIT)
     assert batched.tokens_batch == b * single.tokens_batch
 
 
@@ -100,18 +101,18 @@ def test_snap_to_multiple():
 
 
 def test_snap_bucket_rounds_nondivisible():
-    snapped = snap_bucket(Bucket(1, 29, 480, 854))
+    snapped = snap_bucket(Bucket(1, 29, 480, 854), TABLE2_FIT)
     assert (snapped.height, snapped.width) == (480, 848)
 
 
 def test_balance_equal_buckets():
-    report = check_token_balance([Bucket(1, 29, 640, 640), Bucket(1, 125, 320, 320)], 0.01)
+    report = check_token_balance([Bucket(1, 29, 640, 640), Bucket(1, 125, 320, 320)], TABLE2_FIT, 0.01)
     assert report.balanced
     assert report.max_deviation == 0.0
 
 
 def test_balance_rounded_bucket_within_percent():
-    report = check_token_balance([Bucket(1, 29, 640, 640), Bucket(1, 29, 480, 854)], 0.01)
+    report = check_token_balance([Bucket(1, 29, 640, 640), Bucket(1, 29, 480, 854)], TABLE2_FIT, 0.01)
     # 854 snaps to 848: 12,800 vs 8*30*53 = 12,720 tokens, 0.63% apart
     tokens = {e.bucket.width: e.tokens_batch for e in report.entries}
     assert tokens[640] == 12_800
@@ -123,7 +124,7 @@ def test_balance_rounded_bucket_within_percent():
 def test_balance_flags_published_batch8_bucket():
     # the published batch-8 small bucket carries twice the tokens; it must
     # be reported, not silently rescaled
-    report = check_token_balance([Bucket(1, 29, 640, 640), Bucket(8, 29, 320, 320)], 0.01)
+    report = check_token_balance([Bucket(1, 29, 640, 640), Bucket(8, 29, 320, 320)], TABLE2_FIT, 0.01)
     assert not report.balanced
     counts = sorted(e.tokens_batch for e in report.entries)
     assert counts == [12_800, 25_600]
@@ -135,7 +136,7 @@ def test_balance_rejects_negative_tolerance():
     # negative tolerance would flag them.
     pair = [Bucket(1, 29, 480, 854), Bucket(1, 29, 854, 480)]
     with pytest.raises(ConfigError, match=r"^tolerance: must be >= 0, got -1"):
-        check_token_balance(pair, -1.0)
-    report = check_token_balance(pair, 0.0)
+        check_token_balance(pair, TABLE2_FIT, -1.0)
+    report = check_token_balance(pair, TABLE2_FIT, 0.0)
     assert report.balanced
     assert report.max_deviation == 0.0

@@ -8,7 +8,6 @@ from ditplan.errors import ConfigError, MalformedTimelineError
 from ditplan.memory import (
     BUILTIN_CHUNKS,
     MIB,
-    ActivationTimeline,
     TimelineEvent,
     activation_per_layer,
     chunk_retained_bytes,
@@ -17,7 +16,7 @@ from ditplan.memory import (
     peak_memory,
 )
 
-from helpers import make_random_timeline, prefix_max_peak
+from helpers import BUILTIN, make_random_timeline, prefix_max_peak
 
 REF = dict(B=1, S=115_200, H=3072, A=24, tp=8)
 
@@ -36,14 +35,14 @@ REFERENCE_TABLE = {
 
 
 def test_flash_attention_retained_bytes():
-    chunk = BUILTIN_CHUNKS.by_name("flash_attention")
+    chunk = BUILTIN["flash_attention"]
     # (2*1*115200*3072 + 64*1*24*115200) / 8 computed by hand
     assert chunk_retained_bytes(chunk, **REF) == 110_592_000
     assert chunk_retained_bytes(chunk, **REF) / MIB == pytest.approx(105.46875)
 
 
 def test_gelu_retained_bytes():
-    chunk = BUILTIN_CHUNKS.by_name("gelu")
+    chunk = BUILTIN["gelu"]
     assert chunk_retained_bytes(chunk, **REF) == 353_894_400
     assert chunk_retained_bytes(chunk, **REF) / MIB == 337.5
 
@@ -55,7 +54,7 @@ def test_zero_batch_retains_nothing():
 
 def test_all_reference_rows_within_2mb():
     for name, (printed_mb, _, _) in REFERENCE_TABLE.items():
-        chunk = BUILTIN_CHUNKS.by_name(name)
+        chunk = BUILTIN[name]
         mib = chunk_retained_bytes(chunk, **REF) / MIB
         assert abs(mib - printed_mb) <= 2.0, name
 
@@ -66,7 +65,7 @@ def test_all_reference_rows_within_2mb():
     k=st.integers(min_value=2, max_value=5),
 )
 def test_retained_linear_in_b_and_s(b, s, k):
-    chunk = BUILTIN_CHUNKS.by_name("flash_attention")
+    chunk = BUILTIN["flash_attention"]
     base_b = chunk_retained_bytes(chunk, b, 1 << 12, 3072, 24, 8)
     assert chunk_retained_bytes(chunk, k * b, 1 << 12, 3072, 24, 8) == k * base_b
     base_s = chunk_retained_bytes(chunk, 2, s, 3072, 24, 8)
@@ -123,8 +122,10 @@ def test_activation_recompute_gelu_only():
 
 
 def test_activation_unknown_chunk_rejected():
-    with pytest.raises(ConfigError):
-        activation_per_layer(BUILTIN_CHUNKS, **REF, recompute_set=("nonexistent",))
+    # The error names the set the unknown chunk came from.
+    for path in ("recompute_set", "offload_set"):
+        with pytest.raises(ConfigError, match=rf"^{path}: unknown chunk name\(s\) in plan: \['nope'\]$"):
+            activation_per_layer(BUILTIN_CHUNKS, **REF, **{path: ("gelu", "nope")})
 
 
 def test_chunk_table_json_roundtrip(tmp_path):
@@ -133,7 +134,8 @@ def test_chunk_table_json_roundtrip(tmp_path):
         '{"chunks": [{"name": "a", "coeff_bsh": 2, "fwd_latency_ms": 1.5}], "ref_seqlen": 1000}'
     )
     table = load_chunk_table(path)
-    assert table.by_name("a").coeff_bsh == 2
+    assert table.names() == ("a",)
+    assert table.chunks[0].coeff_bsh == 2
     assert table.ref_seqlen == 1000
 
 
@@ -151,33 +153,28 @@ def test_chunk_table_rejects_unknown_key(tmp_path):
 
 
 def test_peak_simple_hand_sweep():
-    timeline = ActivationTimeline.build(
-        [
-            TimelineEvent(0, "alloc", "a", 100),
-            TimelineEvent(1, "alloc", "b", 50),
-            TimelineEvent(2, "free", "a", 100),
-            TimelineEvent(3, "free", "b", 50),
-        ]
-    )
-    assert peak_memory(timeline) == 150
+    events = [
+        TimelineEvent(0, "alloc", "a", 100),
+        TimelineEvent(1, "alloc", "b", 50),
+        TimelineEvent(2, "free", "a", 100),
+        TimelineEvent(3, "free", "b", 50),
+    ]
+    assert peak_memory(events) == 150
 
 
 def test_peak_empty_timeline():
-    assert peak_memory(ActivationTimeline.build([])) == 0
+    assert peak_memory([]) == 0
 
 
 def test_peak_free_before_alloc_rejected():
-    timeline = ActivationTimeline.build(
-        [TimelineEvent(0, "free", "a", 10), TimelineEvent(1, "alloc", "a", 10)]
-    )
+    events = [TimelineEvent(0, "free", "a", 10), TimelineEvent(1, "alloc", "a", 10)]
     with pytest.raises(MalformedTimelineError):
-        peak_memory(timeline)
+        peak_memory(events)
 
 
 def test_peak_unfreed_alloc_rejected():
-    timeline = ActivationTimeline.build([TimelineEvent(0, "alloc", "a", 10)])
     with pytest.raises(MalformedTimelineError):
-        peak_memory(timeline)
+        peak_memory([TimelineEvent(0, "alloc", "a", 10)])
 
 
 def test_qkv_shared_storage_pattern():
@@ -192,9 +189,8 @@ def test_qkv_shared_storage_pattern():
         TimelineEvent(4, "free", "attn_out", 50),
         TimelineEvent(5, "free", "mlp_in", 80),
     ]
-    timeline = ActivationTimeline.build(events)
-    delayed = peak_memory(timeline, lifecycle_optimized=False)
-    optimized = peak_memory(timeline, lifecycle_optimized=True)
+    delayed = peak_memory(events, lifecycle_optimized=False)
+    optimized = peak_memory(events, lifecycle_optimized=True)
     assert delayed == 230
     assert optimized == 150
     assert optimized < delayed
@@ -207,14 +203,27 @@ def test_untagged_frees_unmoved_by_optimization():
         TimelineEvent(2, "free", "a", 10),
         TimelineEvent(3, "free", "b", 20),
     ]
-    timeline = ActivationTimeline.build(events)
-    assert peak_memory(timeline, True) == peak_memory(timeline, False) == 30
+    assert peak_memory(events, True) == peak_memory(events, False) == 30
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_sweep_matches_prefix_max_oracle(seed):
     rng = np.random.default_rng(seed)
-    timeline = make_random_timeline(rng, max_pairs=40)
-    assert peak_memory(timeline) == prefix_max_peak(timeline)
-    assert peak_memory(timeline, lifecycle_optimized=True) <= peak_memory(timeline)
+    events = make_random_timeline(rng, max_pairs=40)
+    assert peak_memory(events) == prefix_max_peak(events)
+    assert peak_memory(events, lifecycle_optimized=True) <= peak_memory(events)
+    # The sweep sorts by time itself (ties keep their input order), so a
+    # shuffled sequence reads as its stable sort by time, errors included.
+    shuffled = list(events)
+    rng.shuffle(shuffled)
+    by_time = sorted(shuffled, key=lambda e: e.time)
+    for optimized in (False, True):
+        assert _peak_or_error(shuffled, optimized) == _peak_or_error(by_time, optimized)
+
+
+def _peak_or_error(events, lifecycle_optimized):
+    try:
+        return peak_memory(events, lifecycle_optimized)
+    except MalformedTimelineError as exc:
+        return str(exc)

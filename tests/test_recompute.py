@@ -6,13 +6,13 @@ from ditplan.errors import ConfigError
 from ditplan.memory import BUILTIN_CHUNKS, MIB, ChunkSpec, ChunkTable
 from ditplan.recompute import cover, memory_latency_ratio, plan_recompute
 
-from helpers import brute_force_recompute, reference_cover
+from helpers import BUILTIN, brute_force_recompute, reference_cover
 
 REF = dict(B=1, S=115_200, H=3072, A=24, tp=8)
 
 
 def test_gelu_ratio():
-    ratio = memory_latency_ratio(BUILTIN_CHUNKS.by_name("gelu"), **REF)
+    ratio = memory_latency_ratio(BUILTIN["gelu"], **REF)
     assert ratio == pytest.approx(337.5 / 0.64)
     assert ratio == pytest.approx(526.6, abs=1.0)
 

@@ -8,6 +8,7 @@ import json
 import math
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -305,6 +306,35 @@ def test_bucket_and_run_quantities_computed_once(monkeypatch):
         report = run_train_plan(parse_config(sweep_config(seed)))
         calls = {name: count() - before[name] for name, count in counters.items()}
         buckets = len(report.document["stages"])
-        assert report.feasible_count + report.infeasible_count > buckets
+        assert sum(len(s["plans"]) + len(s["infeasible"]) for s in report.document["stages"]) > buckets
         per_bucket = dict(token_count=buckets, flops_per_microstep=buckets)
         assert calls == {**per_bucket, "resolved_param_count": 1}
+
+
+def _entries_by_bucket(report, tp):
+    """Each (stage, bucket kind)'s entry at ``tp`` and cp=1, feasible or not."""
+    return {
+        (stage["stage"], stage["bucket_kind"]): entry
+        for stage in report.document["stages"]
+        for entry in stage["plans"] + stage["infeasible"]
+        if (entry["parallel"]["tp"], entry["parallel"]["cp"]) == (tp, 1)
+    }
+
+
+@pytest.mark.parametrize("tp, dp", [(1, 16), (2, 8), (4, 4), (8, 2)])
+def test_pinned_layout_reports_the_enumerated_entry(tp, dp):
+    # Every layout the enumerator yields on the reference config, pinned,
+    # gives plan train's enumerated entry field for field, in every bucket.
+    doc = json.loads(reference_config_path().read_text())
+    enumerated = run_train_plan(parse_config(doc))
+    layouts = {
+        (e["parallel"]["tp"], e["parallel"]["cp"], e["parallel"]["dp"])
+        for stage in enumerated.document["stages"]
+        for e in stage["plans"] + stage["infeasible"]
+    }
+    assert layouts == {(1, 1, 16), (2, 1, 8), (4, 1, 4), (8, 1, 2)}
+    doc["parallel"].update(tp=tp, cp=1, dp=dp)
+    pinned = run_train_plan(parse_config(doc))
+    expected = _entries_by_bucket(enumerated, tp)
+    assert len(expected) == len(pinned.document["stages"]) > 0
+    assert _entries_by_bucket(pinned, tp) == expected

@@ -23,7 +23,7 @@ REF_BUCKET = Bucket(1, 125, 720, 1280)  # 115,200 tokens
 
 
 def _zero_comm(layers: int) -> CommPlan:
-    return CommPlan(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, layers)
+    return CommPlan(0.0, 0.0, 0.0, 0.0, 0.0, layers)
 
 
 def test_flops_attention_dominates_linear():
@@ -84,7 +84,7 @@ def test_exposed_comm_equal_to_compute_halves_mfu():
         efficiency=1.0,
     )
     # hand the entire compute time back as exposed communication
-    loaded = CommPlan(0.0, 0.0, 0.0, base.t_compute_ms, base.t_compute_ms, 1.0, 1)
+    loaded = CommPlan(0.0, 0.0, 0.0, base.t_compute_ms, base.t_compute_ms, 1)
     est = estimate_step(
         TABLE2_FIT,
         REF_BUCKET,
@@ -193,7 +193,6 @@ def test_mfu_invariant_under_joint_rescaling():
         comm.cp_ms_per_layer / 2,
         comm.dp_raw_ms_per_step / 2,
         comm.dp_exposed_ms_per_step / 2,
-        comm.overlap_fraction,
         comm.num_layers,
     )
     chunks2 = BUILTIN_CHUNKS.__class__(
