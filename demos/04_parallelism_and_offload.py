@@ -1,8 +1,10 @@
 """Parallelism and offload walkthrough: comm costs, placement, NUMA limits.
 
 Placement rules: TP-SP innermost (inside the node), context parallelism
-only for ultra-long sequences (above 200k tokens, and kept minimal), then
-ZeRO-style data parallelism outermost with optimizer states partitioned.
+only for ultra-long sequences (cp=2 above 200k tokens, each doubling only
+while the cp/2 shards stay above it), then ZeRO-style data parallelism
+outermost with optimizer states partitioned. A pinned layout passes the
+same rules as an enumerated one.
 Offloading rides PCIe and is throttled by the host write bandwidth that
 all devices of a NUMA domain share. Each comm helper takes the launch
 latency (0.02 ms here, the ``OverlapConfig`` default) explicitly.
@@ -17,6 +19,7 @@ from ditplan import (
     effective_pcie_bw,
     enumerate_parallel_configs,
     plan_optimizer_offload,
+    token_count,
     tp_sp_layer_comm,
 )
 from ditplan.memory import BUILTIN_CHUNKS, MIB, chunk_retained_bytes
@@ -32,12 +35,12 @@ for tp in (2, 4, 8):
 
 print()
 print("== the context-parallel gate ==")
-for tokens in (115_200, 230_400):
-    result = cp_gate_and_comm(tokens, 1, tokens, 3072, 2, 2, 50e9, LATENCY_MS)
+for tokens, cp in ((115_200, 2), (230_400, 2), (230_400, 4)):
+    result = cp_gate_and_comm(tokens, 1, tokens, 3072, cp, 2, 50e9, LATENCY_MS)
     if result.violation:
-        print(f"  {tokens:,} tokens, cp=2: REJECTED ({result.violation})")
+        print(f"  {tokens:,} tokens, cp={cp}: REJECTED ({result.violation})")
     else:
-        print(f"  {tokens:,} tokens, cp=2: enabled, {result.time_ms:.2f} ms/layer all-to-all")
+        print(f"  {tokens:,} tokens, cp={cp}: enabled, {result.time_ms:.2f} ms/layer all-to-all")
 
 print()
 print("== data-parallel collectives, once per optimizer step ==")
@@ -52,7 +55,10 @@ for bucket, label in [
     (Bucket(1, 125, 720, 1280), "115k tokens"),
     (Bucket(1, 253, 720, 1280), "230k tokens"),
 ]:
-    configs = enumerate_parallel_configs(TABLE2_FIT, REFERENCE_CLUSTER, bucket)
+    tokens_batch = token_count(bucket, TABLE2_FIT).tokens_batch
+    configs = enumerate_parallel_configs(
+        TABLE2_FIT, REFERENCE_CLUSTER, tokens_batch, "optimizer-partitioned", 1
+    )
     combos = ", ".join(f"(tp={c.tp},cp={c.cp},dp={c.dp})" for c in configs[:5])
     print(f"  {label}: {combos}{' ...' if len(configs) > 5 else ''}")
 

@@ -3,9 +3,9 @@
 Collectives are costed with the ring model: a degree-k all-gather or
 reduce-scatter moves (k-1)/k of the tensor per rank, plus a small fixed
 launch latency per operation. Context parallelism is priced at inter-node
-bandwidth because TP-SP already occupies the node; it is gated on
-ultra-long sequences (above 200k tokens) since cross-node all-to-all is
-the dominant bottleneck otherwise.
+bandwidth because TP-SP already occupies the node; :func:`cp_rejected`
+gates it on ultra-long sequences for pinned and enumerated layouts alike,
+since cross-node all-to-all is the dominant bottleneck otherwise.
 
 Every helper takes the per-operation launch latency explicitly;
 :func:`build_comm_plan` passes ``OverlapConfig.collective_latency_ms``.
@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .buckets import Bucket, token_count
-from .config import ClusterSpec, DTypePolicy, ModelArch, OverlapConfig, ParallelConfig
+from .config import ClusterSpec, DTypePolicy, ModelArch, OverlapConfig, ParallelConfig, tp_violations
 from .errors import ConfigError, InfeasibleError
 
 CP_TOKEN_GATE = 200_000
@@ -55,6 +54,13 @@ def tp_sp_layer_comm(
     return (raw, exposed)
 
 
+def cp_rejected(tokens_batch: int, cp: int) -> bool:
+    """The CP gate: cp=2 needs the whole batch above :data:`CP_TOKEN_GATE`,
+    and each further doubling needs the previous degree's shards above it;
+    once shards fit TP-SP alone, higher CP is not minimally viable."""
+    return cp > 1 and tokens_batch / (cp // 2) <= CP_TOKEN_GATE
+
+
 class CpGateResult(NamedTuple):
     """Outcome of the context-parallel gate plus the per-layer all-to-all cost.
     CP is enabled when ``cp > 1`` and ``violation`` is ``None``."""
@@ -73,24 +79,26 @@ def cp_gate_and_comm(
     inter_bw: float,
     collective_latency_ms: float,
 ) -> CpGateResult:
-    """Gate CP on the 200k-token threshold and cost its per-layer transposes.
+    """Gate CP with :func:`cp_rejected` and cost its per-layer transposes.
 
-    A cp > 1 request below the gate is recorded as a violation (the plan
-    is rejected downstream, this never raises). Two all-to-alls bracket
-    each attention, each moving B*S*H*act_bytes*(cp-1)/cp.
+    A request the gate rejects is recorded as a violation (the plan is
+    rejected downstream, this never raises); for cp >= 4 it names the
+    cp/2 split whose shards fall below the threshold. Two all-to-alls
+    bracket each attention, each moving B*S*H*act_bytes*(cp-1)/cp.
     """
     if cp < 1:
         raise ConfigError("cp must be >= 1", "parallel.cp")
-    if cp == 1:
-        return CpGateResult(time_ms=0.0)
-    if tokens_batch <= CP_TOKEN_GATE:
+    if cp_rejected(tokens_batch, cp):
+        split = f" split {cp // 2} ways" if cp >= 4 else ""
         return CpGateResult(
             time_ms=0.0,
             violation=(
-                f"cp={cp} rejected: {tokens_batch} tokens is below the "
+                f"cp={cp} rejected: {tokens_batch} tokens{split} is below the "
                 f"{CP_TOKEN_GATE} ultra-long-sequence threshold"
             ),
         )
+    if cp == 1:
+        return CpGateResult(time_ms=0.0)
     volume = 2 * B * S * H * act_bytes * (cp - 1) / cp
     time_ms = volume / inter_bw * 1e3 + 2 * collective_latency_ms
     return CpGateResult(time_ms=time_ms)
@@ -179,7 +187,7 @@ def build_comm_plan(
     )
     if gate.violation is not None:
         raise InfeasibleError(gate.violation)
-    s_shard = S // par.cp if par.cp > 1 else S
+    s_shard = S // par.cp
     tp_raw, tp_exposed = tp_sp_layer_comm(
         B,
         s_shard,
@@ -210,52 +218,41 @@ def build_comm_plan(
     )
 
 
-def _divisors(n: int) -> list[int]:
-    """Divisors of ``n`` in ascending order, by trial division up to sqrt(n)."""
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
-
-
 def tp_degrees(arch: ModelArch, cluster: ClusterSpec) -> list[int]:
-    """The TP degrees the placement rule allows, ascending: divisors of
-    devices_per_node that divide both H and the head count."""
-    return [tp for tp in _divisors(cluster.devices_per_node)
-            if arch.hidden_size % tp == 0 and arch.num_heads % tp == 0]
+    """The divisors of devices_per_node (by trial division up to its square
+    root) that pass the TP rule, :func:`~ditplan.config.tp_violations`, ascending."""
+    n = cluster.devices_per_node
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divisors = small + [n // d for d in reversed(small) if d * d != n]
+    return [tp for tp in divisors if not tp_violations(arch, cluster, tp)]
 
 
 def enumerate_parallel_configs(
     arch: ModelArch,
     cluster: ClusterSpec,
-    bucket: Bucket,
-    zero_stage: str = "optimizer-partitioned",
-    grad_accum: int = 1,
+    tokens_batch: int,
+    zero_stage: str,
+    grad_accum: int,
 ) -> list[ParallelConfig]:
-    """All placement-rule-respecting (tp, cp, dp) splits, by ascending tp then cp.
+    """All (tp, cp, dp) splits of the cluster that a pinned layout would pass
+    with, by ascending tp then cp, for a bucket of ``tokens_batch`` tokens.
 
-    TP stays inside a node (divisor of devices_per_node) and must divide
-    both H and the head count; CP takes power-of-two degrees only above the
-    token gate, keeping context parallelism minimally viable; DP absorbs
-    the rest.
+    TP takes the :func:`tp_degrees`; CP takes power-of-two degrees until
+    :func:`cp_rejected` stops it; DP absorbs the rest. Every layout carries
+    the given ``zero_stage`` and ``grad_accum``.
     """
-    tokens_batch = token_count(bucket, arch).tokens_batch
     total = cluster.total_devices
     candidates: list[ParallelConfig] = []
     for tp in tp_degrees(arch, cluster):
         cp = 1
-        while tp * cp <= total:
-            # cp=2 needs the whole batch above the gate, and each further
-            # doubling needs the previous degree's shards above it; once
-            # shards fit TP-SP alone, higher CP is not minimally viable.
-            if cp > 1 and tokens_batch / (cp // 2) <= CP_TOKEN_GATE:
-                break
+        while tp * cp <= total and not cp_rejected(tokens_batch, cp):
             if total % (tp * cp) == 0:
-                dp = total // (tp * cp)
                 candidates.append(
                     ParallelConfig(
                         tp=tp,
                         cp=cp,
-                        dp=dp,
-                        zero_stage=zero_stage if dp > 1 else "none",
+                        dp=total // (tp * cp),
+                        zero_stage=zero_stage,
                         grad_accum=grad_accum,
                     )
                 )

@@ -184,11 +184,20 @@ class StageScenario(_Record):
         return out
 
 
-def validate(arch: ModelArch, cluster: ClusterSpec, par: ParallelConfig) -> list[str]:
-    """Cross-check a (model, cluster, parallel) triple.
+def tp_violations(arch: ModelArch, cluster: ClusterSpec, tp: int) -> list[str]:
+    """The TP rule: ``tp`` divides H, the head count and devices_per_node, so
+    each TP group sits inside one node, whose intra_node_bw prices its
+    collectives. One string per failed condition; empty means allowed."""
+    sizes = (("H", arch.hidden_size), ("num_heads", arch.num_heads),
+             ("devices_per_node", cluster.devices_per_node))
+    return [f"tp does not divide {name} ({size} % {tp} != 0)" for name, size in sizes if size % tp]
 
-    Returns a deterministic, order-stable list of violation strings;
-    empty means valid. Violations are data, not failures.
+
+def validate(arch: ModelArch, cluster: ClusterSpec, par: ParallelConfig) -> list[str]:
+    """Cross-check a (model, cluster, parallel) triple, tp by :func:`tp_violations`.
+
+    Returns a deterministic, order-stable list of violation strings, one per
+    failed condition; empty means valid. Violations are data, not failures.
     """
     violations: list[str] = []
     if arch.num_layers < 1:
@@ -197,16 +206,7 @@ def validate(arch: ModelArch, cluster: ClusterSpec, par: ParallelConfig) -> list
         violations.append(
             f"num_heads does not divide hidden_size ({arch.hidden_size} % {arch.num_heads} != 0)"
         )
-    if arch.hidden_size % par.tp != 0:
-        violations.append(
-            f"tp does not divide H ({arch.hidden_size} % {par.tp} != 0)"
-        )
-    if arch.num_heads % par.tp != 0:
-        violations.append(f"tp does not divide num_heads ({arch.num_heads} % {par.tp} != 0)")
-    if par.tp > cluster.devices_per_node:
-        violations.append(
-            f"tp {par.tp} exceeds devices_per_node {cluster.devices_per_node}"
-        )
+    violations += tp_violations(arch, cluster, par.tp)
     if par.devices_used > cluster.total_devices:
         violations.append(
             f"device overcommit: tp*cp*dp = {par.devices_used} "

@@ -147,7 +147,7 @@ def _evaluate_candidate(
 
     shard = bucket.shards.get(par.cp)
     if shard is None:
-        s_shard = bucket.S // par.cp if par.cp > 1 else bucket.S
+        s_shard = bucket.S // par.cp
         H, A = arch.hidden_size, arch.num_heads
         numerators = [(c.name, chunk_bytes_numerator(c, B, s_shard, H, A)) for c in run.chunks.chunks]
         shard = bucket.shards[par.cp] = numerators, recompute_ms_per_chunk(run.chunks, B, s_shard)
@@ -281,12 +281,12 @@ def run_train_plan(
     stage_docs = []
     for stage in stages:
         for kind, bucket in stage.buckets():
+            shape = token_count(bucket, arch)
             if pinned is not None:
                 pars = [pinned]
             else:
-                pars = enumerate_parallel_configs(arch, cluster, bucket, zero_stage=config.parallel.zero_stage,
-                                                  grad_accum=config.parallel.grad_accum)
-            shape = token_count(bucket, arch)
+                pars = enumerate_parallel_configs(arch, cluster, shape.tokens_batch,
+                                                  config.parallel.zero_stage, config.parallel.grad_accum)
             B, S = bucket.batch, shape.tokens
             tokens = {"tokens_per_sample": S, "tokens_per_batch": shape.tokens_batch}
             context = _Bucket(B, S, flops_per_microstep(arch, B, S), tokens, {})

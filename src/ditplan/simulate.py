@@ -161,7 +161,7 @@ def estimate_step(
     if recompute is None:
         recompute = RecomputePlan((), 0, 0.0, True)
     B, S = bucket.batch, token_count(bucket, arch).tokens
-    s_shard = S // par.cp if par.cp > 1 else S
+    s_shard = S // par.cp
     retained = activation_per_layer(
         chunks, B, s_shard, arch.hidden_size, arch.num_heads, par.tp,
         recompute_set=recompute.selected, offload_set=offload.activation_offload_set,

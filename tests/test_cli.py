@@ -303,6 +303,17 @@ def test_simulate_validates_config(tmp_path, capsys):
     assert "num_heads does not divide hidden_size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tp, dp", [(3, 5), (6, 2)])
+def test_pinned_tp_must_divide_devices_per_node(tp, dp, tmp_path, capsys):
+    # Such a TP group would straddle two nodes while priced at intra_node_bw.
+    doc = json.loads(reference_config_path().read_text())
+    doc["parallel"].update(tp=tp, cp=1, dp=dp)
+    assert main(["plan", "train", "--config", _write_config(tmp_path, doc)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config: tp does not divide devices_per_node (8 % {tp} != 0)" in captured.err
+
+
 def test_plan_train_rejects_empty_layer_stack(tmp_path, capsys):
     doc = json.loads(reference_config_path().read_text())
     doc["model"]["num_layers"] = 0

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ditplan.buckets import Bucket
+from ditplan.buckets import Bucket, token_count
 from ditplan.comm import (
     build_comm_plan,
     cp_gate_and_comm,
@@ -120,10 +120,13 @@ def test_comm_plan_rejects_cp_below_gate():
     assert str(err.value) == cp_gate_and_comm(115_200, 1, 115_200, 3072, 2, 2, 50e9, 0.02).violation
 
 
+def _enumerate(cluster, bucket, zero_stage="optimizer-partitioned"):
+    tokens_batch = token_count(bucket, TABLE2_FIT).tokens_batch
+    return enumerate_parallel_configs(TABLE2_FIT, cluster, tokens_batch, zero_stage, 1)
+
+
 def test_enumerate_gates_cp_for_short_sequences():
-    configs = enumerate_parallel_configs(
-        TABLE2_FIT, REFERENCE_CLUSTER, Bucket(1, 125, 720, 1280)
-    )
+    configs = _enumerate(REFERENCE_CLUSTER, Bucket(1, 125, 720, 1280))
     assert configs
     assert all(c.cp == 1 for c in configs)  # 115,200 tokens sit below the gate
     assert all(c.tp * c.cp * c.dp == REFERENCE_CLUSTER.total_devices for c in configs)
@@ -132,7 +135,7 @@ def test_enumerate_gates_cp_for_short_sequences():
 def test_enumerate_admits_cp2_above_gate():
     # 245 frames at 1280x720: 62*45*80 = 223,200 tokens > 200k
     bucket = Bucket(1, 245, 720, 1280)
-    configs = enumerate_parallel_configs(TABLE2_FIT, REFERENCE_CLUSTER, bucket)
+    configs = _enumerate(REFERENCE_CLUSTER, bucket)
     cps = {c.cp for c in configs}
     assert cps == {1, 2}
     # lower cp ranks first among same-tp candidates
@@ -141,11 +144,27 @@ def test_enumerate_admits_cp2_above_gate():
         assert ordered == sorted(ordered)
 
 
+@pytest.mark.parametrize(
+    "tokens_batch, admitted",
+    [(200_000, ()), (200_001, (2,)), (400_000, (2,)), (400_001, (2, 4)), (800_001, (2, 4, 8))],
+)
+def test_enumerator_and_gate_admit_the_same_cp(tokens_batch, admitted):
+    # The enumerator lists a cp exactly when cp_gate_and_comm passes it:
+    # cp=2 needs the batch above 200k tokens, each doubling the cp/2 shards.
+    configs = enumerate_parallel_configs(
+        TABLE2_FIT, REFERENCE_CLUSTER, tokens_batch, "optimizer-partitioned", 1
+    )
+    enumerated = {c.cp for c in configs if c.tp == 1}
+    for cp in (2, 4, 8, 16):
+        gate = cp_gate_and_comm(tokens_batch, 1, tokens_batch, 3072, cp, 2, 50e9, 0.02)
+        assert (cp in enumerated) == (gate.violation is None) == (cp in admitted), cp
+
+
 def test_tp_must_divide_the_head_count():
     """16 divides H=3072 but not 24 heads, so a 16-device node offers no
     tp=16 candidate and validate names a pinned tp=16."""
     cluster = REFERENCE_CLUSTER._replace(devices_per_node=16)
-    configs = enumerate_parallel_configs(TABLE2_FIT, cluster, Bucket(1, 1, 320, 320))
+    configs = _enumerate(cluster, Bucket(1, 1, 320, 320))
     assert sorted({c.tp for c in configs}) == [1, 2, 4, 8]
     assert validate(TABLE2_FIT, cluster, ParallelConfig(tp=16, dp=2)) == [
         "tp does not divide num_heads (24 % 16 != 0)"
@@ -167,8 +186,10 @@ def test_enumerate_single_device():
         devices_per_numa=1,
         host_mem=2e12,
     )
-    configs = enumerate_parallel_configs(TABLE2_FIT, single, Bucket(1, 29, 320, 320))
-    assert configs == [ParallelConfig(tp=1, cp=1, dp=1, zero_stage="none", grad_accum=1)]
+    # dp=1 carries the configured zero_stage, as the same layout pinned does.
+    for zero_stage in ("none", "optimizer-partitioned"):
+        configs = _enumerate(single, Bucket(1, 29, 320, 320), zero_stage)
+        assert configs == [ParallelConfig(tp=1, cp=1, dp=1, zero_stage=zero_stage, grad_accum=1)]
 
 
 def test_plan_train_costs_comm_once_per_candidate(monkeypatch):

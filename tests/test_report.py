@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditplan import ChunkSpec, ChunkTable, parse_config
+from ditplan.comm import cp_gate_and_comm
 from ditplan.config import load_config
 from ditplan.memory import BUILTIN_CHUNKS
 from ditplan.presets import reference_config_path
@@ -115,8 +116,8 @@ def test_document_floats_rounded_once_at_build():
 # OFFLOAD_MODES order, each json, csv, table) name the first report
 # whose bytes moved.
 SWEEP_SHA256 = {
-    "json": "8dc0b05bffa34c61",
-    "csv": "5a86fa24d0af7451",
+    "json": "cbaaa7ae56fc6cd5",
+    "csv": "d5811dd5f136d2f7",
     "table": "2d81dd436dc84165",
 }
 SWEEP_REPORT_SHA256 = (
@@ -127,26 +128,26 @@ SWEEP_REPORT_SHA256 = (
     "8e0245 add7dd 6b74f4 44bf54 1b469e 604a17 eb8dbd 78c1db 34e137",
     "f0fac7 5ad173 a15951 1be857 cfd757 7d40d9 b5baa2 ad2e70 c30f73",
     "9f24bb ce00f3 621456 700369 a35efa 78945a 912fb0 c2bbe9 201b3d",
-    "20e9f7 efb030 6a1dcf d46dc0 afbf79 980114 e323f8 c179f9 5049c8",
+    "0cbf2b 275999 6a1dcf 5d9928 196b95 980114 5d51e7 6e496c 5049c8",
     "1adcc3 deef08 02c6f2 e4a8d4 650e6d 1f2300 bdfb14 d3d164 aaf5df",
-    "262c6f 3ec452 16345c 2566a3 35489d ebe100 727931 6c51ab a9b6e1",
-    "bf10f7 9b1228 395a69 7ef138 1e44e9 d03862 ed155e 76ddc9 ba5192",
+    "05627a 350347 16345c 06f05e e854b8 ebe100 cab289 68212c a9b6e1",
+    "a7429e 1fa936 395a69 a6d904 2b02b9 d03862 fffd1d 240174 ba5192",
     "d378c5 58dfa3 c91133 279ec7 4203c6 796b21 70c274 b2dd93 14ed20",
     "84ff83 644adf ca04c7 851800 c60618 fa8048 db9484 87cdf0 e12311",
-    "04cc96 d12977 214172 8540c2 f26554 bd8f1c f6c23d d37fca 2d6ca1",
+    "404dd2 5c33a1 214172 26c8ce c7876d bd8f1c 36e218 97e9a6 2d6ca1",
     "92a384 23d9d7 cd6c60 1b0ff0 d55101 ff29ec 2f4bd0 adb4d2 d9391a",
     "bc87b5 00d9f2 2c64bc fdec6a 2113cf c73e8d 9c0f15 b275d2 7c04af",
     "0cd996 130120 2b4edb e25c97 42935f c6945f 86e7df a2a825 9cd573",
     "2838f2 541d89 884e08 0b91b9 4ef0e9 c8c814 287aa6 3ee7ae 34870f",
     "f5aba5 d98863 b779ca 89b357 92315f cec81e c59026 da70e0 38d148",
-    "6b1a0a 4f9fb2 084008 50cfc2 8fcc45 3ca672 c79f3a 2b4db1 c5e5da",
+    "43f2a4 837b16 084008 f2f2a3 22f24c 3ca672 b5aca1 678b2d c5e5da",
     "54345c 92731f 4dc24a 3bed08 73fbf3 e5f473 fc9749 a9153f 799413",
     "f9e5bb 4e3f92 bde308 937ae7 017079 308a2f 956dad 549ca7 337d8f",
-    "bd76fc 10c3eb d13768 6533fb 725b4b bafed0 89df6e 6051cb 1e86b6",
+    "b9b074 5e4e2d d13768 bb00ad f49464 bafed0 12ca80 6180dc 1e86b6",
     "d0f98c fcb147 247bd5 fe6136 35071c 56363a c858c3 939f31 5fe47c",
     "594119 28773c 14db87 0ba507 e775b7 46ba38 37f2d3 84d608 d41c7c",
     "565627 d263ed c764c1 522cc6 8f5ca8 11adba 7a9b2e 080cf0 4949de",
-    "3c84ee 9fcb51 e18a7f 78feb6 f576c2 5371c0 87497d f22749 690980",
+    "8f1fe4 100476 e18a7f 7730e5 83036d 5371c0 0ef300 d21199 690980",
     "8d4cf0 3f643e a11d6f 22c46a 55628e 7eeb66 d7e1b4 b4ba1a 41806c",
     "865f00 ddc826 e8abae 70753e 041548 d80c42 c6bd80 5ed694 b38a50",
     "a24587 91046d 94f734 63f527 2302de 65cfbc 2b529d 7531de b9af20",
@@ -158,7 +159,7 @@ SWEEP_REPORT_SHA256 = (
     "0d698d 9f8b63 0631d6 43470f 6be7f6 fa2830 9f9e5a f58955 10d650",
     "e9a174 20f297 237c3a a9e638 6b05b6 368809 a4ce6d 733e30 b0e25c",
     "5f87d2 fc8c83 340b4e 559eac d30ec4 4fad96 f2851f dd774a 4c1c04",
-    "8ec39f a49a70 d4caef 7526c3 4947d3 c68268 a86c8b 9d74be 2f3043",
+    "852c9d f35d76 d4caef 640414 def132 c68268 6e67e5 4c125e 2f3043",
     "ecd2b1 34a033 307806 9a300a 91e54a 94227e 2b18e0 a501bc 0d1d05",
 )
 CHUNK_TABLE_SHA256 = {
@@ -298,9 +299,10 @@ def test_chunks_sized_once_per_candidate(monkeypatch):
 
 def test_bucket_and_run_quantities_computed_once(monkeypatch):
     # The token shape and forward FLOPs are per bucket, the param count per
-    # run: none of them is recomputed for each candidate layout.
+    # run: none of them is recomputed for each candidate layout, and the
+    # enumerator reads the evaluator's token count instead of its own.
     names = ("token_count", "flops_per_microstep", "resolved_param_count")
-    counters = {name: _count_calls(monkeypatch, ("report",), name) for name in names}
+    counters = {name: _count_calls(monkeypatch, ("report", "comm"), name) for name in names}
     for seed in range(4):
         before = {name: count() for name, count in counters.items()}
         report = run_train_plan(parse_config(sweep_config(seed)))
@@ -311,30 +313,63 @@ def test_bucket_and_run_quantities_computed_once(monkeypatch):
         assert calls == {**per_bucket, "resolved_param_count": 1}
 
 
-def _entries_by_bucket(report, tp):
-    """Each (stage, bucket kind)'s entry at ``tp`` and cp=1, feasible or not."""
+def _entries(report):
+    """Each (stage, bucket kind, (tp, cp, dp))'s entry, feasible or not."""
     return {
-        (stage["stage"], stage["bucket_kind"]): entry
+        (stage["stage"], stage["bucket_kind"], (e["parallel"]["tp"], e["parallel"]["cp"],
+                                                e["parallel"]["dp"])): e
         for stage in report.document["stages"]
-        for entry in stage["plans"] + stage["infeasible"]
-        if (entry["parallel"]["tp"], entry["parallel"]["cp"]) == (tp, 1)
+        for e in stage["plans"] + stage["infeasible"]
     }
+
+
+def _reference_doc_with_long_stage(num_nodes):
+    """The reference config on ``num_nodes`` nodes plus a 253-frame 720p stage,
+    whose 230,400 tokens pass the CP gate at cp=2."""
+    doc = json.loads(reference_config_path().read_text())
+    doc["cluster"]["num_nodes"] = num_nodes
+    doc["stages"].append({"name": "long-253x720", "video_bucket": [1, 253, 720, 1280]})
+    return doc
 
 
 @pytest.mark.parametrize("tp, dp", [(1, 16), (2, 8), (4, 4), (8, 2)])
 def test_pinned_layout_reports_the_enumerated_entry(tp, dp):
-    # Every layout the enumerator yields on the reference config, pinned,
-    # gives plan train's enumerated entry field for field, in every bucket.
-    doc = json.loads(reference_config_path().read_text())
-    enumerated = run_train_plan(parse_config(doc))
-    layouts = {
-        (e["parallel"]["tp"], e["parallel"]["cp"], e["parallel"]["dp"])
-        for stage in enumerated.document["stages"]
-        for e in stage["plans"] + stage["infeasible"]
-    }
-    assert layouts == {(1, 1, 16), (2, 1, 8), (4, 1, 4), (8, 1, 2)}
-    doc["parallel"].update(tp=tp, cp=1, dp=dp)
-    pinned = run_train_plan(parse_config(doc))
-    expected = _entries_by_bucket(enumerated, tp)
-    assert len(expected) == len(pinned.document["stages"]) > 0
-    assert _entries_by_bucket(pinned, tp) == expected
+    # Every layout the enumerator yields at this tp, on one node and on the
+    # reference two (where cp=1 leaves ``dp``), pinned, gives plan train's
+    # enumerated entry field for field, zero_stage included, in every bucket
+    # it was enumerated for; elsewhere it fails the CP gate. The long stage
+    # adds cp=2 layouts, tp=8/cp=2/dp=1 among them.
+    for num_nodes in (1, 2):
+        doc = _reference_doc_with_long_stage(num_nodes)
+        enumerated = _entries(run_train_plan(parse_config(doc)))
+        devices = 8 * num_nodes
+        layouts = {layout for _, _, layout in enumerated if layout[0] == tp}
+        assert layouts == {(tp, cp, devices // (tp * cp)) for cp in (1, 2) if tp * cp <= devices}
+        assert num_nodes == 1 or (tp, 1, dp) in layouts
+        for layout in layouts:
+            doc["parallel"].update(zip(("tp", "cp", "dp"), layout))
+            pinned = _entries(run_train_plan(parse_config(doc)))
+            assert {key[:2] for key in pinned} == {key[:2] for key in enumerated}
+            for key, entry in pinned.items():
+                if key in enumerated:
+                    assert entry == enumerated[key]
+                    assert entry["parallel"]["zero_stage"] == "optimizer-partitioned"
+                else:
+                    assert entry["diagnostic"].startswith("cp=2 rejected: ")
+
+
+def test_pinned_cp4_whose_shards_fall_below_the_gate_is_infeasible():
+    # 230,400 tokens pass the gate at cp=2 but not at cp=4, whose two
+    # cp=2-sized shards hold 115,200 tokens each; pinned, it is rejected
+    # with the gate's diagnostic, as the enumerator never offers it.
+    doc = _reference_doc_with_long_stage(2)
+    doc["stages"] = doc["stages"][-1:]
+    doc["parallel"].update(tp=4, cp=4, dp=1)
+    (stage,) = run_train_plan(parse_config(doc)).document["stages"]
+    assert stage["plans"] == []
+    (entry,) = stage["infeasible"]
+    assert entry["diagnostic"] == (
+        "cp=4 rejected: 230400 tokens split 2 ways is below the 200000 "
+        "ultra-long-sequence threshold"
+    )
+    assert entry["diagnostic"] == cp_gate_and_comm(230_400, 1, 230_400, 3072, 4, 2, 50e9, 0.02).violation
