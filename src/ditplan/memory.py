@@ -166,6 +166,12 @@ def model_states_bytes(P: float, dtypes: DTypePolicy, par: ParallelConfig) -> Me
     )
 
 
+def resident_states(states: MemoryBreakdown, optimizer_offloaded: bool) -> MemoryBreakdown:
+    """The model states a rank keeps on device: offloaded optimizer states
+    (master weights, moments, EMA) leave it."""
+    return states._replace(master=0.0, moments=0.0, ema=0.0) if optimizer_offloaded else states
+
+
 def activation_per_layer(
     chunks: ChunkTable,
     B: int,

@@ -29,9 +29,11 @@ from .config import (
 )
 from .emit import dump
 from .errors import ConfigError, InfeasibleError
-from .memory import BUILTIN_CHUNKS, ChunkTable, chunk_bytes_numerator, model_states_bytes
-from .offload import OffloadPlan, balance_strategies, effective_pcie_bw, plan_optimizer_offload
-from .simulate import _cost_step, flops_per_microstep, recompute_ms_per_chunk
+from .memory import (BUILTIN_CHUNKS, ChunkTable, chunk_bytes_numerator, model_states_bytes,
+                     resident_states)
+from .offload import balance_strategies, effective_pcie_bw, plan_optimizer_offload
+from .simulate import (BACKWARD_FLOPS_FACTOR, _cost_step, flops_per_microstep,
+                       forward_ms_per_microstep, recompute_ms_per_chunk)
 
 # Offload mode -> the (offload_optimizer, offload_activations) strategies tried, in order.
 _ATTEMPTS = {"auto": ((False, True), (True, True)), "off": ((False, False),),
@@ -135,10 +137,10 @@ def _evaluate_candidate(
     B, L = bucket.B, arch.num_layers
     base = {"parallel": {"tp": par.tp, "cp": par.cp, "dp": par.dp, "zero_stage": par.zero_stage,
                          "grad_accum": par.grad_accum}, **bucket.tokens}
-    eff_share = config.overlap.efficiency * cluster.peak_flops_per_device * par.tp * par.cp
-    fwd_microstep_ms = bucket.fwd_flops / eff_share * 1e3
+    efficiency = config.overlap.efficiency
+    fwd_microstep_ms = forward_ms_per_microstep(bucket.fwd_flops, cluster, par, efficiency)
     block_compute_ms = fwd_microstep_ms / L
-    bwd_window_ms = 2 * fwd_microstep_ms
+    bwd_window_ms = BACKWARD_FLOPS_FACTOR * fwd_microstep_ms
     try:
         comm = build_comm_plan(arch, cluster, config.dtypes, par, B, bucket.S, run.P, config.overlap,
                                first_fwd_window_ms=fwd_microstep_ms, last_bwd_window_ms=bwd_window_ms)
@@ -159,11 +161,11 @@ def _evaluate_candidate(
 
     last_diag = "no strategy attempted"
     for opt_off, act_off in run.attempts:
-        states_resident = states.total - (states.optimizer if opt_off else 0.0)
-        act_budget = cluster.device_mem - states_resident
+        resident = resident_states(states, opt_off)
+        act_budget = cluster.device_mem - resident.total
         if act_budget < 0:
             last_diag = (
-                f"model states ({states_resident / 1e9:.1f} GB) alone exceed device "
+                f"model states ({resident.total / 1e9:.1f} GB) alone exceed device "
                 f"memory ({cluster.device_mem / 1e9:.1f} GB)"
             )
             continue
@@ -181,16 +183,11 @@ def _evaluate_candidate(
             opt_exposed = plan_optimizer_offload(
                 states.optimizer, run.pcie, fwd_microstep_ms, bwd_window_ms
             )
-        offload = OffloadPlan(
-            optimizer_offloaded=opt_off,
-            optimizer_exposed_ms=opt_exposed,
-            activation_offload_set=act_plan.selected,
-            activation_exposed_ms_per_microstep=act_plan.exposed_ms_per_layer * L,
-        )
+        act_exposed = act_plan.exposed_ms_per_layer * L
         retained = full_act - recompute.bytes_saved_per_layer - act_plan.bytes_per_layer
         est = _cost_step(
-            arch, par, cluster, recompute_costs, bucket.fwd_flops, states, retained,
-            recompute, offload, comm, config.overlap.efficiency,
+            arch, par, recompute_costs, fwd_microstep_ms, resident, retained,
+            recompute, act_exposed, opt_exposed, comm, efficiency,
         )
         step_ms = est.step_time_ms
         memory = est.memory
@@ -215,9 +212,7 @@ def _evaluate_candidate(
                 "optimizer_offloaded": opt_off,
                 "optimizer_exposed_ms": round(opt_exposed, 3) or 0.0,
                 "activation_set": list(act_plan.selected),
-                "activation_exposed_ms_per_microstep": round(
-                    offload.activation_exposed_ms_per_microstep, 3
-                ) or 0.0,
+                "activation_exposed_ms_per_microstep": round(act_exposed, 3) or 0.0,
             },
             "memory": {
                 "params_gb": round(memory.params / 1e9, 3) or 0.0,

@@ -2,20 +2,21 @@
 
 Compute is costed from model FLOPs: attention's 4*B*S^2*H score/value
 matmuls per layer dominate the 2*B*S*params linear term once S grows past
-H. Backward counts twice the forward; recomputation re-runs selected
-chunk forwards using the reference latency table, rescaled S^2 for
-attention-class chunks and S for the rest. MFU counts only the model's
-forward+backward FLOPs in the numerator (recompute FLOPs are overhead,
-not model throughput).
+H. :func:`forward_ms_per_microstep` is the one compute-time rule; backward
+counts ``BACKWARD_FLOPS_FACTOR`` times the forward. Recomputation re-runs
+selected chunk forwards using the reference latency table, rescaled S^2
+for attention-class chunks and S for the rest. MFU counts only the
+model's forward+backward FLOPs in the numerator (recompute FLOPs are
+overhead, not model throughput).
 
 One function, ``_cost_step``, costs a step: arithmetic over the chosen
 recompute and offload sets that reports the peak and checks nothing about
 capacity. The plan evaluator sizes and rescales each chunk once per
 (bucket, cp shard), covers the memory deficit with offload and recompute
 and calls it directly, so the plans it ranks fit device memory by
-construction. Public ``estimate_step`` derives the FLOPs, rescaled chunk
-latencies, model states and retained bytes from its arguments and hands
-them on.
+construction. Public ``estimate_step`` derives the forward ms, rescaled
+chunk latencies, resident model states and retained bytes from its
+arguments and hands them on.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .config import (
     resolved_param_count,
 )
 from .errors import ConfigError
-from .memory import ChunkTable, MemoryBreakdown, activation_per_layer, model_states_bytes
+from .memory import (BUILTIN_CHUNKS, ChunkTable, MemoryBreakdown, activation_per_layer,
+                     model_states_bytes, resident_states)
 from .offload import NO_OFFLOAD, OffloadPlan
 from .recompute import RecomputePlan
 
@@ -75,6 +77,14 @@ def flops_per_microstep(arch: ModelArch, B: int, S: int) -> float:
     return arch.num_layers * per_layer + head
 
 
+def forward_ms_per_microstep(
+    fwd_flops: float, cluster: ClusterSpec, par: ParallelConfig, efficiency: float
+) -> float:
+    """Forward ms of one micro-batch split over its ``tp * cp`` devices,
+    each sustaining ``efficiency`` of its peak FLOP rate."""
+    return fwd_flops / (efficiency * cluster.peak_flops_per_device * par.tp * par.cp) * 1e3
+
+
 def recompute_ms_per_chunk(chunks: ChunkTable, B: int, s_shard: int) -> dict[str, float]:
     """Each chunk's forward latency rescaled from the table's shape to
     ``(B, s_shard)``: by ``S^2`` for attention-class chunks, by ``S`` for the rest."""
@@ -89,51 +99,35 @@ def recompute_ms_per_chunk(chunks: ChunkTable, B: int, s_shard: int) -> dict[str
 def _cost_step(
     arch: ModelArch,
     par: ParallelConfig,
-    cluster: ClusterSpec,
     recompute_costs: dict[str, float],
-    fwd_flops: float,
-    states: MemoryBreakdown,
+    fwd_ms: float,
+    resident: MemoryBreakdown,
     retained_per_layer: int,
     recompute: RecomputePlan,
-    offload: OffloadPlan,
+    activation_exposed_ms_per_microstep: float,
+    optimizer_exposed_ms: float,
     comm: CommPlan | None,
     efficiency: float,
 ) -> StepEstimate:
     """Cost one step from the candidate's precomputed numbers: one
-    micro-batch's forward FLOPs, each chunk's rescaled recompute latency
-    (:func:`recompute_ms_per_chunk`), the model states before optimizer
-    offload and the bytes a layer retains once recomputed and offloaded
-    chunks are dropped. ``estimate_step`` and the plan evaluator both end here."""
-    device_share = efficiency * cluster.peak_flops_per_device * par.tp * par.cp
-    t_compute = par.grad_accum * (1 + BACKWARD_FLOPS_FACTOR) * fwd_flops / device_share * 1e3
+    micro-batch's forward ms, each chunk's rescaled recompute latency, the
+    model states resident on device (:func:`ditplan.memory.resident_states`),
+    the bytes a layer retains and the exposed offload times.
+    ``estimate_step`` and the plan evaluator both end here."""
+    t_compute = par.grad_accum * (1 + BACKWARD_FLOPS_FACTOR) * fwd_ms
     recompute_ms = 0.0
     for name in recompute.selected:
         recompute_ms += recompute_costs[name]
     t_recompute = par.grad_accum * (recompute_ms * arch.num_layers)
     t_comm = comm.exposed_ms_per_step(par.grad_accum) if comm is not None else 0.0
-    t_offload = (
-        par.grad_accum * offload.activation_exposed_ms_per_microstep
-        + offload.optimizer_exposed_ms
-    )
-
-    on_device = not offload.optimizer_offloaded
-    memory = MemoryBreakdown(
-        params=states.params,
-        grads=states.grads,
-        master=states.master if on_device else 0.0,
-        moments=states.moments if on_device else 0.0,
-        ema=states.ema if on_device else 0.0,
-        activations_peak=float(retained_per_layer * arch.num_layers),
-    )
-    peak = memory.total
+    t_offload = par.grad_accum * activation_exposed_ms_per_microstep + optimizer_exposed_ms
+    memory = resident._replace(activations_peak=float(retained_per_layer * arch.num_layers))
 
     step_ms = t_compute + t_recompute + t_comm + t_offload
-    # MFU = model-FLOP throughput over aggregate peak. Equals
-    # ideal_time / step_time, which keeps the identity case exactly 1.0.
-    peak_share = cluster.peak_flops_per_device * par.tp * par.cp
-    ideal_ms = par.grad_accum * (1 + BACKWARD_FLOPS_FACTOR) * fwd_flops / peak_share * 1e3
-    mfu = ideal_ms / step_ms if step_ms > 0 else 0.0
-    return StepEstimate(t_compute, t_recompute, t_comm, t_offload, peak, memory, mfu)
+    # MFU = model-FLOP throughput over aggregate peak = the compute time at
+    # peak over the step time, which keeps the identity case exactly 1.0.
+    mfu = t_compute * efficiency / step_ms if step_ms > 0 else 0.0
+    return StepEstimate(t_compute, t_recompute, t_comm, t_offload, memory.total, memory, mfu)
 
 
 def estimate_step(
@@ -155,8 +149,6 @@ def estimate_step(
     """
     if not 0.0 < efficiency <= 1.0:
         raise ConfigError("efficiency must be in (0, 1]", "overlap.efficiency")
-    from .memory import BUILTIN_CHUNKS
-
     chunks = chunks or BUILTIN_CHUNKS
     if recompute is None:
         recompute = RecomputePlan((), 0, 0.0, True)
@@ -168,6 +160,8 @@ def estimate_step(
     )
     states = model_states_bytes(resolved_param_count(arch), dtypes, par)
     return _cost_step(
-        arch, par, cluster, recompute_ms_per_chunk(chunks, B, s_shard),
-        flops_per_microstep(arch, B, S), states, retained, recompute, offload, comm, efficiency,
+        arch, par, recompute_ms_per_chunk(chunks, B, s_shard),
+        forward_ms_per_microstep(flops_per_microstep(arch, B, S), cluster, par, efficiency),
+        resident_states(states, offload.optimizer_offloaded), retained, recompute,
+        offload.activation_exposed_ms_per_microstep, offload.optimizer_exposed_ms, comm, efficiency,
     )

@@ -253,8 +253,15 @@ def test_feasible_plans_fit_device_memory_with_disjoint_sets():
                 for entry in stage["plans"]:
                     recomputed = set(entry["recompute"]["selected"])
                     offloaded = set(entry["offload"]["activation_set"])
-                    assert entry["memory"]["peak_gb"] <= capacity_gb
+                    memory = entry["memory"]
+                    assert memory["peak_gb"] <= capacity_gb
                     assert not recomputed & offloaded
+                    # One residency rule: offloaded optimizer states leave
+                    # the device, and the peak is the sum of what stays.
+                    assert (memory["optimizer_gb"] == 0.0) == entry["offload"]["optimizer_offloaded"]
+                    parts = (memory["params_gb"] + memory["grads_gb"] + memory["optimizer_gb"]
+                             + memory["activations_gb"])
+                    assert abs(memory["peak_gb"] - parts) <= 0.0025
                     plans += 1
                     mixed += bool(recomputed and offloaded)
     assert plans > 0 and mixed > 0

@@ -10,13 +10,20 @@ from ditplan.config import (
     ParallelSection,
     PlanningConfig,
     StageScenario,
+    load_config,
+    resolved_param_count,
 )
 from ditplan.memory import BUILTIN_CHUNKS
-from ditplan.offload import NO_OFFLOAD
-from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT
+from ditplan.offload import NO_OFFLOAD, OffloadPlan
+from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT, reference_config_path
 from ditplan.recompute import RecomputePlan, plan_recompute
-from ditplan.report import run_train_plan
-from ditplan.simulate import estimate_step, flops_per_microstep
+from ditplan.report import OFFLOAD_MODES, run_train_plan
+from ditplan.simulate import (
+    BACKWARD_FLOPS_FACTOR,
+    estimate_step,
+    flops_per_microstep,
+    forward_ms_per_microstep,
+)
 
 DT = DTypePolicy()
 REF_BUCKET = Bucket(1, 125, 720, 1280)  # 115,200 tokens
@@ -230,3 +237,46 @@ def test_simulate_stages_image_and_video_reported_jointly():
     assert video["tokens_per_batch"] == 32 * 60 * 60  # the 115,200-token regime
     assert image["tokens_per_batch"] == 3600
     assert video["timing"]["step_time_ms"] > image["timing"]["step_time_ms"]
+
+
+def test_estimate_step_matches_every_reference_plan():
+    # Two paths asked about the same layout give the same numbers: the
+    # evaluator's entry and estimate_step fed the entry's layout, sets and
+    # offload outcome. The entry's offload ms come back rounded to 3 decimals.
+    config = load_config(reference_config_path())
+    arch, cluster, efficiency = config.model, config.cluster, config.overlap.efficiency
+    P = resolved_param_count(arch)
+    checked = 0
+    for mode in OFFLOAD_MODES:
+        for stage in run_train_plan(config, offload_mode=mode).document["stages"]:
+            bucket = Bucket(*stage["bucket"])
+            for entry in stage["plans"]:
+                par = ParallelConfig(**entry["parallel"])
+                B, S = bucket.batch, entry["tokens_per_sample"]
+                fwd_ms = forward_ms_per_microstep(
+                    flops_per_microstep(arch, B, S), cluster, par, efficiency
+                )
+                comm = build_comm_plan(
+                    arch, cluster, config.dtypes, par, B, S, P, config.overlap,
+                    first_fwd_window_ms=fwd_ms,
+                    last_bwd_window_ms=BACKWARD_FLOPS_FACTOR * fwd_ms,
+                )
+                off = entry["offload"]
+                offload = OffloadPlan(
+                    off["optimizer_offloaded"], off["optimizer_exposed_ms"],
+                    tuple(off["activation_set"]), off["activation_exposed_ms_per_microstep"],
+                )
+                recompute = RecomputePlan(tuple(entry["recompute"]["selected"]), 0, 0.0, True)
+                est = estimate_step(
+                    arch, bucket, par, cluster, config.dtypes, recompute=recompute,
+                    offload=offload, comm=comm, efficiency=efficiency,
+                )
+                timing = entry["timing"]
+                for name in ("t_compute_ms", "t_recompute_ms", "t_exposed_comm_ms",
+                             "t_exposed_offload_ms", "step_time_ms"):
+                    got = getattr(est, name)
+                    assert abs(got - timing[name]) <= 0.002, (entry["parallel"], name, got)
+                assert round(est.peak_mem_bytes / 1e9, 3) == entry["memory"]["peak_gb"]
+                assert round(est.mfu, 3) == entry["mfu"]
+                checked += 1
+    assert checked == 154
