@@ -48,7 +48,7 @@ config = load_reference_config()
 config = config._replace(parallel=config.parallel._replace(tp=par.tp, cp=par.cp, dp=par.dp))
 report = run_train_plan(config)
 print(f"  {'stage':<16} {'kind':<6} {'bucket':<16} {'tokens':>8} {'step':>10} {'mfu':>6} {'peak':>8}")
-for stage in report.document["stages"]:
+for stage in report["stages"]:
     (plan,) = stage["plans"]
     bucket_label = "x".join(str(v) for v in stage["bucket"])
     print(

@@ -31,7 +31,7 @@ _EXPORTS = {
     "plan_optimizer_offload",
     "presets": "REFERENCE_CLUSTER TABLE2_FIT load_reference_config reference_config_path",
     "recompute": "RecomputePlan memory_latency_ratio plan_recompute",
-    "report": "PlanReport render run_train_plan",
+    "report": "render run_train_plan",
     "simulate": "StepEstimate estimate_step flops_per_microstep",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -4,9 +4,11 @@ Subcommands: ``plan train``, ``plan infer``, ``plan recompute``,
 ``plan windows``, ``plan vae-tiles``, ``buckets check``, ``simulate``.
 Every subcommand takes ``--out``; ``--config`` goes to the three that read
 a planning config (``plan train``, ``buckets check``, ``simulate``) and
-``--format`` to the two with more than one emitter (``plan train``,
-``simulate``). Exit codes: 0 success, 2 config error, 3 infeasible, 4 I/O
-error.
+``--format`` to the two that emit a plan report (``plan train``,
+``simulate``). Both render CSV and tables through
+:func:`ditplan.report.render`; ``simulate`` writes its own JSON rows, the
+top plan of each stage bucket at one layout. Exit codes: 0 success, 2
+config error, 3 infeasible, 4 I/O error.
 
 Each subcommand imports the modules it runs when it runs, so a cold
 ``plan windows`` never loads the training planner.
@@ -202,29 +204,24 @@ def _cmd_buckets_check(args: SimpleNamespace) -> int:
 
 
 def _cmd_simulate(args: SimpleNamespace) -> int:
-    import csv
-    import io
-
     from .comm import tp_degrees
     from .config import load_config
-    from .report import run_train_plan
+    from .report import render, run_train_plan
 
     config = load_config(args.config)
-    stages = list(config.stages)
     if args.stage is not None:
-        stages = [s for s in stages if s.name == args.stage]
+        stages = tuple(s for s in config.stages if s.name == args.stage)
         if not stages:
             raise ConfigError(f"no stage named {args.stage!r}", "stages")
-    if not stages:
-        raise ConfigError("config has no stages", "stages")
+        config = config._replace(stages=stages)
     parallel = config.parallel
     if parallel.pinned is None:
         tp = max(tp for tp in tp_degrees(config.model, config.cluster) if tp <= 8)
         parallel = parallel._replace(tp=tp, cp=1, dp=config.cluster.total_devices // tp)
-    config = config._replace(parallel=parallel, stages=tuple(stages))
-    report = run_train_plan(config, chunks=_chunks_from(args), offload_mode="auto")
+    report = run_train_plan(config._replace(parallel=parallel), chunks=_chunks_from(args),
+                            offload_mode="auto")
     rows = []
-    for doc in report.document["stages"]:
+    for doc in report["stages"]:
         if not doc["plans"]:
             bucket = "x".join(str(v) for v in doc["bucket"])
             diagnostic = doc["infeasible"][0]["diagnostic"]
@@ -240,32 +237,11 @@ def _cmd_simulate(args: SimpleNamespace) -> int:
                 "peak_gb": entry["memory"]["peak_gb"],
             }
         )
-    if args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        floats = ("step_time_ms", "mfu", "peak_gb")
-        writer.writerow(["stage", "bucket_kind", "bucket", "tokens_per_batch", *floats])
-        for r in rows:
-            bucket = "x".join(str(v) for v in r["bucket"])
-            writer.writerow(
-                [r["stage"], r["bucket_kind"], bucket, r["tokens_per_batch"]]
-                + [f"{r[name]:.3f}" for name in floats]
-            )
-        _write_out(buffer.getvalue(), args.out)
-    elif args.format == "table":
-        lines = [
-            f"{'stage':<24} {'kind':<6} {'bucket':<16} {'tokens':>9} {'step_ms':>12} {'mfu':>6} {'peak_gb':>8}"
-        ]
-        for r in rows:
-            lines.append(
-                f"{r['stage']:<24} {r['bucket_kind']:<6} "
-                f"{'x'.join(str(v) for v in r['bucket']):<16} {r['tokens_per_batch']:>9} "
-                f"{r['step_time_ms']:>12.3f} {r['mfu']:>6.3f} {r['peak_gb']:>8.3f}"
-            )
-        _write_out("\n".join(lines) + "\n", args.out)
-    else:
-        par = {"tp": parallel.tp, "cp": parallel.cp, "dp": parallel.dp}
-        _emit_json({"parallel": par, "stages": rows}, args.out)
+    if args.format != "json":
+        _write_out(render(report, args.format), args.out)
+        return EXIT_OK
+    par = {"tp": parallel.tp, "cp": parallel.cp, "dp": parallel.dp}
+    _emit_json({"parallel": par, "stages": rows}, args.out)
     return EXIT_OK
 
 

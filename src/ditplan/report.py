@@ -2,13 +2,15 @@
 
 ``run_train_plan`` walks every stage bucket, enumerates candidate
 parallel layouts, balances offload/recompute per candidate and costs the
-step once, producing one ranked report. Every offload attempt of every
-mode picks its recompute and activation-offload sets through the one
-selector, :func:`ditplan.offload.balance_strategies`. Floats are rounded
-to three decimals where each entry is built; ranking reads the unrounded
-step time.
-Emission is byte-stable (fixed key order); JSON goes through
-:func:`ditplan.emit.dump`, the one JSON emitter.
+step once, producing one ranked report document, a plain dict. Every
+offload attempt of every mode picks its recompute and activation-offload
+sets through the one selector, :func:`ditplan.offload.balance_strategies`.
+Floats are rounded to three decimals where each entry is built; ranking
+reads the unrounded step time.
+:func:`render` is the one renderer of that document, as JSON, CSV or a
+table, for both ``plan train`` and ``simulate``. Emission is byte-stable
+(fixed key order); JSON goes through :func:`ditplan.emit.dump`, the one
+JSON emitter.
 """
 
 from __future__ import annotations
@@ -48,19 +50,6 @@ def _round3(value: Any) -> Any:
         value = round(value, 3)
         return value if value else 0.0
     return value
-
-
-class PlanReport(NamedTuple):
-    """Deterministic, emission-ready planning report."""
-
-    document: dict[str, Any]
-
-    @property
-    def feasible_count(self) -> int:
-        return sum(len(s["plans"]) for s in self.document["stages"])
-
-    def warnings(self) -> list[str]:
-        return list(self.document["warnings"])
 
 
 def _echo_input(config: PlanningConfig, chunks: ChunkTable, P: float) -> dict[str, Any]:
@@ -237,8 +226,9 @@ def run_train_plan(
     config: PlanningConfig,
     chunks: ChunkTable | None = None,
     offload_mode: str = "auto",
-) -> PlanReport:
-    """Enumerate, balance, simulate and rank plans for every stage bucket.
+) -> dict[str, Any]:
+    """Enumerate, balance, simulate and rank plans for every stage bucket;
+    return the report document, which :func:`render` serializes.
 
     Work is done at four levels, each once: per run (the param count, the
     PCIe bandwidth, the offload attempts), per bucket (the token shape and
@@ -311,13 +301,12 @@ def run_train_plan(
                 }
             )
 
-    document = {
+    return {
         "input": _echo_input(config, chunks, run.P),
         "buckets": [_bucket_doc(b) for b in config.buckets],
         "stages": stage_docs,
         "warnings": warnings,
     }
-    return PlanReport(document=document)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +318,7 @@ _CSV_COLUMNS = [
     "stage",
     "bucket_kind",
     "bucket",
+    "tokens_per_batch",
     "tp",
     "cp",
     "dp",
@@ -358,6 +348,7 @@ def _csv_rows(document: dict[str, Any]) -> list[dict[str, Any]]:
                 "stage": stage["stage"],
                 "bucket_kind": stage["bucket_kind"],
                 "bucket": "x".join(str(v) for v in stage["bucket"]),
+                "tokens_per_batch": entry["tokens_per_batch"],
                 "tp": par["tp"],
                 "cp": par["cp"],
                 "dp": par["dp"],
@@ -388,9 +379,8 @@ def _csv_rows(document: dict[str, Any]) -> list[dict[str, Any]]:
     return rows
 
 
-def render(report: PlanReport, format: str = "json") -> str:
-    """Serialize a report; identical reports yield identical bytes."""
-    document = report.document
+def render(document: dict[str, Any], format: str = "json") -> str:
+    """Serialize a report document; identical documents yield identical bytes."""
     if format == "json":
         return dump(document) + "\n"
     if format == "csv":
@@ -431,9 +421,9 @@ def render(report: PlanReport, format: str = "json") -> str:
     raise ConfigError(f"unknown format {format!r}", "format")
 
 
-def require_feasible(report: PlanReport) -> None:
+def require_feasible(document: dict[str, Any]) -> None:
     """Raise :class:`InfeasibleError` when no candidate plan fits."""
-    if report.feasible_count == 0:
+    if not any(stage["plans"] for stage in document["stages"]):
         raise InfeasibleError(
-            "no feasible plan; diagnostics: " + "; ".join(report.warnings()[:5])
+            "no feasible plan; diagnostics: " + "; ".join(document["warnings"][:5])
         )

@@ -202,7 +202,7 @@ def test_criterion_10_cp_gating():
     ]
     doc["buckets"] = []
     report = run_train_plan(parse_config(doc))
-    entry = report.document["stages"][0]["infeasible"][0]
+    entry = report["stages"][0]["infeasible"][0]
     assert "below" in entry["diagnostic"] and "200" in entry["diagnostic"]
 
     # 253 frames at 1280x720 encode to exactly 230,400 tokens; cp=2 admitted
@@ -210,8 +210,8 @@ def test_criterion_10_cp_gating():
         {"name": "long", "video_bucket": [1, 253, 720, 1280], "global_batch": 8, "step_count": 1000}
     ]
     report = run_train_plan(parse_config(doc))
-    assert report.document["stages"][0]["plans"], report.document["stages"][0]
-    assert report.document["stages"][0]["plans"][0]["parallel"]["cp"] == 2
+    assert report["stages"][0]["plans"], report["stages"][0]
+    assert report["stages"][0]["plans"][0]["parallel"]["cp"] == 2
     _ok(10, "cp>1 below 200k tokens rejected with gating diagnostic; 230,400 admits cp=2")
 
 

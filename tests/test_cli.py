@@ -125,7 +125,9 @@ def test_simulate_json_row_schema(ref_config, capsys):
     assert code == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     row = doc["stages"][0]
-    assert set(row) >= {"stage", "parallel", "recompute", "offload", "memory", "timing", "mfu"}
+    # every key the benchmark's simulate check reads, plus the plan sections
+    assert set(row) >= {"stage", "bucket_kind", "parallel", "recompute", "offload", "memory",
+                        "timing", "mfu", "peak_gb", "tokens_per_batch"}
     assert row["timing"]["step_time_ms"] > 0
 
 
@@ -236,15 +238,24 @@ def _write_config(tmp_path, doc, name="config.json") -> str:
     return str(path)
 
 
-def test_simulate_matches_plan_train_at_same_layout(tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("stages", [True, False], ids=["reference", "stage-less"])
+def test_simulate_matches_plan_train_at_same_layout(stages, fmt, tmp_path, capsys):
     doc = json.loads(reference_config_path().read_text())
     doc["parallel"].update(tp=8, cp=1, dp=2)
+    if not stages:
+        del doc["stages"]  # both subcommands plan each bucket as its own stage
     config = _write_config(tmp_path, doc)
-    assert main(["simulate", "--config", config]) == EXIT_OK
-    simulated = json.loads(capsys.readouterr().out)
+    assert main(["simulate", "--config", config, "--format", fmt]) == EXIT_OK
+    simulated = capsys.readouterr().out
+    assert main(["plan", "train", "--config", config, "--format", fmt]) == EXIT_OK
+    planned = capsys.readouterr().out
+    if fmt != "json":
+        # one renderer: the same bytes at the same layout
+        assert simulated == planned
+        return
+    simulated, planned = json.loads(simulated), json.loads(planned)
     assert simulated["parallel"] == {"tp": 8, "cp": 1, "dp": 2}
-    assert main(["plan", "train", "--config", config]) == EXIT_OK
-    planned = json.loads(capsys.readouterr().out)
     entries = {(s["stage"], s["bucket_kind"]): s["plans"] for s in planned["stages"]}
     assert len(simulated["stages"]) == len(entries)
     for row in simulated["stages"]:
@@ -350,7 +361,7 @@ def test_plan_train_stages_less_config_plans_snapped_buckets(tmp_path, capsys):
 # planner cannot change a byte of it unnoticed.
 REFERENCE_REPORT_SHA256 = {
     "json": "ffd9cc65af109de6",
-    "csv": "4ed4959a01a6adef",
+    "csv": "2394011c2c62a02e",
     "table": "8d1126265f570187",
 }
 
@@ -365,8 +376,8 @@ def test_plan_train_reference_report_bytes(fmt):
 # sha256 prefixes of the other reference outputs, pinned the same way.
 CLI_OUTPUT_SHA256 = {
     "simulate-json": (["simulate", "--config", "REF"], "b080c29c115971fc"),
-    "simulate-csv": (["simulate", "--config", "REF", "--format", "csv"], "db9d287169d76dcb"),
-    "simulate-table": (["simulate", "--config", "REF", "--format", "table"], "35648158c82325ee"),
+    "simulate-csv": (["simulate", "--config", "REF", "--format", "csv"], "7b7d1d35a632c940"),
+    "simulate-table": (["simulate", "--config", "REF", "--format", "table"], "c8572108e6fe878d"),
     "buckets-check": (["buckets", "check", "--config", "REF", "--tolerance", "0.01"], "b5721e04a1025678"),
     "plan-recompute": (["plan", "recompute", "--required-mb", "400"], "1f4bce15396049cc"),
 }
@@ -420,11 +431,7 @@ def test_emit_table_format(ref_config, capsys):
 
 
 def test_emit_empty_report():
-    from ditplan.report import PlanReport, render
-
-    empty = PlanReport(
-        document={"input": {}, "buckets": [], "stages": [], "warnings": []}
-    )
+    empty = {"input": {}, "buckets": [], "stages": [], "warnings": []}
     parsed = json.loads(render(empty, "json"))
     assert parsed["stages"] == []
     csv_text = render(empty, "csv")
@@ -587,7 +594,7 @@ def test_package_exports_are_lazy():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["loaded_by_import"] == []
-    assert result["names"] == 68 and result["unique"]
+    assert result["names"] == 67 and result["unique"]
     assert result["not_home"] == [] and result["not_starred"] == [] and result["not_in_dir"] == []
     assert "no_such_name" in result["missing"]
 

@@ -212,5 +212,5 @@ def test_plan_train_costs_comm_once_per_candidate(monkeypatch):
     counting(ditplan.report, "build_comm_plan")
     counting(ditplan.comm, "cp_gate_and_comm")
     report = ditplan.report.run_train_plan(load_config(reference_config_path()))
-    candidates = sum(len(s["plans"]) + len(s["infeasible"]) for s in report.document["stages"])
+    candidates = sum(len(s["plans"]) + len(s["infeasible"]) for s in report["stages"])
     assert calls == {"build_comm_plan": candidates, "cp_gate_and_comm": candidates}

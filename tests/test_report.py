@@ -95,10 +95,10 @@ def _rounding_reports():
 def test_document_floats_rounded_once_at_build():
     empty_sets = 0
     for report in _rounding_reports():
-        for value in _floats(report.document):
+        for value in _floats(report):
             assert value == round(value, 3)
             assert repr(value) != "-0.0"
-        for stage in report.document["stages"]:
+        for stage in report["stages"]:
             for entry in stage["plans"]:
                 latency = entry["recompute"]["latency_ms_per_layer"]
                 if entry["recompute"]["selected"]:
@@ -117,67 +117,67 @@ def test_document_floats_rounded_once_at_build():
 # whose bytes moved.
 SWEEP_SHA256 = {
     "json": "cbaaa7ae56fc6cd5",
-    "csv": "d5811dd5f136d2f7",
+    "csv": "059b6cf501211708",
     "table": "2d81dd436dc84165",
 }
 SWEEP_REPORT_SHA256 = (
-    "85ec44 cd1fe3 0bd6b6 5d41be 5373ce f8ee62 da792e a056f2 ca3da6",
-    "418dab 2f6ada e789fe 84a234 965b5b 2ce6af edf9b0 58f02d bfa1bf",
-    "996486 ed569a 134bf8 acb87e 2d7463 01459c c6f88b 5e92f2 986dd2",
-    "d1d2f7 4acd8d d65e74 6259ce 99008f 00392d cc10bc f61a49 a70fcf",
-    "8e0245 add7dd 6b74f4 44bf54 1b469e 604a17 eb8dbd 78c1db 34e137",
-    "f0fac7 5ad173 a15951 1be857 cfd757 7d40d9 b5baa2 ad2e70 c30f73",
-    "9f24bb ce00f3 621456 700369 a35efa 78945a 912fb0 c2bbe9 201b3d",
-    "0cbf2b 275999 6a1dcf 5d9928 196b95 980114 5d51e7 6e496c 5049c8",
-    "1adcc3 deef08 02c6f2 e4a8d4 650e6d 1f2300 bdfb14 d3d164 aaf5df",
-    "05627a 350347 16345c 06f05e e854b8 ebe100 cab289 68212c a9b6e1",
-    "a7429e 1fa936 395a69 a6d904 2b02b9 d03862 fffd1d 240174 ba5192",
-    "d378c5 58dfa3 c91133 279ec7 4203c6 796b21 70c274 b2dd93 14ed20",
-    "84ff83 644adf ca04c7 851800 c60618 fa8048 db9484 87cdf0 e12311",
-    "404dd2 5c33a1 214172 26c8ce c7876d bd8f1c 36e218 97e9a6 2d6ca1",
-    "92a384 23d9d7 cd6c60 1b0ff0 d55101 ff29ec 2f4bd0 adb4d2 d9391a",
-    "bc87b5 00d9f2 2c64bc fdec6a 2113cf c73e8d 9c0f15 b275d2 7c04af",
-    "0cd996 130120 2b4edb e25c97 42935f c6945f 86e7df a2a825 9cd573",
-    "2838f2 541d89 884e08 0b91b9 4ef0e9 c8c814 287aa6 3ee7ae 34870f",
-    "f5aba5 d98863 b779ca 89b357 92315f cec81e c59026 da70e0 38d148",
-    "43f2a4 837b16 084008 f2f2a3 22f24c 3ca672 b5aca1 678b2d c5e5da",
-    "54345c 92731f 4dc24a 3bed08 73fbf3 e5f473 fc9749 a9153f 799413",
-    "f9e5bb 4e3f92 bde308 937ae7 017079 308a2f 956dad 549ca7 337d8f",
-    "b9b074 5e4e2d d13768 bb00ad f49464 bafed0 12ca80 6180dc 1e86b6",
-    "d0f98c fcb147 247bd5 fe6136 35071c 56363a c858c3 939f31 5fe47c",
-    "594119 28773c 14db87 0ba507 e775b7 46ba38 37f2d3 84d608 d41c7c",
-    "565627 d263ed c764c1 522cc6 8f5ca8 11adba 7a9b2e 080cf0 4949de",
-    "8f1fe4 100476 e18a7f 7730e5 83036d 5371c0 0ef300 d21199 690980",
-    "8d4cf0 3f643e a11d6f 22c46a 55628e 7eeb66 d7e1b4 b4ba1a 41806c",
-    "865f00 ddc826 e8abae 70753e 041548 d80c42 c6bd80 5ed694 b38a50",
-    "a24587 91046d 94f734 63f527 2302de 65cfbc 2b529d 7531de b9af20",
-    "0ad001 d3b477 8d8727 926834 36a2f8 32367d 385253 7ab27b 9700b3",
-    "701545 9e7fd8 9c2298 1b04a1 b6fab6 ea16e4 88809f e9f8e0 bb999a",
-    "ea146e c2073f bc57c4 ac0b3b 306602 1984ea 988b87 d70024 7fdb31",
-    "c1e3dc ed235b 604639 0eeb26 702605 b55cf8 49887d 446646 e9a3c9",
-    "f41986 29c3c8 026745 127dcd ffb38f c03f2b 732774 57d9e7 29744a",
-    "0d698d 9f8b63 0631d6 43470f 6be7f6 fa2830 9f9e5a f58955 10d650",
-    "e9a174 20f297 237c3a a9e638 6b05b6 368809 a4ce6d 733e30 b0e25c",
-    "5f87d2 fc8c83 340b4e 559eac d30ec4 4fad96 f2851f dd774a 4c1c04",
-    "852c9d f35d76 d4caef 640414 def132 c68268 6e67e5 4c125e 2f3043",
-    "ecd2b1 34a033 307806 9a300a 91e54a 94227e 2b18e0 a501bc 0d1d05",
+    "85ec44 d4c3de 0bd6b6 5d41be e1aeb8 f8ee62 da792e 49eeae ca3da6",
+    "418dab 9caf6b e789fe 84a234 145c13 2ce6af edf9b0 36dc29 bfa1bf",
+    "996486 fa5a3d 134bf8 acb87e 1b22c0 01459c c6f88b 35e356 986dd2",
+    "d1d2f7 3f081c d65e74 6259ce 3c1503 00392d cc10bc 0c41c7 a70fcf",
+    "8e0245 e9cc09 6b74f4 44bf54 33c675 604a17 eb8dbd 29d43d 34e137",
+    "f0fac7 94b5fd a15951 1be857 3a3acc 7d40d9 b5baa2 9d7175 c30f73",
+    "9f24bb a0aefc 621456 700369 71ccd0 78945a 912fb0 81b972 201b3d",
+    "0cbf2b 73d3e9 6a1dcf 5d9928 75e8cc 980114 5d51e7 87536f 5049c8",
+    "1adcc3 48430b 02c6f2 e4a8d4 6e5068 1f2300 bdfb14 4ee56e aaf5df",
+    "05627a 37163e 16345c 06f05e 67b432 ebe100 cab289 ef7a25 a9b6e1",
+    "a7429e 71eec8 395a69 a6d904 8ace2a d03862 fffd1d 51761d ba5192",
+    "d378c5 1a3440 c91133 279ec7 e9dcfe 796b21 70c274 c6e63c 14ed20",
+    "84ff83 15bc75 ca04c7 851800 a21d10 fa8048 db9484 da43ec e12311",
+    "404dd2 73dca3 214172 26c8ce e9240f bd8f1c 36e218 556128 2d6ca1",
+    "92a384 78419e cd6c60 1b0ff0 d60ed9 ff29ec 2f4bd0 e3737b d9391a",
+    "bc87b5 642a26 2c64bc fdec6a 258302 c73e8d 9c0f15 50e19d 7c04af",
+    "0cd996 d5c1a0 2b4edb e25c97 90f628 c6945f 86e7df e15262 9cd573",
+    "2838f2 ba9b2c 884e08 0b91b9 53f338 c8c814 287aa6 5a8bd3 34870f",
+    "f5aba5 26c5ee b779ca 89b357 6db5fe cec81e c59026 8a0c6b 38d148",
+    "43f2a4 bb1c8f 084008 f2f2a3 c069ad 3ca672 b5aca1 bf7f38 c5e5da",
+    "54345c 4c99e8 4dc24a 3bed08 85679f e5f473 fc9749 b75c10 799413",
+    "f9e5bb 65b3cc bde308 937ae7 eb7313 308a2f 956dad d68dab 337d8f",
+    "b9b074 75e349 d13768 bb00ad f31238 bafed0 12ca80 fd0cb3 1e86b6",
+    "d0f98c 77f729 247bd5 fe6136 81f5bd 56363a c858c3 c78ce8 5fe47c",
+    "594119 7c10a3 14db87 0ba507 7b3fdb 46ba38 37f2d3 b97134 d41c7c",
+    "565627 7c1421 c764c1 522cc6 26b4bb 11adba 7a9b2e f5f7d6 4949de",
+    "8f1fe4 e5bb0b e18a7f 7730e5 2c03b0 5371c0 0ef300 39288c 690980",
+    "8d4cf0 7a952c a11d6f 22c46a 6bbe04 7eeb66 d7e1b4 c59fd2 41806c",
+    "865f00 18d3fb e8abae 70753e 9cb3d4 d80c42 c6bd80 fa1708 b38a50",
+    "a24587 6473d7 94f734 63f527 0ca5d5 65cfbc 2b529d a6602f b9af20",
+    "0ad001 755670 8d8727 926834 0c54d8 32367d 385253 76266b 9700b3",
+    "701545 cb7016 9c2298 1b04a1 dff95c ea16e4 88809f 767e9b bb999a",
+    "ea146e 6d19c7 bc57c4 ac0b3b 990b12 1984ea 988b87 a5d619 7fdb31",
+    "c1e3dc 1b2d1e 604639 0eeb26 680fc5 b55cf8 49887d c9afbe e9a3c9",
+    "f41986 2cc361 026745 127dcd 722e9e c03f2b 732774 b4586c 29744a",
+    "0d698d c5818e 0631d6 43470f b07991 fa2830 9f9e5a 78655a 10d650",
+    "e9a174 1f213f 237c3a a9e638 2ca1cd 368809 a4ce6d da4248 b0e25c",
+    "5f87d2 874b86 340b4e 559eac f4d06c 4fad96 f2851f 571be5 4c1c04",
+    "852c9d f4ae6b d4caef 640414 04f3b1 c68268 6e67e5 42aee5 2f3043",
+    "ecd2b1 a0225a 307806 9a300a 16e775 94227e 2b18e0 514d32 0d1d05",
 )
 CHUNK_TABLE_SHA256 = {
     "json": "5828671bddaa4f4d",
-    "csv": "9328ba5fe0881fb5",
+    "csv": "ef403842978f60f2",
     "table": "c5a3520720ae3933",
 }
 CHUNK_TABLE_REPORT_SHA256 = (
-    "419e6e 178f5a 13ad02 642349 34577f 7cd80e 5b16e2 087265 2826a5",
-    "b7218a df4d7b 708a70 e3b13b d917fe 00d360 878395 33e9af 2bcb5b",
-    "645fa3 56c5a5 392ab7 99a32c 2cbfae d2102d 2afbfc 4f6022 cf7011",
-    "fe9308 04fa26 6e2a99 202fa0 745438 47848f 84f817 478c82 55ece6",
-    "47612c 50b789 1cc450 72d8bb 41132a 26a5a9 0d426a 69a0cb 2fe3a9",
-    "1db969 de3375 06e2d0 3d00e9 e7aaef 37053d 1b9e27 d0b552 990a80",
-    "6af0fb 8c340d 48caa4 0d1345 2583f4 665837 4069af c11791 ba4814",
-    "6f5005 144e44 1c5cff f4c1bf 854a35 ad0c05 b51aa3 5a42b4 0c40f3",
-    "a632e7 e4d0ec f4d230 97b069 761446 cce908 6875bd 636bf6 9c1415",
-    "206273 33c988 a98ba7 2dd305 d5e257 c32681 403ea6 6511e6 f54470",
+    "419e6e 9df0be 13ad02 642349 335bcf 7cd80e 5b16e2 5fda92 2826a5",
+    "b7218a dc8f93 708a70 e3b13b b04a05 00d360 878395 f91e44 2bcb5b",
+    "645fa3 a1ee4f 392ab7 99a32c 998b3d d2102d 2afbfc 5e68d7 cf7011",
+    "fe9308 46f2fc 6e2a99 202fa0 61178d 47848f 84f817 9f063d 55ece6",
+    "47612c 571dd7 1cc450 72d8bb 708a7a 26a5a9 0d426a 4d8dfb 2fe3a9",
+    "1db969 7f5ea2 06e2d0 3d00e9 98aa51 37053d 1b9e27 fe4a56 990a80",
+    "6af0fb 4ef602 48caa4 0d1345 62ada8 665837 4069af 012b3d ba4814",
+    "6f5005 1a873f 1c5cff f4c1bf be49dc ad0c05 b51aa3 26f647 0c40f3",
+    "a632e7 13bf15 f4d230 97b069 f17abc cce908 6875bd b0bec6 9c1415",
+    "206273 9f7232 a98ba7 2dd305 f9f639 c32681 403ea6 6fcbe0 f54470",
 )
 
 
@@ -230,7 +230,7 @@ def test_uncovered_deficit_reads_alike_without_activation_offload():
         config, table = _chunk_table_case(seed)
         for mode in ("off", "optimizer-only"):
             report = run_train_plan(config, chunks=table, offload_mode=mode)
-            for stage in report.document["stages"]:
+            for stage in report["stages"]:
                 for entry in stage["infeasible"]:
                     if "deficit" in entry["diagnostic"]:
                         assert re.match(DEFICIT_DIAGNOSTIC, entry["diagnostic"]), entry["diagnostic"]
@@ -249,7 +249,7 @@ def test_feasible_plans_fit_device_memory_with_disjoint_sets():
         capacity_gb = round(config.cluster.device_mem / 1e9, 3)
         for mode in OFFLOAD_MODES:
             report = run_train_plan(config, chunks=table, offload_mode=mode)
-            for stage in report.document["stages"]:
+            for stage in report["stages"]:
                 for entry in stage["plans"]:
                     recomputed = set(entry["recompute"]["selected"])
                     offloaded = set(entry["offload"]["activation_set"])
@@ -297,7 +297,7 @@ def test_chunks_sized_once_per_candidate(monkeypatch):
     report = run_train_plan(load_config(reference_config_path()))
     shards = {
         (stage["stage"], stage["bucket_kind"], entry["parallel"]["cp"])
-        for stage in report.document["stages"]
+        for stage in report["stages"]
         for entry in stage["plans"] + stage["infeasible"]
     }
     assert 0 < numerators() <= len(BUILTIN_CHUNKS.chunks) * len(shards)
@@ -314,8 +314,8 @@ def test_bucket_and_run_quantities_computed_once(monkeypatch):
         before = {name: count() for name, count in counters.items()}
         report = run_train_plan(parse_config(sweep_config(seed)))
         calls = {name: count() - before[name] for name, count in counters.items()}
-        buckets = len(report.document["stages"])
-        assert sum(len(s["plans"]) + len(s["infeasible"]) for s in report.document["stages"]) > buckets
+        buckets = len(report["stages"])
+        assert sum(len(s["plans"]) + len(s["infeasible"]) for s in report["stages"]) > buckets
         per_bucket = dict(token_count=buckets, flops_per_microstep=buckets)
         assert calls == {**per_bucket, "resolved_param_count": 1}
 
@@ -325,7 +325,7 @@ def _entries(report):
     return {
         (stage["stage"], stage["bucket_kind"], (e["parallel"]["tp"], e["parallel"]["cp"],
                                                 e["parallel"]["dp"])): e
-        for stage in report.document["stages"]
+        for stage in report["stages"]
         for e in stage["plans"] + stage["infeasible"]
     }
 
@@ -372,7 +372,7 @@ def test_pinned_cp4_whose_shards_fall_below_the_gate_is_infeasible():
     doc = _reference_doc_with_long_stage(2)
     doc["stages"] = doc["stages"][-1:]
     doc["parallel"].update(tp=4, cp=4, dp=1)
-    (stage,) = run_train_plan(parse_config(doc)).document["stages"]
+    (stage,) = run_train_plan(parse_config(doc))["stages"]
     assert stage["plans"] == []
     (entry,) = stage["infeasible"]
     assert entry["diagnostic"] == (

@@ -16,7 +16,6 @@ from ditplan.inference import CacheSchedule, Tile, TilePlan, WindowPlan, plan_te
 from ditplan.memory import ChunkSpec, ChunkTable, MemoryBreakdown, TimelineEvent
 from ditplan.offload import ActivationOffloadPlan, OffloadPlan
 from ditplan.recompute import RecomputePlan
-from ditplan.report import PlanReport
 from ditplan.simulate import StepEstimate
 
 GELU = ChunkSpec("gelu", coeff_bsh=8, fwd_latency_ms=0.64)
@@ -87,12 +86,8 @@ CONTRACT = {
         {},
     ),
     ParamCountEstimate: (dict(total=10.0, transformer=7.0, adaln=2.0, embedding_head=1.0), {}),
-    PlanReport: (dict(document={"stages": [], "warnings": []}), {}),
 }
 TYPES = list(CONTRACT)
-# PlanReport wraps a mutable, unhashable dict, so it is left out of the
-# frozen-and-hashable check; every other type is immutable and hashable.
-FROZEN = [cls for cls in TYPES if cls is not PlanReport]
 
 
 def _ids(cls):
@@ -135,7 +130,7 @@ def test_equality_by_value(cls):
     assert cls(**values) != cls(**other)
 
 
-@pytest.mark.parametrize("cls", FROZEN, ids=_ids)
+@pytest.mark.parametrize("cls", TYPES, ids=_ids)
 def test_frozen_and_hashable_by_value(cls):
     values, _ = CONTRACT[cls]
     instance = cls(**values)

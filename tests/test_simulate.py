@@ -230,7 +230,7 @@ def test_simulate_stages_image_and_video_reported_jointly():
         parallel=ParallelSection(tp=8, cp=1, dp=2),
         stages=(stage,),
     )
-    docs = run_train_plan(config).document["stages"]
+    docs = run_train_plan(config)["stages"]
     kinds = [(d["stage"], d["bucket_kind"]) for d in docs]
     assert kinds == [("joint-125x960", "image"), ("joint-125x960", "video")]
     (image,), (video,) = (d["plans"] for d in docs)
@@ -248,7 +248,7 @@ def test_estimate_step_matches_every_reference_plan():
     P = resolved_param_count(arch)
     checked = 0
     for mode in OFFLOAD_MODES:
-        for stage in run_train_plan(config, offload_mode=mode).document["stages"]:
+        for stage in run_train_plan(config, offload_mode=mode)["stages"]:
             bucket = Bucket(*stage["bucket"])
             for entry in stage["plans"]:
                 par = ParallelConfig(**entry["parallel"])
