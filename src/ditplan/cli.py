@@ -204,7 +204,7 @@ def _cmd_buckets_check(args: SimpleNamespace) -> int:
 
 
 def _cmd_simulate(args: SimpleNamespace) -> int:
-    from .comm import tp_degrees
+    from .comm import enumerate_parallel_configs
     from .config import load_config
     from .report import render, run_train_plan
 
@@ -216,8 +216,10 @@ def _cmd_simulate(args: SimpleNamespace) -> int:
         config = config._replace(stages=stages)
     parallel = config.parallel
     if parallel.pinned is None:
-        tp = max(tp for tp in tp_degrees(config.model, config.cluster) if tp <= 8)
-        parallel = parallel._replace(tp=tp, cp=1, dp=config.cluster.total_devices // tp)
+        # The largest enumerated tp of at most 8; a bucket of 0 tokens admits only cp=1.
+        tp, dp = max((p.tp, p.dp) for p in enumerate_parallel_configs(
+            config.model, config.cluster, 0, parallel.zero_stage, parallel.grad_accum) if p.tp <= 8)
+        parallel = parallel._replace(tp=tp, cp=1, dp=dp)
     report = run_train_plan(config._replace(parallel=parallel), chunks=_chunks_from(args),
                             offload_mode="auto")
     rows = []

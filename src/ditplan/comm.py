@@ -3,9 +3,10 @@
 Collectives are costed with the ring model: a degree-k all-gather or
 reduce-scatter moves (k-1)/k of the tensor per rank, plus a small fixed
 launch latency per operation. Context parallelism is priced at inter-node
-bandwidth because TP-SP already occupies the node; :func:`cp_rejected`
-gates it on ultra-long sequences for pinned and enumerated layouts alike,
-since cross-node all-to-all is the dominant bottleneck otherwise.
+bandwidth because TP-SP already occupies the node; the CP gate of
+:data:`~ditplan.config.LAYOUT_RULES` admits it only on ultra-long sequences,
+for pinned and enumerated layouts alike, since cross-node all-to-all is the
+dominant bottleneck otherwise.
 
 Every helper takes the per-operation launch latency explicitly;
 :func:`build_comm_plan` passes ``OverlapConfig.collective_latency_ms``.
@@ -16,10 +17,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .config import ClusterSpec, DTypePolicy, ModelArch, OverlapConfig, ParallelConfig, tp_violations
+# CP_TOKEN_GATE is re-exported here, as ditplan.comm.CP_TOKEN_GATE.
+from .config import (CP_TOKEN_GATE, LAYOUT_RULES, ClusterSpec, DTypePolicy, ModelArch,
+                     OverlapConfig, ParallelConfig)
 from .errors import ConfigError, InfeasibleError
 
-CP_TOKEN_GATE = 200_000
+# The CP gate is the last layout rule; it reads only cp and the token count.
+_CP_GATE_PASSES, _CP_GATE_MESSAGE = LAYOUT_RULES[-1]
 
 # Backward mirrors the forward collectives (all-gather and reduce-scatter
 # swap roles), so one micro-step carries two forward-sized comm legs.
@@ -54,13 +58,6 @@ def tp_sp_layer_comm(
     return (raw, exposed)
 
 
-def cp_rejected(tokens_batch: int, cp: int) -> bool:
-    """The CP gate: cp=2 needs the whole batch above :data:`CP_TOKEN_GATE`,
-    and each further doubling needs the previous degree's shards above it;
-    once shards fit TP-SP alone, higher CP is not minimally viable."""
-    return cp > 1 and tokens_batch / (cp // 2) <= CP_TOKEN_GATE
-
-
 class CpGateResult(NamedTuple):
     """Outcome of the context-parallel gate plus the per-layer all-to-all cost.
     CP is enabled when ``cp > 1`` and ``violation`` is ``None``."""
@@ -79,24 +76,18 @@ def cp_gate_and_comm(
     inter_bw: float,
     collective_latency_ms: float,
 ) -> CpGateResult:
-    """Gate CP with :func:`cp_rejected` and cost its per-layer transposes.
+    """Gate CP with the CP gate of :data:`~ditplan.config.LAYOUT_RULES` and
+    cost its per-layer transposes.
 
-    A request the gate rejects is recorded as a violation (the plan is
-    rejected downstream, this never raises); for cp >= 4 it names the
-    cp/2 split whose shards fall below the threshold. Two all-to-alls
-    bracket each attention, each moving B*S*H*act_bytes*(cp-1)/cp.
+    A request the gate rejects is recorded as a violation, the gate's
+    message (the plan is rejected downstream, this never raises). Two
+    all-to-alls bracket each attention, each moving B*S*H*act_bytes*(cp-1)/cp.
     """
     if cp < 1:
         raise ConfigError("cp must be >= 1", "parallel.cp")
-    if cp_rejected(tokens_batch, cp):
-        split = f" split {cp // 2} ways" if cp >= 4 else ""
-        return CpGateResult(
-            time_ms=0.0,
-            violation=(
-                f"cp={cp} rejected: {tokens_batch} tokens{split} is below the "
-                f"{CP_TOKEN_GATE} ultra-long-sequence threshold"
-            ),
-        )
+    if not _CP_GATE_PASSES(None, None, None, cp, None, tokens_batch):
+        return CpGateResult(time_ms=0.0,
+                            violation=_CP_GATE_MESSAGE(None, None, None, cp, None, tokens_batch))
     if cp == 1:
         return CpGateResult(time_ms=0.0)
     volume = 2 * B * S * H * act_bytes * (cp - 1) / cp
@@ -218,15 +209,6 @@ def build_comm_plan(
     )
 
 
-def tp_degrees(arch: ModelArch, cluster: ClusterSpec) -> list[int]:
-    """The divisors of devices_per_node (by trial division up to its square
-    root) that pass the TP rule, :func:`~ditplan.config.tp_violations`, ascending."""
-    n = cluster.devices_per_node
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    divisors = small + [n // d for d in reversed(small) if d * d != n]
-    return [tp for tp in divisors if not tp_violations(arch, cluster, tp)]
-
-
 def enumerate_parallel_configs(
     arch: ModelArch,
     cluster: ClusterSpec,
@@ -234,27 +216,27 @@ def enumerate_parallel_configs(
     zero_stage: str,
     grad_accum: int,
 ) -> list[ParallelConfig]:
-    """All (tp, cp, dp) splits of the cluster that a pinned layout would pass
-    with, by ascending tp then cp, for a bucket of ``tokens_batch`` tokens.
+    """Every whole-cluster (tp, cp, dp) split that breaks none of the
+    :data:`~ditplan.config.LAYOUT_RULES` for a bucket of ``tokens_batch``
+    tokens, by ascending tp then cp.
 
-    TP takes the :func:`tp_degrees`; CP takes power-of-two degrees until
-    :func:`cp_rejected` stops it; DP absorbs the rest. Every layout carries
-    the given ``zero_stage`` and ``grad_accum``.
+    TP takes the divisors of devices_per_node (by trial division up to its
+    square root), CP the powers of two, and DP the rest. Every rule is
+    monotone in cp, so raising cp stops at the first broken rule. Every
+    layout carries the given ``zero_stage`` and ``grad_accum``.
     """
-    total = cluster.total_devices
+    n, total = cluster.devices_per_node, cluster.total_devices
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     candidates: list[ParallelConfig] = []
-    for tp in tp_degrees(arch, cluster):
+    for tp in small + [n // d for d in reversed(small) if d * d != n]:
         cp = 1
-        while tp * cp <= total and not cp_rejected(tokens_batch, cp):
-            if total % (tp * cp) == 0:
-                candidates.append(
-                    ParallelConfig(
-                        tp=tp,
-                        cp=cp,
-                        dp=total // (tp * cp),
-                        zero_stage=zero_stage,
-                        grad_accum=grad_accum,
-                    )
-                )
+        while True:
+            dp = total // (tp * cp) or 1  # past the cluster, the overcommit rule stops cp
+            if not all(passes(arch, cluster, tp, cp, dp, tokens_batch)
+                       for passes, _ in LAYOUT_RULES):
+                break
+            if tp * cp * dp == total:
+                candidates.append(ParallelConfig(tp=tp, cp=cp, dp=dp, zero_stage=zero_stage,
+                                                 grad_accum=grad_accum))
             cp *= 2
     return candidates

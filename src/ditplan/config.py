@@ -6,9 +6,10 @@ defaults and construction checks (positive counts, known enum values) come
 from the schema rows it declares. The same rows drive JSON parsing
 (unknown-key, missing-key and type errors). Records compare and hash by
 value and offer ``_fields``, ``_asdict()``, ``_replace()`` and ``_make()``,
-which re-run the checks. Cross-object rules such as "tp divides the hidden
-size" are checked by :func:`validate`, which returns violations as data
-instead of raising, so that a report can list every problem at once.
+which re-run the checks. Cross-object rules are checked by :func:`validate`,
+which returns violations as data instead of raising, so that a report can
+list every problem at once; its layout rules, :data:`LAYOUT_RULES`, are
+also the CP gate's and the candidate enumerator's.
 """
 
 from __future__ import annotations
@@ -156,10 +157,6 @@ class ParallelConfig(_Record):
     ))
     __slots__ = _field_names(_schema)
 
-    @property
-    def devices_used(self) -> int:
-        return self.tp * self.cp * self.dp
-
 
 class StageScenario(_Record):
     """One training-stage row: which bucket(s) it runs and at what batch size."""
@@ -184,17 +181,38 @@ class StageScenario(_Record):
         return out
 
 
-def tp_violations(arch: ModelArch, cluster: ClusterSpec, tp: int) -> list[str]:
-    """The TP rule: ``tp`` divides H, the head count and devices_per_node, so
-    each TP group sits inside one node, whose intra_node_bw prices its
-    collectives. One string per failed condition; empty means allowed."""
-    sizes = (("H", arch.hidden_size), ("num_heads", arch.num_heads),
-             ("devices_per_node", cluster.devices_per_node))
-    return [f"tp does not divide {name} ({size} % {tp} != 0)" for name, size in sizes if size % tp]
+# The CP gate's threshold: cp=2 needs a bucket's batch above this many tokens.
+CP_TOKEN_GATE = 200_000
+
+# The layout rules, in order: (passes, message) pairs called with (model,
+# cluster, tp, cp, dp, tokens_batch), tokens_batch None when no bucket is
+# given. Each is monotone in cp: a layout that breaks one breaks it at twice
+# the cp too, dp the rest.
+LAYOUT_RULES = (
+    # The TP rule: a TP group sits inside one node, priced at intra_node_bw.
+    (lambda m, c, tp, cp, dp, n: m.hidden_size % tp == 0,
+     lambda m, c, tp, cp, dp, n: f"tp does not divide H ({m.hidden_size} % {tp} != 0)"),
+    (lambda m, c, tp, cp, dp, n: m.num_heads % tp == 0,
+     lambda m, c, tp, cp, dp, n: f"tp does not divide num_heads ({m.num_heads} % {tp} != 0)"),
+    (lambda m, c, tp, cp, dp, n: c.devices_per_node % tp == 0,
+     lambda m, c, tp, cp, dp, n:
+     f"tp does not divide devices_per_node ({c.devices_per_node} % {tp} != 0)"),
+    (lambda m, c, tp, cp, dp, n: tp * cp * dp <= c.total_devices,
+     lambda m, c, tp, cp, dp, n:
+     f"device overcommit: tp*cp*dp = {tp * cp * dp} exceeds cluster total {c.total_devices}"),
+    # The CP gate, kept last for comm.cp_gate_and_comm: cp=2 needs the batch above
+    # CP_TOKEN_GATE and each further doubling the cp/2 shards above it, so CP stays
+    # minimally viable.
+    (lambda m, c, tp, cp, dp, n: n is None or cp == 1 or n / (cp // 2) > CP_TOKEN_GATE,
+     lambda m, c, tp, cp, dp, n:
+     f"cp={cp} rejected: {n} tokens{f' split {cp // 2} ways' if cp >= 4 else ''} is below "
+     f"the {CP_TOKEN_GATE} ultra-long-sequence threshold"),
+)
 
 
 def validate(arch: ModelArch, cluster: ClusterSpec, par: ParallelConfig) -> list[str]:
-    """Cross-check a (model, cluster, parallel) triple, tp by :func:`tp_violations`.
+    """Cross-check a (model, cluster, parallel) triple: the model's own checks,
+    then the :data:`LAYOUT_RULES` with no bucket given.
 
     Returns a deterministic, order-stable list of violation strings, one per
     failed condition; empty means valid. Violations are data, not failures.
@@ -206,13 +224,9 @@ def validate(arch: ModelArch, cluster: ClusterSpec, par: ParallelConfig) -> list
         violations.append(
             f"num_heads does not divide hidden_size ({arch.hidden_size} % {arch.num_heads} != 0)"
         )
-    violations += tp_violations(arch, cluster, par.tp)
-    if par.devices_used > cluster.total_devices:
-        violations.append(
-            f"device overcommit: tp*cp*dp = {par.devices_used} "
-            f"exceeds cluster total {cluster.total_devices}"
-        )
-    return violations
+    layout = (arch, cluster, par.tp, par.cp, par.dp, None)
+    return violations + [message(*layout) for passes, message in LAYOUT_RULES
+                         if not passes(*layout)]
 
 
 class ParamCountEstimate(NamedTuple):

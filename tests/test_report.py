@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditplan import ChunkSpec, ChunkTable, parse_config
-from ditplan.comm import cp_gate_and_comm
-from ditplan.config import load_config
+from ditplan.buckets import token_count
+from ditplan.cli import EXIT_CONFIG, EXIT_INFEASIBLE, main
+from ditplan.comm import cp_gate_and_comm, enumerate_parallel_configs
+from ditplan.config import LAYOUT_RULES, load_config
 from ditplan.memory import BUILTIN_CHUNKS
 from ditplan.presets import reference_config_path
 from ditplan.report import OFFLOAD_MODES, dump, render, run_train_plan
@@ -380,3 +382,54 @@ def test_pinned_cp4_whose_shards_fall_below_the_gate_is_infeasible():
         "ultra-long-sequence threshold"
     )
     assert entry["diagnostic"] == cp_gate_and_comm(230_400, 1, 230_400, 3072, 4, 2, 50e9, 0.02).violation
+
+
+# For each of the LAYOUT_RULES in order, a pinned layout on the reference
+# config that breaks that rule alone: (config section changes, the one
+# stage's video bucket of 3,200 tokens, (tp, cp, dp)). Only a model whose
+# heads do not divide H, which the model check also names, breaks "tp
+# divides H" without "tp divides num_heads".
+_RULE_BREAKERS = (
+    ({"model": {"hidden_size": 3076}}, (8, 1, 2)),
+    ({"cluster": {"devices_per_node": 16}}, (16, 1, 2)),
+    ({}, (3, 1, 5)),
+    ({}, (8, 1, 4)),
+    ({}, (8, 2, 1)),
+)
+
+
+@pytest.mark.parametrize("rule", range(len(LAYOUT_RULES)))
+def test_each_layout_rule_rejects_pinned_and_enumerated_alike(rule, tmp_path, capsys):
+    # The enumerator never offers the layout. Pinned, a rule that needs no
+    # bucket makes the config malformed (exit 2 naming the rule's message);
+    # the CP gate, which reads the bucket, makes an infeasible entry.
+    changes, layout = _RULE_BREAKERS[rule]
+    doc = json.loads(reference_config_path().read_text())
+    for section, values in changes.items():
+        doc[section].update(values)
+    doc["stages"] = [{"name": "short", "video_bucket": [1, 29, 320, 320]}]
+    config = parse_config(doc)
+    arch, cluster = config.model, config.cluster
+    tokens = token_count(config.stages[0].video_bucket, arch).tokens_batch
+
+    def broken(tokens_batch):
+        return [i for i, (passes, _) in enumerate(LAYOUT_RULES)
+                if not passes(arch, cluster, *layout, tokens_batch)]
+
+    assert broken(tokens) == [rule]
+    message = LAYOUT_RULES[rule][1](arch, cluster, *layout, tokens)
+    enumerated = enumerate_parallel_configs(arch, cluster, tokens, "optimizer-partitioned", 1)
+    assert enumerated and layout not in {(p.tp, p.cp, p.dp) for p in enumerated}
+    doc["parallel"].update(zip(("tp", "cp", "dp"), layout))
+    path, out = tmp_path / "pinned.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    code = main(["plan", "train", "--config", str(path), "--out", str(out)])
+    if broken(None):
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert code == EXIT_INFEASIBLE
+        (stage,) = json.loads(out.read_text())["stages"]
+        assert stage["plans"] == []
+        assert [entry["diagnostic"] for entry in stage["infeasible"]] == [message]
