@@ -49,14 +49,19 @@ def _parse_names(value: Any, path: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+_Bucket: Any = None  # buckets.Bucket, resolved on the first parse: buckets imports this module
+
+
 def _parse_bucket(entry: Any, path: str) -> "Bucket":
-    from .buckets import Bucket
+    global _Bucket
+    if _Bucket is None:
+        from .buckets import Bucket as _Bucket
 
     if not isinstance(entry, (list, tuple)) or len(entry) != 4:
         raise ConfigError("bucket must be [batch, frames, height, width]", path)
     values = [integer_value(v, f"{path}[{i}]") for i, v in enumerate(entry)]
     try:
-        return Bucket(*values)
+        return _Bucket(*values)
     except ConfigError as exc:
         raise ConfigError(str(exc), path) from exc
 

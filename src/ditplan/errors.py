@@ -126,7 +126,7 @@ def _field_names(schema: tuple[str, tuple[tuple, ...]]) -> tuple[str, ...]:
 
 
 def _require_mapping(obj: Any, path: str) -> Mapping[str, Any]:
-    if not isinstance(obj, Mapping):
+    if type(obj) is not dict and not isinstance(obj, Mapping):  # a dict skips the ABC check
         raise ConfigError("expected a JSON object", path)
     return obj
 

@@ -106,6 +106,9 @@ def balance_strategies(
     the offloaded activations of all layers exceed host memory or the
     deficit exceeds what offload and recompute can save together.
     """
+    if deficit <= 0:
+        # What the general path returns here, without its sorting and pool.
+        return cover((), 0), ActivationOffloadPlan((), 0, 0.0)
     offloaded: set[str] = set()
     offload_bytes = 0
     exposed_ms = 0.0

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError
-from .memory import MIB, ChunkSpec, ChunkTable, chunk_retained_bytes
+from .memory import MIB, ChunkSpec, ChunkTable, chunk_bytes_numerator, chunk_retained_bytes
 
 
 class RecomputePlan(NamedTuple):
@@ -39,16 +39,19 @@ def memory_latency_ratio(
 PoolEntry = tuple[int, float, str]
 
 
-def _plan_from(selection: Sequence[PoolEntry], feasible: bool) -> RecomputePlan:
-    return RecomputePlan(
-        tuple(sorted(name for _, _, name in selection)),
-        sum(size for size, _, _ in selection),
-        round(sum(lat for _, lat, _ in selection), 9),
-        feasible,
-    )
+def _key(selection: Sequence[PoolEntry]) -> tuple[float, int, tuple[str, ...], int]:
+    """A selection's (summed latency, chunk count, sorted names, bytes): among
+    covers, the least latency wins, then the fewest chunks, then the names."""
+    return (sum(lat for _, lat, _ in selection), len(selection),
+            tuple(sorted(name for _, _, name in selection)), sum(size for size, _, _ in selection))
 
 
-_NOTHING = _plan_from((), feasible=True)  # its latency is the int 0
+def _plan(key: tuple[float, int, tuple[str, ...], int], feasible: bool) -> RecomputePlan:
+    latency, _, names, saved = key
+    return RecomputePlan(names, saved, round(latency, 9), feasible)
+
+
+_NOTHING = _plan(_key(()), feasible=True)  # its latency is the int 0
 
 
 def _prune(selection: list[PoolEntry], required: int) -> list[PoolEntry]:
@@ -72,7 +75,7 @@ def cover(pool: Sequence[PoolEntry], required: int) -> RecomputePlan:
     if required == 0:
         return _NOTHING
     if sum(size for size, _, _ in pool) < required:
-        return _plan_from(pool, feasible=False)
+        return _plan(_key(pool), feasible=False)
 
     # Descending memory-latency ratio, then latency, then name.
     ranked = sorted([(-(size / MIB) / lat, lat, name, size) for size, lat, name in pool])
@@ -84,29 +87,23 @@ def cover(pool: Sequence[PoolEntry], required: int) -> RecomputePlan:
         if cum >= required:
             break
 
-    candidates = [_prune(prefix, required)]
+    best = _key(_prune(prefix, required))
     # Swap the crossing chunk for the cheapest single chunk covering the
-    # deficit left by the rest of the prefix.
+    # deficit left by the rest of the prefix; the crossing chunk itself
+    # would rebuild the prefix.
     head = prefix[:-1]
     deficit = required - (cum - prefix[-1][0])
     head_names = {name for _, _, name in head}
-    swaps = [(lat, name, size) for size, lat, name in pool
-             if name not in head_names and size >= deficit]
-    if swaps:
-        lat, name, size = min(swaps)
-        candidates.append(_prune(head + [(size, lat, name)], required))
+    lat, name, size = min((lat, name, size) for size, lat, name in pool
+                          if name not in head_names and size >= deficit)
+    if name != prefix[-1][2]:
+        best = min(best, _key(_prune(head + [(size, lat, name)], required)))
     # Best single-chunk cover, if any chunk alone suffices.
     singles = [(lat, name, size) for size, lat, name in pool if size >= required]
     if singles:
         lat, name, size = min(singles)
-        candidates.append([(size, lat, name)])
-
-    # Least summed latency, then fewest chunks, then names; the first on a full tie.
-    latency, _, names, i = min(
-        (sum(lat for _, lat, _ in sel), len(sel), tuple(sorted(name for _, _, name in sel)), i)
-        for i, sel in enumerate(candidates)
-    )
-    return RecomputePlan(names, sum(size for size, _, _ in candidates[i]), round(latency, 9), True)
+        best = min(best, _key([(size, lat, name)]))
+    return _plan(best, feasible=True)
 
 
 def plan_recompute(
@@ -127,9 +124,11 @@ def plan_recompute(
     """
     if required_savings_per_layer < 0:
         raise ConfigError("required savings must be >= 0", "recompute.required")
+    if tp < 1:
+        raise ConfigError("tp must be >= 1", "parallel.tp")
     excluded = set(exclude)
-    pool = [c for c in chunks.chunks if c.recomputable and c.name not in excluded]
     return cover(
-        [(chunk_retained_bytes(c, B, S, H, A, tp), c.fwd_latency_ms, c.name) for c in pool],
+        [(round(chunk_bytes_numerator(c, B, S, H, A) / tp), c.fwd_latency_ms, c.name)
+         for c in chunks.chunks if c.recomputable and c.name not in excluded],
         required_savings_per_layer,
     )

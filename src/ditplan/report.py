@@ -1,8 +1,9 @@
 """Plan-search driver and report emission.
 
 ``run_train_plan`` walks every stage bucket, enumerates candidate
-parallel layouts, balances offload/recompute per candidate and costs the
-step once, producing one ranked report document, a plain dict. Every
+parallel layouts once per distinct (batch, tokens) shape, balances
+offload/recompute per candidate and costs the step once, producing one
+ranked report document, a plain dict. Every
 offload attempt of every mode picks its recompute and activation-offload
 sets through the one selector, :func:`ditplan.offload.balance_strategies`.
 Floats are rounded to three decimals where each entry is built; ranking
@@ -31,8 +32,8 @@ from .config import (
 )
 from .emit import dump
 from .errors import ConfigError, InfeasibleError
-from .memory import (BUILTIN_CHUNKS, ChunkTable, chunk_bytes_numerator, model_states_bytes,
-                     resident_states)
+from .memory import (BUILTIN_CHUNKS, ChunkTable, MemoryBreakdown, chunk_bytes_numerator,
+                     model_states_bytes, resident_states)
 from .offload import balance_strategies, effective_pcie_bw, plan_optimizer_offload
 from .simulate import (BACKWARD_FLOPS_FACTOR, _cost_step, flops_per_microstep,
                        forward_ms_per_microstep, recompute_ms_per_chunk)
@@ -84,23 +85,68 @@ def _bucket_doc(bucket: Bucket) -> list[int]:
     return [bucket.batch, bucket.frames, bucket.height, bucket.width]
 
 
+class _Attempt(NamedTuple):
+    """The memory side of one offload attempt at one layout. ``layer_budget``
+    is the activation bytes a layer may retain, or ``None`` when the
+    resident model states alone exceed device memory, as ``diagnostic`` says.
+    ``states_gb`` is the rounded (params, grads, optimizer) GB on device."""
+
+    offload_optimizer: bool
+    offload_activations: bool
+    optimizer_bytes: float
+    resident: MemoryBreakdown
+    layer_budget: int | None
+    diagnostic: str
+    states_gb: tuple[float, float, float]
+
+
 class _Run(NamedTuple):
     """What every candidate of one report shares. ``attempts`` lists the
-    (offload_optimizer, offload_activations) strategies to try, in order."""
+    (offload_optimizer, offload_activations) strategies to try, in order;
+    ``layouts`` holds :func:`_layout_attempts`' answer per layout."""
 
     config: PlanningConfig
     chunks: ChunkTable
     P: float
     pcie: float
     attempts: tuple[tuple[bool, bool], ...]
+    layouts: dict[tuple[int, int, str], tuple[_Attempt, ...]]
 
 
-class _Bucket(NamedTuple):
-    """What every candidate layout of one bucket shares. ``shards`` maps a
-    cp degree, once a candidate passes the CP gate with it, to each chunk's
-    (name, unsharded byte numerator) and rescaled recompute ms at that shard;
-    a candidate's retained bytes are ``round(numerator / tp)``, the formula
-    of :func:`chunk_retained_bytes`."""
+def _layout_attempts(run: _Run, par: ParallelConfig) -> tuple[_Attempt, ...]:
+    """Each offload attempt's :class:`_Attempt` at ``par``, computed once per
+    (tp, dp, zero_stage) per report: the model states depend on nothing else."""
+    key = (par.tp, par.dp, par.zero_stage)
+    layout = run.layouts.get(key)
+    if layout is None:
+        config = run.config
+        device_mem, L = config.cluster.device_mem, config.model.num_layers
+        states = model_states_bytes(run.P, config.dtypes, par)
+        attempts = []
+        for opt_off, act_off in run.attempts:
+            resident = resident_states(states, opt_off)
+            act_budget = device_mem - resident.total
+            layer_budget, diagnostic = math.floor(act_budget / L), ""
+            if act_budget < 0:
+                layer_budget, diagnostic = None, (
+                    f"model states ({resident.total / 1e9:.1f} GB) alone exceed device "
+                    f"memory ({device_mem / 1e9:.1f} GB)"
+                )
+            states_gb = (round(resident.params / 1e9, 3) or 0.0,
+                         round(resident.grads / 1e9, 3) or 0.0,
+                         round(resident.optimizer / 1e9, 3) or 0.0)
+            attempts.append(_Attempt(opt_off, act_off, states.optimizer, resident, layer_budget,
+                                     diagnostic, states_gb))
+        layout = run.layouts[key] = tuple(attempts)
+    return layout
+
+
+class _Shape(NamedTuple):
+    """What every candidate layout of one (batch, tokens) shape shares.
+    ``shards`` maps a cp degree, once a candidate passes the CP gate with it,
+    to each chunk's (name, unsharded byte numerator) and rescaled recompute
+    ms at that shard; a candidate's retained bytes are
+    ``round(numerator / tp)``, the formula of :func:`chunk_retained_bytes`."""
 
     B: int
     S: int
@@ -110,7 +156,7 @@ class _Bucket(NamedTuple):
 
 
 def _evaluate_candidate(
-    run: _Run, bucket: _Bucket, par: ParallelConfig
+    run: _Run, shape: _Shape, par: ParallelConfig
 ) -> tuple[dict[str, Any], float | None]:
     """Balance strategies for one candidate and cost its step.
 
@@ -123,63 +169,59 @@ def _evaluate_candidate(
     """
     config = run.config
     arch, cluster = config.model, config.cluster
-    B, L = bucket.B, arch.num_layers
+    B, L = shape.B, arch.num_layers
     base = {"parallel": {"tp": par.tp, "cp": par.cp, "dp": par.dp, "zero_stage": par.zero_stage,
-                         "grad_accum": par.grad_accum}, **bucket.tokens}
+                         "grad_accum": par.grad_accum}, **shape.tokens}
     efficiency = config.overlap.efficiency
-    fwd_microstep_ms = forward_ms_per_microstep(bucket.fwd_flops, cluster, par, efficiency)
+    fwd_microstep_ms = forward_ms_per_microstep(shape.fwd_flops, cluster, par, efficiency)
     block_compute_ms = fwd_microstep_ms / L
     bwd_window_ms = BACKWARD_FLOPS_FACTOR * fwd_microstep_ms
     try:
-        comm = build_comm_plan(arch, cluster, config.dtypes, par, B, bucket.S, run.P, config.overlap,
+        comm = build_comm_plan(arch, cluster, config.dtypes, par, B, shape.S, run.P, config.overlap,
                                first_fwd_window_ms=fwd_microstep_ms, last_bwd_window_ms=bwd_window_ms)
     except InfeasibleError as exc:
         return {**base, "feasible": False, "diagnostic": str(exc)}, None
 
-    shard = bucket.shards.get(par.cp)
+    shard = shape.shards.get(par.cp)
     if shard is None:
-        s_shard = bucket.S // par.cp
+        s_shard = shape.S // par.cp
         H, A = arch.hidden_size, arch.num_heads
         numerators = [(c.name, chunk_bytes_numerator(c, B, s_shard, H, A)) for c in run.chunks.chunks]
-        shard = bucket.shards[par.cp] = numerators, recompute_ms_per_chunk(run.chunks, B, s_shard)
+        shard = shape.shards[par.cp] = numerators, recompute_ms_per_chunk(run.chunks, B, s_shard)
     numerators, recompute_costs = shard
     tp = par.tp
     sizes = {name: round(numerator / tp) for name, numerator in numerators}
     full_act = sum(sizes.values())
-    states = model_states_bytes(run.P, config.dtypes, par)
 
     last_diag = "no strategy attempted"
-    for opt_off, act_off in run.attempts:
-        resident = resident_states(states, opt_off)
-        act_budget = cluster.device_mem - resident.total
-        if act_budget < 0:
-            last_diag = (
-                f"model states ({resident.total / 1e9:.1f} GB) alone exceed device "
-                f"memory ({cluster.device_mem / 1e9:.1f} GB)"
-            )
+    for attempt in _layout_attempts(run, par):
+        if attempt.layer_budget is None:
+            last_diag = attempt.diagnostic
             continue
-        required = max(0, full_act - math.floor(act_budget / L))
+        required = max(0, full_act - attempt.layer_budget)
         try:
             recompute, act_plan = balance_strategies(
-                required, run.chunks, sizes, cluster, block_compute_ms, L, offload_activations=act_off
+                required, run.chunks, sizes, cluster, block_compute_ms, L,
+                offload_activations=attempt.offload_activations,
             )
         except InfeasibleError as exc:
             last_diag = str(exc)
             continue
 
+        opt_off = attempt.offload_optimizer
         opt_exposed = 0.0
         if opt_off:
             opt_exposed = plan_optimizer_offload(
-                states.optimizer, run.pcie, fwd_microstep_ms, bwd_window_ms
+                attempt.optimizer_bytes, run.pcie, fwd_microstep_ms, bwd_window_ms
             )
         act_exposed = act_plan.exposed_ms_per_layer * L
         retained = full_act - recompute.bytes_saved_per_layer - act_plan.bytes_per_layer
         est = _cost_step(
-            arch, par, recompute_costs, fwd_microstep_ms, resident, retained,
+            arch, par, recompute_costs, fwd_microstep_ms, attempt.resident, retained,
             recompute, act_exposed, opt_exposed, comm, efficiency,
         )
         step_ms = est.step_time_ms
-        memory = est.memory
+        params_gb, grads_gb, optimizer_gb = attempt.states_gb
         # Rounded to three decimals, never -0.0. The latency is never
         # negative, and an empty recompute set's int 0 stays an int.
         return {
@@ -204,10 +246,10 @@ def _evaluate_candidate(
                 "activation_exposed_ms_per_microstep": round(act_exposed, 3) or 0.0,
             },
             "memory": {
-                "params_gb": round(memory.params / 1e9, 3) or 0.0,
-                "grads_gb": round(memory.grads / 1e9, 3) or 0.0,
-                "optimizer_gb": round(memory.optimizer / 1e9, 3) or 0.0,
-                "activations_gb": round(memory.activations_peak / 1e9, 3) or 0.0,
+                "params_gb": params_gb,
+                "grads_gb": grads_gb,
+                "optimizer_gb": optimizer_gb,
+                "activations_gb": round(est.memory.activations_peak / 1e9, 3) or 0.0,
                 "peak_gb": round(est.peak_mem_bytes / 1e9, 3) or 0.0,
             },
             "timing": {
@@ -222,6 +264,41 @@ def _evaluate_candidate(
     return {**base, "feasible": False, "diagnostic": last_diag}, None
 
 
+def _plan_shape(run: _Run, B: int, S: int) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
+    """Evaluate every candidate layout of one (batch, tokens) shape: its
+    entries by rank, and its infeasible entries by (cp, tp, dp)."""
+    config = run.config
+    arch = config.model
+    tokens_batch = B * S
+    pinned = config.parallel.pinned
+    if pinned is not None:
+        pars = [pinned]
+    else:
+        pars = enumerate_parallel_configs(arch, config.cluster, tokens_batch,
+                                          config.parallel.zero_stage, config.parallel.grad_accum)
+    tokens = {"tokens_per_sample": S, "tokens_per_batch": tokens_batch}
+    shape = _Shape(B, S, flops_per_microstep(arch, B, S), tokens, {})
+    ranked, infeasible = [], []
+    for par in pars:
+        entry, step_ms = _evaluate_candidate(run, shape, par)
+        if step_ms is None:
+            infeasible.append(entry)
+        else:
+            ranked.append(((round(step_ms, 6), par.cp, par.tp, par.dp), entry))
+    ranked.sort(key=lambda item: item[0])
+    infeasible.sort(key=lambda e: (e["parallel"]["cp"], e["parallel"]["tp"], e["parallel"]["dp"]))
+    return [entry for _, entry in ranked], infeasible
+
+
+def _copy(value: Any) -> Any:
+    """A copy of nested dicts and lists that shares no mutable object with ``value``."""
+    if type(value) is dict:
+        return {key: _copy(item) for key, item in value.items()}
+    if type(value) is list:
+        return [_copy(item) for item in value]
+    return value
+
+
 def run_train_plan(
     config: PlanningConfig,
     chunks: ChunkTable | None = None,
@@ -230,20 +307,22 @@ def run_train_plan(
     """Enumerate, balance, simulate and rank plans for every stage bucket;
     return the report document, which :func:`render` serializes.
 
-    Work is done at four levels, each once: per run (the param count, the
-    PCIe bandwidth, the offload attempts), per bucket (the token shape and
-    forward FLOPs), per (bucket, cp shard) (each chunk's byte numerator and
-    rescaled recompute latency) and per candidate layout. Output is
-    deterministic for identical input: a final sort fixes the order.
+    Work is done at five levels, each once: per run (the param count, the
+    PCIe bandwidth, the offload attempts), per layout (the model states and
+    each attempt's memory side, :func:`_layout_attempts`), per distinct
+    (batch, tokens) shape (the enumeration, the forward FLOPs and every
+    candidate's entry; a later bucket of the same shape gets copies), per
+    (shape, cp shard) (each chunk's byte numerator and rescaled recompute
+    latency) and per candidate layout. Output is deterministic for
+    identical input: a final sort fixes the order.
     """
     if offload_mode not in OFFLOAD_MODES:
         raise ConfigError(f"offload mode must be one of {OFFLOAD_MODES}", "offload")
     chunks = chunks or BUILTIN_CHUNKS
-    arch, cluster = config.model, config.cluster
+    arch = config.model
     require_valid(config)
-    pinned = config.parallel.pinned
-    pcie = effective_pcie_bw(cluster)
-    run = _Run(config, chunks, resolved_param_count(arch), pcie, _ATTEMPTS[offload_mode])
+    run = _Run(config, chunks, resolved_param_count(arch), effective_pcie_bw(config.cluster),
+               _ATTEMPTS[offload_mode], {})
 
     warnings: list[str] = []
     if len(config.buckets) >= 2:
@@ -264,28 +343,15 @@ def run_train_plan(
         ]
 
     stage_docs = []
+    shapes: dict[tuple[int, int], tuple[list[dict[str, Any]], list[dict[str, Any]]]] = {}
     for stage in stages:
         for kind, bucket in stage.buckets():
-            shape = token_count(bucket, arch)
-            if pinned is not None:
-                pars = [pinned]
+            key = (bucket.batch, token_count(bucket, arch).tokens)
+            planned = shapes.get(key)
+            if planned is None:
+                plans, infeasible = shapes[key] = _plan_shape(run, *key)
             else:
-                pars = enumerate_parallel_configs(arch, cluster, shape.tokens_batch,
-                                                  config.parallel.zero_stage, config.parallel.grad_accum)
-            B, S = bucket.batch, shape.tokens
-            tokens = {"tokens_per_sample": S, "tokens_per_batch": shape.tokens_batch}
-            context = _Bucket(B, S, flops_per_microstep(arch, B, S), tokens, {})
-            ranked, infeasible = [], []
-            for par in pars:
-                entry, step_ms = _evaluate_candidate(run, context, par)
-                if step_ms is None:
-                    infeasible.append(entry)
-                else:
-                    ranked.append(((round(step_ms, 6), par.cp, par.tp, par.dp), entry))
-            ranked.sort(key=lambda item: item[0])
-            infeasible.sort(
-                key=lambda e: (e["parallel"]["cp"], e["parallel"]["tp"], e["parallel"]["dp"])
-            )
+                plans, infeasible = map(_copy, planned)
             for entry in infeasible:
                 warnings.append(
                     f"{stage.name}/{kind} tp={entry['parallel']['tp']} cp={entry['parallel']['cp']} "
@@ -296,7 +362,7 @@ def run_train_plan(
                     "stage": stage.name,
                     "bucket_kind": kind,
                     "bucket": _bucket_doc(bucket),
-                    "plans": [entry for _, entry in ranked],
+                    "plans": plans,
                     "infeasible": infeasible,
                 }
             )

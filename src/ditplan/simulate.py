@@ -12,7 +12,7 @@ overhead, not model throughput).
 One function, ``_cost_step``, costs a step: arithmetic over the chosen
 recompute and offload sets that reports the peak and checks nothing about
 capacity. The plan evaluator sizes and rescales each chunk once per
-(bucket, cp shard), covers the memory deficit with offload and recompute
+(shape, cp shard), covers the memory deficit with offload and recompute
 and calls it directly, so the plans it ranks fit device memory by
 construction. Public ``estimate_step`` derives the forward ms, rescaled
 chunk latencies, resident model states and retained bytes from its
@@ -121,7 +121,8 @@ def _cost_step(
     t_recompute = par.grad_accum * (recompute_ms * arch.num_layers)
     t_comm = comm.exposed_ms_per_step(par.grad_accum) if comm is not None else 0.0
     t_offload = par.grad_accum * activation_exposed_ms_per_microstep + optimizer_exposed_ms
-    memory = resident._replace(activations_peak=float(retained_per_layer * arch.num_layers))
+    memory = MemoryBreakdown(resident.params, resident.grads, resident.master, resident.moments,
+                             resident.ema, float(retained_per_layer * arch.num_layers))
 
     step_ms = t_compute + t_recompute + t_comm + t_offload
     # MFU = model-FLOP throughput over aggregate peak = the compute time at

@@ -211,6 +211,15 @@ def test_plan_train_costs_comm_once_per_candidate(monkeypatch):
 
     counting(ditplan.report, "build_comm_plan")
     counting(ditplan.comm, "cp_gate_and_comm")
-    report = ditplan.report.run_train_plan(load_config(reference_config_path()))
+    config = load_config(reference_config_path())
+    report = ditplan.report.run_train_plan(config)
+    # A stage bucket whose (batch, tokens) shape an earlier one had reuses
+    # that one's entries: only the first occurrence of a shape is evaluated.
+    evaluated = {}
+    for stage in report["stages"]:
+        shape = (stage["bucket"][0], token_count(Bucket(*stage["bucket"]), config.model).tokens)
+        evaluated.setdefault(shape, len(stage["plans"]) + len(stage["infeasible"]))
     candidates = sum(len(s["plans"]) + len(s["infeasible"]) for s in report["stages"])
-    assert calls == {"build_comm_plan": candidates, "cp_gate_and_comm": candidates}
+    assert (len(report["stages"]), len(evaluated), candidates) == (14, 9, 56)
+    assert sum(evaluated.values()) == 36
+    assert calls == {"build_comm_plan": 36, "cp_gate_and_comm": 36}

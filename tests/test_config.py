@@ -173,6 +173,23 @@ def test_bucket_parse_shape_checked():
     assert "buckets[0]" in str(err.value)
 
 
+def test_mapping_proxy_sections_parse_like_dicts():
+    # Any Mapping is a JSON object: a read-only view of each object parses
+    # to the records the plain dicts give.
+    from types import MappingProxyType
+
+    def frozen(value):
+        if isinstance(value, dict):
+            return MappingProxyType({key: frozen(item) for key, item in value.items()})
+        if isinstance(value, list):
+            return [frozen(item) for item in value]
+        return value
+
+    doc = json.loads(reference_config_path().read_text())
+    assert parse_config(frozen(doc)) == parse_config(doc)
+    assert parse_config(frozen(_minimal_doc())) == parse_config(_minimal_doc())
+
+
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_minimal_doc()))

@@ -5,6 +5,7 @@ from ditplan.config import ClusterSpec
 from ditplan.errors import InfeasibleError
 from ditplan.memory import BUILTIN_CHUNKS, MIB, ChunkSpec, ChunkTable, chunk_retained_bytes
 from ditplan.offload import (
+    OFFLOAD_THRESHOLD_BYTES,
     ActivationOffloadPlan,
     balance_strategies,
     effective_pcie_bw,
@@ -230,3 +231,58 @@ def test_balance_without_activation_offload_is_the_recompute_cover():
                         assert balance_strategies(*args, offload_activations=False) == expected
                         plans += 1
     assert plans > 0 and raised > 0
+
+
+def _general_path(deficit, table, sizes, cluster, block_compute_ms, offload_activations):
+    """Oracle: balance_strategies' general path, without its early return for
+    a deficit that needs nothing freed, written out as it reads."""
+    offloaded, offload_bytes, exposed_ms = set(), 0, 0.0
+    if offload_activations:
+        bw = effective_pcie_bw(cluster)
+        overlappable = sorted(
+            (not c.is_attention_class, -sizes[c.name], c.name)
+            for c in table.chunks
+            if c.offloadable
+            and sizes[c.name] >= OFFLOAD_THRESHOLD_BYTES
+            and sizes[c.name] / bw * 1e3 <= block_compute_ms
+        )
+        for _, neg_size, name in overlappable:
+            if offload_bytes >= deficit:
+                break
+            offloaded.add(name)
+            offload_bytes -= neg_size
+        exposed_ms = 2 * max(0.0, offload_bytes / bw * 1e3 - block_compute_ms)
+    pool = [(sizes[c.name], c.fwd_latency_ms, c.name)
+            for c in table.chunks if c.recomputable and c.name not in offloaded]
+    recompute = cover(pool, max(0, deficit - offload_bytes))
+    return recompute, ActivationOffloadPlan(tuple(sorted(offloaded)), offload_bytes, exposed_ms)
+
+
+def test_balance_nonpositive_deficit_is_the_general_paths_answer():
+    # A deficit of 0 or less returns at once, with the general path's very
+    # values and types: the empty recompute set's latency stays the int 0.
+    # Positive deficits check the oracle against the selector itself.
+    compared = 0
+    for seed in range(10):
+        chunks, _ = random_chunk_table(seed)
+        table = ChunkTable(chunks=tuple(ChunkSpec(**c) for c in chunks))
+        for tp in (1, 8):
+            sizes = _sizes(table.chunks, tp=tp)
+            for deficit in (-1, 0, 1, 64 * MIB, sum(sizes.values()) // 4):
+                for block_ms in (0.5, 480.0):
+                    for offload_activations in (False, True):
+                        args = (deficit, table, sizes, REFERENCE_CLUSTER, block_ms)
+                        try:
+                            got = balance_strategies(*args, 54,
+                                                     offload_activations=offload_activations)
+                        except InfeasibleError:
+                            assert deficit > 0
+                            continue
+                        expected = _general_path(*args, offload_activations)
+                        assert got == expected
+                        assert [[type(v) for v in plan] for plan in got] == \
+                            [[type(v) for v in plan] for plan in expected]
+                        if deficit <= 0:
+                            assert type(got[0].latency_added_per_layer_ms) is int
+                        compared += 1
+    assert compared > 0

@@ -3,10 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditplan.errors import ConfigError
-from ditplan.memory import BUILTIN_CHUNKS, MIB, ChunkSpec, ChunkTable
+from ditplan.memory import BUILTIN_CHUNKS, MIB, ChunkSpec, ChunkTable, chunk_retained_bytes
 from ditplan.recompute import cover, memory_latency_ratio, plan_recompute
 
-from helpers import BUILTIN, brute_force_recompute, reference_cover
+from helpers import BUILTIN, brute_force_recompute, random_chunk_table, reference_cover
 
 REF = dict(B=1, S=115_200, H=3072, A=24, tp=8)
 
@@ -201,3 +201,35 @@ def test_cover_matches_record_based_reference_on_seeded_pools():
         ]
         required = rng.choice(_required_choices(entries, rng.random()))
         _assert_cover_matches_reference(entries, required)
+
+
+def test_plan_recompute_is_the_cover_of_its_retained_sizes():
+    # plan_recompute sizes each chunk by chunk_retained_bytes' formula and
+    # covers with it, on random tables with fractional coefficients and
+    # excluded chunks.
+    import random
+
+    rng = random.Random("plan_recompute")
+    fractional = 0
+    for seed in range(30):
+        chunks, _ = random_chunk_table(seed)
+        table = ChunkTable(chunks=tuple(ChunkSpec(**c) for c in chunks))
+        fractional += any(c.coeff_bsh % 1 for c in table.chunks)
+        for _ in range(8):
+            shape = (rng.choice((1, 2, 3)), rng.choice((28_800, 57_601, 115_200)), 3072,
+                     rng.choice((16, 24)), rng.choice((1, 2, 3, 8)))
+            excluded = set(rng.sample(table.names(), rng.randint(0, len(table.chunks) // 2)))
+            pool = [(chunk_retained_bytes(c, *shape), c.fwd_latency_ms, c.name)
+                    for c in table.chunks if c.recomputable and c.name not in excluded]
+            total = sum(size for size, _, _ in pool)
+            for required in (0, 1, total // 3, total, total + 1, rng.randint(0, total + 1)):
+                got = plan_recompute(table, required, *shape, exclude=excluded)
+                expected = cover(pool, required)
+                assert got == expected
+                assert [type(v) for v in got] == [type(v) for v in expected]
+    assert fractional > 0
+
+
+def test_plan_recompute_rejects_tp_below_one():
+    with pytest.raises(ConfigError, match="tp must be >= 1"):
+        plan_recompute(BUILTIN_CHUNKS, 0, tp=0)

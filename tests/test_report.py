@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditplan import ChunkSpec, ChunkTable, parse_config
-from ditplan.buckets import token_count
+from ditplan.buckets import Bucket, token_count
 from ditplan.cli import EXIT_CONFIG, EXIT_INFEASIBLE, main
 from ditplan.comm import cp_gate_and_comm, enumerate_parallel_configs
 from ditplan.config import LAYOUT_RULES, load_config
@@ -306,20 +306,81 @@ def test_chunks_sized_once_per_candidate(monkeypatch):
     assert sized() == 0
 
 
+def _shape_groups(config, report):
+    """Stage docs by their bucket's (batch, tokens) shape, in report order."""
+    groups = {}
+    for doc in report["stages"]:
+        shape = (doc["bucket"][0], token_count(Bucket(*doc["bucket"]), config.model).tokens)
+        groups.setdefault(shape, []).append(doc)
+    return groups
+
+
 def test_bucket_and_run_quantities_computed_once(monkeypatch):
-    # The token shape and forward FLOPs are per bucket, the param count per
-    # run: none of them is recomputed for each candidate layout, and the
-    # enumerator reads the evaluator's token count instead of its own.
+    # The token shape is per bucket, the forward FLOPs per distinct (batch,
+    # tokens) shape and the param count per run: none of them is recomputed
+    # for each candidate layout, and the enumerator reads the evaluator's
+    # token count instead of its own.
     names = ("token_count", "flops_per_microstep", "resolved_param_count")
     counters = {name: _count_calls(monkeypatch, ("report", "comm"), name) for name in names}
+    repeated = 0
     for seed in range(4):
         before = {name: count() for name, count in counters.items()}
-        report = run_train_plan(parse_config(sweep_config(seed)))
+        config = parse_config(sweep_config(seed))
+        report = run_train_plan(config)
         calls = {name: count() - before[name] for name, count in counters.items()}
-        buckets = len(report["stages"])
+        buckets, shapes = len(report["stages"]), len(_shape_groups(config, report))
+        repeated += buckets - shapes
         assert sum(len(s["plans"]) + len(s["infeasible"]) for s in report["stages"]) > buckets
-        per_bucket = dict(token_count=buckets, flops_per_microstep=buckets)
-        assert calls == {**per_bucket, "resolved_param_count": 1}
+        assert calls == dict(token_count=buckets, flops_per_microstep=shapes, resolved_param_count=1)
+    assert repeated > 0  # the seeds include stages that share a shape
+
+
+@pytest.mark.parametrize("mode", OFFLOAD_MODES)
+def test_stage_planned_alone_reads_as_in_the_full_report(mode):
+    # A stage whose shape an earlier stage had reuses that stage's entries;
+    # planned alone, it evaluates them itself. Both must read alike: each
+    # stage's docs and its infeasible warnings, byte for byte.
+    configs = [load_config(reference_config_path())]
+    configs += [parse_config(sweep_config(seed)) for seed in range(12)]
+    repeated = 0
+    for config in configs:
+        full = run_train_plan(config, offload_mode=mode)
+        repeated += sum(len(docs) - 1 for docs in _shape_groups(config, full).values())
+        imbalance = [w for w in full["warnings"] if w.startswith("bucket imbalance:")]
+        docs, warnings = [], list(imbalance)
+        for stage in config.stages:
+            alone = run_train_plan(config._replace(stages=(stage,)), offload_mode=mode)
+            assert alone["warnings"][: len(imbalance)] == imbalance
+            docs += alone["stages"]
+            warnings += alone["warnings"][len(imbalance):]
+        assert [dump(doc) for doc in full["stages"]] == [dump(doc) for doc in docs]
+        assert full["warnings"] == warnings
+    assert repeated > 0
+
+
+def _scribble(value):
+    """Change every dict and list inside ``value`` in place."""
+    if isinstance(value, dict):
+        for item in list(value.values()):
+            _scribble(item)
+        value["scribbled"] = True
+    elif isinstance(value, list):
+        for item in value:
+            _scribble(item)
+        value.append("scribbled")
+
+
+def test_stages_of_one_shape_share_no_mutable_entry():
+    config = load_config(reference_config_path())
+    groups = [docs for docs in _shape_groups(config, run_train_plan(config)).values()
+              if len(docs) > 1]
+    assert groups
+    for docs in groups:
+        for i, doc in enumerate(docs):
+            others = [dump(other) for other in docs if other is not doc]
+            _scribble(doc["plans"])
+            _scribble(doc["infeasible"])
+            assert [dump(other) for other in docs if other is not doc] == others, i
 
 
 def _entries(report):
