@@ -15,13 +15,20 @@ from .errors import _REQUIRED, ConfigError, DimensionError, _field_names, _Recor
 
 
 class Bucket(_Record):
-    """One shape class of training samples: ``batch``, ``frames``, ``height``, ``width``."""
+    """One shape class of training samples: ``batch``, ``frames``, ``height``, ``width``.
 
-    _schema = ("bucket", (("batch frames height width", "int", _REQUIRED, _AT_LEAST_ONE),))
+    ``frames`` must be a count the causal VAE takes; height and width may be
+    any size, as :func:`snap_bucket` rounds them before a bucket is planned.
+    """
+
+    _schema = ("bucket", (
+        ("batch", "int", _REQUIRED, _AT_LEAST_ONE),
+        ("frames", "int", _REQUIRED, _AT_LEAST_ONE,
+         (f"(v - 1) % {VAE_TEMPORAL_RATIO} == 0",
+          f"frames-1 must be divisible by the temporal ratio {VAE_TEMPORAL_RATIO}")),
+        ("height width", "int", _REQUIRED, _AT_LEAST_ONE),
+    ))
     __slots__ = _field_names(_schema)
-
-    def key(self) -> tuple[int, int, int, int]:
-        return (self.batch, self.frames, self.height, self.width)
 
     def label(self) -> str:
         return f"{{{self.batch},{self.frames},{self.height},{self.width}}}"

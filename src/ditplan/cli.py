@@ -187,8 +187,8 @@ def _cmd_buckets_check(args: SimpleNamespace) -> int:
         "max_deviation": round(report.max_deviation, 6),
         "buckets": [
             {
-                "bucket": list(e.bucket.key()),
-                "snapped": list(e.snapped.key()),
+                "bucket": list(e.bucket),
+                "snapped": list(e.snapped),
                 "tokens_per_sample": e.tokens,
                 "tokens_per_batch": e.tokens_batch,
             }

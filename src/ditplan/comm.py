@@ -80,11 +80,12 @@ def cp_gate_and_comm(
     cost its per-layer transposes.
 
     A request the gate rejects is recorded as a violation, the gate's
-    message (the plan is rejected downstream, this never raises). Two
+    message (the plan is rejected downstream); a cp that is not a power of
+    two raises :class:`ConfigError`, as no layout may hold one. Two
     all-to-alls bracket each attention, each moving B*S*H*act_bytes*(cp-1)/cp.
     """
-    if cp < 1:
-        raise ConfigError("cp must be >= 1", "parallel.cp")
+    if cp < 1 or cp & (cp - 1):
+        raise ConfigError(f"cp must be a power of two >= 1, got {cp}", "parallel.cp")
     if not _CP_GATE_PASSES(None, None, None, cp, None, tokens_batch):
         return CpGateResult(time_ms=0.0,
                             violation=_CP_GATE_MESSAGE(None, None, None, cp, None, tokens_batch))

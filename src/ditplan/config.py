@@ -43,12 +43,6 @@ _ZERO = (f"v in {ZERO_STAGES}", f"zero_stage must be one of {ZERO_STAGES}")
 _AT_LEAST_ONE = ("v >= 1", "must be >= 1")
 
 
-def _parse_names(value: Any, path: str) -> tuple[str, ...]:
-    if not isinstance(value, (list, tuple)) or not all(isinstance(x, str) for x in value):
-        raise ConfigError("expected a list of layer names", path)
-    return tuple(value)
-
-
 _Bucket: Any = None  # buckets.Bucket, resolved on the first parse: buckets imports this module
 
 
@@ -87,8 +81,7 @@ def _parse_stages(entries: Any, path: str) -> tuple[StageScenario, ...]:
     return tuple(stages)
 
 
-_PARSERS.update(names=_parse_names, bucket=_parse_bucket, buckets=_parse_buckets,
-                stages=_parse_stages)
+_PARSERS.update(bucket=_parse_bucket, buckets=_parse_buckets, stages=_parse_stages)
 
 
 class ModelArch(_Record):
@@ -110,7 +103,6 @@ class ModelArch(_Record):
         ("patch_h patch_w", "int", 2, _PATCH),
         ("param_count", "float?", None,
          ("v is None or v > 0", "param_count must be positive when supplied")),
-        ("extra_unpartitioned_layers", "names", ("patchify", "final_proj")),
     ))
     __slots__ = _field_names(_schema)
 
@@ -205,6 +197,8 @@ LAYOUT_RULES = (
     (lambda m, c, tp, cp, dp, n: tp * cp * dp <= c.total_devices,
      lambda m, c, tp, cp, dp, n:
      f"device overcommit: tp*cp*dp = {tp * cp * dp} exceeds cluster total {c.total_devices}"),
+    (lambda m, c, tp, cp, dp, n: cp & (cp - 1) == 0,
+     lambda m, c, tp, cp, dp, n: f"cp is not a power of two (cp={cp})"),
     # The CP gate, kept last for comm.cp_gate_and_comm: cp=2 needs the batch above
     # CP_TOKEN_GATE and each further doubling the cp/2 shards above it, so CP stays
     # minimally viable.

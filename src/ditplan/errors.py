@@ -195,14 +195,13 @@ class _Record:
         cls._field_defaults = {key: default for key, _, default, *_ in rows
                                if default is not _REQUIRED}
         lines = []
-        for key, kind, _, *checks in rows:
+        for key, _, _, *checks in rows:
             if checks:
                 lines.append(f"v = {key}")
             for condition, message, *path in checks:
                 where = path[0] if path else f"{section}.{key}" if section else key
                 lines.append(f"if not ({condition}): raise ConfigError({message!r}, f{where!r})")
-        for key, kind, *_ in rows:
-            lines.append(f"_set_field(self, {key!r}, {f'tuple({key})' if kind == 'names' else key})")
+        lines += [f"_set_field(self, {key!r}, {key})" for key in cls._fields]
         namespace: dict[str, Any] = {}
         exec(f"def __init__(self, {', '.join(cls._fields)}):\n    " + "\n    ".join(lines),
              globals(), namespace)

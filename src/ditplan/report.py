@@ -21,7 +21,7 @@ import io
 import math
 from typing import Any, NamedTuple
 
-from .buckets import Bucket, check_token_balance, snap_bucket, token_count
+from .buckets import check_token_balance, snap_bucket, token_count
 from .comm import build_comm_plan, enumerate_parallel_configs
 from .config import (
     ParallelConfig,
@@ -65,7 +65,6 @@ def _echo_input(config: PlanningConfig, chunks: ChunkTable, P: float) -> dict[st
             "patch": [model.patch_t, model.patch_h, model.patch_w],
             "param_count": _round3(P),
             "param_count_source": "supplied" if model.param_count is not None else "estimated",
-            "extra_unpartitioned_layers": list(model.extra_unpartitioned_layers),
             "fitted_fields": list(config.fitted_fields),
         },
         "cluster": {k: _round3(v) for k, v in config.cluster._asdict().items()},
@@ -79,10 +78,6 @@ def _echo_input(config: PlanningConfig, chunks: ChunkTable, P: float) -> dict[st
             "chunk_table_ref_seqlen": chunks.ref_seqlen,
         },
     }
-
-
-def _bucket_doc(bucket: Bucket) -> list[int]:
-    return [bucket.batch, bucket.frames, bucket.height, bucket.width]
 
 
 class _Attempt(NamedTuple):
@@ -304,8 +299,10 @@ def run_train_plan(
     chunks: ChunkTable | None = None,
     offload_mode: str = "auto",
 ) -> dict[str, Any]:
-    """Enumerate, balance, simulate and rank plans for every stage bucket;
-    return the report document, which :func:`render` serializes.
+    """Enumerate, balance, simulate and rank plans for every stage bucket,
+    snapped by :func:`snap_bucket` (a config without stages plans each of its
+    buckets as a stage); return the report document, which :func:`render`
+    serializes.
 
     Work is done at five levels, each once: per run (the param count, the
     PCIe bandwidth, the offload attempts), per layout (the model states and
@@ -333,19 +330,16 @@ def run_train_plan(
                 f"(tolerance {balance.tolerance * 100:.1f}%)"
             )
 
-    stages: list[StageScenario] = list(config.stages)
+    stages = config.stages or [StageScenario(name=f"bucket-{b.label()}", video_bucket=b)
+                               for b in config.buckets]
     if not stages:
-        if not config.buckets:
-            raise ConfigError("config has neither stages nor buckets", "stages")
-        stages = [
-            StageScenario(name=f"bucket-{b.label()}", video_bucket=snap_bucket(b, arch))
-            for b in config.buckets
-        ]
+        raise ConfigError("config has neither stages nor buckets", "stages")
 
     stage_docs = []
     shapes: dict[tuple[int, int], tuple[list[dict[str, Any]], list[dict[str, Any]]]] = {}
     for stage in stages:
         for kind, bucket in stage.buckets():
+            bucket = snap_bucket(bucket, arch)
             key = (bucket.batch, token_count(bucket, arch).tokens)
             planned = shapes.get(key)
             if planned is None:
@@ -361,7 +355,7 @@ def run_train_plan(
                 {
                     "stage": stage.name,
                     "bucket_kind": kind,
-                    "bucket": _bucket_doc(bucket),
+                    "bucket": list(bucket),
                     "plans": plans,
                     "infeasible": infeasible,
                 }
@@ -369,7 +363,7 @@ def run_train_plan(
 
     return {
         "input": _echo_input(config, chunks, run.P),
-        "buckets": [_bucket_doc(b) for b in config.buckets],
+        "buckets": [list(b) for b in config.buckets],
         "stages": stage_docs,
         "warnings": warnings,
     }

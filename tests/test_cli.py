@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ditplan
+from ditplan.buckets import snap_bucket
 from ditplan.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from ditplan.config import load_config
 from ditplan.presets import reference_config_path
@@ -357,10 +358,52 @@ def test_plan_train_stages_less_config_plans_snapped_buckets(tmp_path, capsys):
     assert by_name["bucket-{1,29,480,854}"] == [1, 29, 480, 848]
 
 
+def test_stage_bucket_is_snapped_like_a_top_level_one(tmp_path, capsys):
+    # A stage bucket is read as a top-level one: 854 snaps to 848 under
+    # plan train and simulate alike, and plans as the 848 bucket would.
+    doc = json.loads(reference_config_path().read_text())
+    doc["stages"] = [{"name": "wide", "video_bucket": [1, 125, 480, 854]}]
+    snapped = {**doc, "stages": [{"name": "wide", "video_bucket": [1, 125, 480, 848]}]}
+    path = _write_config(tmp_path, doc)
+    assert main(["plan", "train", "--config", path]) == EXIT_OK
+    (stage,) = json.loads(capsys.readouterr().out)["stages"]
+    assert stage["bucket"] == [1, 125, 480, 848]
+    assert stage == run_train_plan(load_config(_write_config(tmp_path, snapped, "snapped.json")))[
+        "stages"][0]
+    assert main(["simulate", "--config", path]) == EXIT_OK
+    (row,) = json.loads(capsys.readouterr().out)["stages"]
+    assert row["bucket"] == [1, 125, 480, 848]
+
+
+def test_reference_stage_buckets_are_already_snapped():
+    config = load_config(reference_config_path())
+    buckets = [bucket for stage in config.stages for _, bucket in stage.buckets()]
+    assert len(buckets) == 14
+    assert all(snap_bucket(bucket, config.model) is bucket for bucket in buckets)
+
+
+@pytest.mark.parametrize(
+    "keys, path",
+    [(("stages", 2, "video_bucket"), "stages[2].video_bucket"), (("buckets", 1), "buckets[1]")],
+)
+def test_bucket_frames_the_vae_cannot_take_exit_2_at_their_path(keys, path, tmp_path, capsys):
+    doc = json.loads(reference_config_path().read_text())
+    node = doc
+    for key in keys:
+        node = node[key]
+    node[1] = 30
+    for argv in (["plan", "train"], ["simulate"], ["buckets", "check"]):
+        assert main([*argv, "--config", _write_config(tmp_path, doc)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: {path}: bucket.frames: frames-1 must be divisible "
+                                "by the temporal ratio 4\n")
+
+
 # sha256 prefixes of the reference report, pinned so that refactors of the
 # planner cannot change a byte of it unnoticed.
 REFERENCE_REPORT_SHA256 = {
-    "json": "ffd9cc65af109de6",
+    "json": "b24d4312d0737480",
     "csv": "2394011c2c62a02e",
     "table": "8d1126265f570187",
 }

@@ -11,7 +11,7 @@ from ditplan.comm import (
     tp_sp_layer_comm,
 )
 from ditplan.config import DTypePolicy, OverlapConfig, ParallelConfig, validate
-from ditplan.errors import InfeasibleError
+from ditplan.errors import ConfigError, InfeasibleError
 from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT
 
 DT = DTypePolicy()
@@ -158,6 +158,13 @@ def test_enumerator_and_gate_admit_the_same_cp(tokens_batch, admitted):
     for cp in (2, 4, 8, 16):
         gate = cp_gate_and_comm(tokens_batch, 1, tokens_batch, 3072, cp, 2, 50e9, 0.02)
         assert (cp in enumerated) == (gate.violation is None) == (cp in admitted), cp
+
+
+@pytest.mark.parametrize("cp", [0, 3, 5, 6])
+def test_gate_refuses_a_cp_that_is_not_a_power_of_two(cp):
+    # No layout holds such a cp, so the gate's shard count cp // 2 is exact.
+    with pytest.raises(ConfigError, match=rf"^parallel\.cp: cp must be a power of two >= 1, got {cp}$"):
+        cp_gate_and_comm(230_400, 1, 230_400, 3072, cp, 2, 50e9, 0.02)
 
 
 def test_tp_must_divide_the_head_count():

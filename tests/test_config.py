@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ditplan.buckets import Bucket
 from ditplan.config import (
     ClusterSpec,
     DTypePolicy,
     ModelArch,
     OverlapConfig,
     ParallelConfig,
+    ParallelSection,
+    PlanningConfig,
+    StageScenario,
     estimate_param_count,
     load_config,
     parse_config,
@@ -19,6 +23,7 @@ from ditplan.config import (
 )
 from ditplan.errors import ConfigError
 from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT, reference_config_path
+from ditplan.report import run_train_plan
 
 
 def test_validate_clean_config():
@@ -251,3 +256,90 @@ def test_missing_required_key_names_its_path(section, name):
     del doc[section][name]
     with pytest.raises(ConfigError, match=rf"^{section}\.{name}: missing required key$"):
         parse_config(doc)
+
+
+# The config-key audit: for every key a planning config can set, an edit of
+# the reference config to another valid value in a direction that binds,
+# as (the edits both sides share, the edit under audit); an edit is
+# {path into the JSON document: value}, DROP deleting the key. Each must
+# change what run_train_plan plans or warns, not only its input echo, so a
+# key that changes no output fails here.
+DROP = object()
+_PIN = {("parallel", "tp"): 8, ("parallel", "cp"): 1, ("parallel", "dp"): 2}
+AUDIT = {
+    "model.hidden_size": ({}, {("model", "hidden_size"): 2304}),
+    "model.num_heads": ({}, {("model", "num_heads"): 16}),
+    "model.num_layers": ({}, {("model", "num_layers"): 40}),
+    "model.ffn_multiplier": ({}, {("model", "ffn_multiplier"): 2}),
+    "model.adaln_mode": ({("model", "param_count"): DROP}, {("model", "adaln_mode"): "shared-weights"}),
+    "model.patch_t": ({}, {("model", "patch_t"): 2}),
+    "model.patch_h": ({}, {("model", "patch_h"): 4}),
+    "model.patch_w": ({}, {("model", "patch_w"): 4}),
+    "model.param_count": ({}, {("model", "param_count"): 10e9}),
+    "cluster.num_nodes": ({}, {("cluster", "num_nodes"): 4}),
+    "cluster.devices_per_node": ({}, {("cluster", "devices_per_node"): 4}),
+    "cluster.device_mem": ({}, {("cluster", "device_mem"): 40e9}),
+    "cluster.peak_flops_per_device": ({}, {("cluster", "peak_flops_per_device"): 400e12}),
+    "cluster.intra_node_bw": ({}, {("cluster", "intra_node_bw"): 100e9}),
+    "cluster.inter_node_bw": ({}, {("cluster", "inter_node_bw"): 25e9}),
+    # below the 80e9 / 4 = 20e9 share of the NUMA domain's host write bandwidth
+    "cluster.pcie_bw_per_device": ({}, {("cluster", "pcie_bw_per_device"): 10e9}),
+    "cluster.host_write_bw_per_numa": ({}, {("cluster", "host_write_bw_per_numa"): 40e9}),
+    "cluster.devices_per_numa": ({}, {("cluster", "devices_per_numa"): 8}),
+    "cluster.host_mem": ({}, {("cluster", "host_mem"): 1e11}),
+    "dtypes.param_bytes": ({}, {("dtypes", "param_bytes"): 4}),
+    "dtypes.grad_bytes": ({}, {("dtypes", "grad_bytes"): 4}),
+    "dtypes.master_bytes": ({}, {("dtypes", "master_bytes"): 8}),
+    "dtypes.moment_bytes": ({}, {("dtypes", "moment_bytes"): 8}),
+    "dtypes.ema_bytes": ({}, {("dtypes", "ema_bytes"): 8}),
+    "dtypes.act_bytes": ({}, {("dtypes", "act_bytes"): 4}),
+    # tp, cp and dp are pinned together, so each is audited at a pinned layout
+    "parallel.tp": (_PIN, {("parallel", "tp"): 4, ("parallel", "dp"): 4}),
+    "parallel.cp": (_PIN, {("parallel", "cp"): 2, ("parallel", "dp"): 1}),
+    "parallel.dp": (_PIN, {("parallel", "dp"): 1}),
+    "parallel.zero_stage": ({}, {("parallel", "zero_stage"): "none"}),
+    "parallel.grad_accum": ({}, {("parallel", "grad_accum"): 2}),
+    "overlap.tp_sp_fraction": ({}, {("overlap", "tp_sp_fraction"): 0.5}),
+    "overlap.collective_latency_ms": ({}, {("overlap", "collective_latency_ms"): 1.0}),
+    "overlap.efficiency": ({}, {("overlap", "efficiency"): 0.4}),
+    "stages.name": ({}, {("stages", 0, "name"): "t2i-320px"}),
+    "stages.image_bucket": ({}, {("stages", 0, "image_bucket"): [1, 1, 480, 480]}),
+    "stages.video_bucket": ({}, {("stages", 2, "video_bucket"): [1, 29, 480, 480]}),
+    "bucket.batch": ({}, {("stages", 2, "video_bucket", 0): 2}),
+    "bucket.frames": ({}, {("stages", 2, "video_bucket", 1): 33}),
+    "bucket.height": ({}, {("stages", 2, "video_bucket", 2): 480}),
+    "bucket.width": ({}, {("stages", 2, "video_bucket", 3): 480}),
+    "buckets": ({}, {("buckets", 4): [1, 29, 320, 320]}),
+}
+# Parsed and read by nothing yet: ROADMAP item 1 plans the run with them.
+AUDIT_WAITING = {"stages.global_batch", "stages.step_count"}
+_AUDITED_RECORDS = (ModelArch, ClusterSpec, DTypePolicy, ParallelSection, OverlapConfig,
+                    StageScenario, Bucket)
+
+
+def _edited(doc, edits):
+    doc = copy.deepcopy(doc)
+    for path, value in edits.items():
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    return doc
+
+
+def test_audit_covers_every_config_key():
+    sections = {cls.__name__ for cls in _AUDITED_RECORDS} | {"stages", "buckets"}
+    assert set(PlanningConfig._kinds.values()) <= sections
+    keys = {f"{cls._schema[0]}.{key}" for cls in _AUDITED_RECORDS for key in cls._kinds}
+    assert set(AUDIT) | AUDIT_WAITING == keys | {"buckets"}
+
+
+@pytest.mark.parametrize("key", sorted(AUDIT))
+def test_every_config_key_changes_the_plan(key):
+    given, change = AUDIT[key]
+    before = run_train_plan(parse_config(_edited(REFERENCE, given)))
+    after = run_train_plan(parse_config(_edited(REFERENCE, {**given, **change})))
+    assert (after["stages"], after["warnings"]) != (before["stages"], before["warnings"])

@@ -38,10 +38,9 @@ GELU = ChunkSpec("gelu", coeff_bsh=8, fwd_latency_ms=0.64)
 CONTRACT = {
     ModelArch: (
         dict(hidden_size=1024, num_heads=16, num_layers=8, ffn_multiplier=2,
-             adaln_mode="shared-weights", patch_t=2, patch_h=1, patch_w=1, param_count=1e9,
-             extra_unpartitioned_layers=("patchify",)),
+             adaln_mode="shared-weights", patch_t=2, patch_h=1, patch_w=1, param_count=1e9),
         dict(ffn_multiplier=4, adaln_mode="per-block-dedicated", patch_t=1, patch_h=2, patch_w=2,
-             param_count=None, extra_unpartitioned_layers=("patchify", "final_proj")),
+             param_count=None),
     ),
     ClusterSpec: (
         dict(num_nodes=2, devices_per_node=8, device_mem=64e9, peak_flops_per_device=312e12,
@@ -209,6 +208,7 @@ CHECK_CASES = [
     (STAGE, dict(image_bucket=None), r"^stages\.t2i: stage needs at least one bucket"),
     (STAGE, dict(step_count=0), r"^stages\.t2i: batch and step counts must be >= 1"),
     (BUCKET, dict(height=0), r"^bucket\.height: must be >= 1"),
+    (BUCKET, dict(frames=30), r"^bucket\.frames: frames-1 must be divisible by the temporal ratio 4"),
 ]
 
 

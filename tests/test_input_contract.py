@@ -113,6 +113,18 @@ def test_stage_learning_rate_is_an_unknown_key(tmp_path):
     assert err == "config error: stages[3].learning_rate: unknown key\n"
 
 
+def test_extra_unpartitioned_layers_is_an_unknown_key(tmp_path):
+    """The model no longer takes ``extra_unpartitioned_layers``: nothing but
+    the input echo read it."""
+    path = tmp_path / "config.json"
+    doc = _replaced(REFERENCE, ("model", "extra_unpartitioned_layers"), ["patchify", "final_proj"])
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(["plan", "train", "--config", str(path)])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == "config error: model.extra_unpartitioned_layers: unknown key\n"
+
+
 @pytest.mark.parametrize("argv", [["plan", "recompute", "--required-mb", "100"],
                                   ["plan", "train", "--config", str(REFERENCE_PATH)]],
                          ids=["recompute", "train"])

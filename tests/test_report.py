@@ -118,68 +118,68 @@ def test_document_floats_rounded_once_at_build():
 # OFFLOAD_MODES order, each json, csv, table) name the first report
 # whose bytes moved.
 SWEEP_SHA256 = {
-    "json": "cbaaa7ae56fc6cd5",
+    "json": "9fa5f5b38a203582",
     "csv": "059b6cf501211708",
     "table": "2d81dd436dc84165",
 }
 SWEEP_REPORT_SHA256 = (
-    "85ec44 d4c3de 0bd6b6 5d41be e1aeb8 f8ee62 da792e 49eeae ca3da6",
-    "418dab 9caf6b e789fe 84a234 145c13 2ce6af edf9b0 36dc29 bfa1bf",
-    "996486 fa5a3d 134bf8 acb87e 1b22c0 01459c c6f88b 35e356 986dd2",
-    "d1d2f7 3f081c d65e74 6259ce 3c1503 00392d cc10bc 0c41c7 a70fcf",
-    "8e0245 e9cc09 6b74f4 44bf54 33c675 604a17 eb8dbd 29d43d 34e137",
-    "f0fac7 94b5fd a15951 1be857 3a3acc 7d40d9 b5baa2 9d7175 c30f73",
-    "9f24bb a0aefc 621456 700369 71ccd0 78945a 912fb0 81b972 201b3d",
-    "0cbf2b 73d3e9 6a1dcf 5d9928 75e8cc 980114 5d51e7 87536f 5049c8",
-    "1adcc3 48430b 02c6f2 e4a8d4 6e5068 1f2300 bdfb14 4ee56e aaf5df",
-    "05627a 37163e 16345c 06f05e 67b432 ebe100 cab289 ef7a25 a9b6e1",
-    "a7429e 71eec8 395a69 a6d904 8ace2a d03862 fffd1d 51761d ba5192",
-    "d378c5 1a3440 c91133 279ec7 e9dcfe 796b21 70c274 c6e63c 14ed20",
-    "84ff83 15bc75 ca04c7 851800 a21d10 fa8048 db9484 da43ec e12311",
-    "404dd2 73dca3 214172 26c8ce e9240f bd8f1c 36e218 556128 2d6ca1",
-    "92a384 78419e cd6c60 1b0ff0 d60ed9 ff29ec 2f4bd0 e3737b d9391a",
-    "bc87b5 642a26 2c64bc fdec6a 258302 c73e8d 9c0f15 50e19d 7c04af",
-    "0cd996 d5c1a0 2b4edb e25c97 90f628 c6945f 86e7df e15262 9cd573",
-    "2838f2 ba9b2c 884e08 0b91b9 53f338 c8c814 287aa6 5a8bd3 34870f",
-    "f5aba5 26c5ee b779ca 89b357 6db5fe cec81e c59026 8a0c6b 38d148",
-    "43f2a4 bb1c8f 084008 f2f2a3 c069ad 3ca672 b5aca1 bf7f38 c5e5da",
-    "54345c 4c99e8 4dc24a 3bed08 85679f e5f473 fc9749 b75c10 799413",
-    "f9e5bb 65b3cc bde308 937ae7 eb7313 308a2f 956dad d68dab 337d8f",
-    "b9b074 75e349 d13768 bb00ad f31238 bafed0 12ca80 fd0cb3 1e86b6",
-    "d0f98c 77f729 247bd5 fe6136 81f5bd 56363a c858c3 c78ce8 5fe47c",
-    "594119 7c10a3 14db87 0ba507 7b3fdb 46ba38 37f2d3 b97134 d41c7c",
-    "565627 7c1421 c764c1 522cc6 26b4bb 11adba 7a9b2e f5f7d6 4949de",
-    "8f1fe4 e5bb0b e18a7f 7730e5 2c03b0 5371c0 0ef300 39288c 690980",
-    "8d4cf0 7a952c a11d6f 22c46a 6bbe04 7eeb66 d7e1b4 c59fd2 41806c",
-    "865f00 18d3fb e8abae 70753e 9cb3d4 d80c42 c6bd80 fa1708 b38a50",
-    "a24587 6473d7 94f734 63f527 0ca5d5 65cfbc 2b529d a6602f b9af20",
-    "0ad001 755670 8d8727 926834 0c54d8 32367d 385253 76266b 9700b3",
-    "701545 cb7016 9c2298 1b04a1 dff95c ea16e4 88809f 767e9b bb999a",
-    "ea146e 6d19c7 bc57c4 ac0b3b 990b12 1984ea 988b87 a5d619 7fdb31",
-    "c1e3dc 1b2d1e 604639 0eeb26 680fc5 b55cf8 49887d c9afbe e9a3c9",
-    "f41986 2cc361 026745 127dcd 722e9e c03f2b 732774 b4586c 29744a",
-    "0d698d c5818e 0631d6 43470f b07991 fa2830 9f9e5a 78655a 10d650",
-    "e9a174 1f213f 237c3a a9e638 2ca1cd 368809 a4ce6d da4248 b0e25c",
-    "5f87d2 874b86 340b4e 559eac f4d06c 4fad96 f2851f 571be5 4c1c04",
-    "852c9d f4ae6b d4caef 640414 04f3b1 c68268 6e67e5 42aee5 2f3043",
-    "ecd2b1 a0225a 307806 9a300a 16e775 94227e 2b18e0 514d32 0d1d05",
+    "4875ef d4c3de 0bd6b6 8ec2aa e1aeb8 f8ee62 d37c10 49eeae ca3da6",
+    "49afba 9caf6b e789fe fc9c78 145c13 2ce6af ae4d2a 36dc29 bfa1bf",
+    "dfa109 fa5a3d 134bf8 024b28 1b22c0 01459c 24e06c 35e356 986dd2",
+    "ca49c6 3f081c d65e74 d74aed 3c1503 00392d 8fa37a 0c41c7 a70fcf",
+    "386c61 e9cc09 6b74f4 8b240c 33c675 604a17 b783e9 29d43d 34e137",
+    "49cead 94b5fd a15951 37483a 3a3acc 7d40d9 0e09c3 9d7175 c30f73",
+    "93803f a0aefc 621456 61651f 71ccd0 78945a 9b3adf 81b972 201b3d",
+    "79506e 73d3e9 6a1dcf c09bfd 75e8cc 980114 ce7fb5 87536f 5049c8",
+    "67aa67 48430b 02c6f2 430bcf 6e5068 1f2300 487049 4ee56e aaf5df",
+    "ccf4d7 37163e 16345c c14605 67b432 ebe100 e2c173 ef7a25 a9b6e1",
+    "dcbcdf 71eec8 395a69 bb8e56 8ace2a d03862 c5846d 51761d ba5192",
+    "1d950a 1a3440 c91133 81e24f e9dcfe 796b21 4f00b8 c6e63c 14ed20",
+    "e469f2 15bc75 ca04c7 9b78fc a21d10 fa8048 e837a7 da43ec e12311",
+    "c7ff62 73dca3 214172 a5b49a e9240f bd8f1c e35c1f 556128 2d6ca1",
+    "c8edcd 78419e cd6c60 b42119 d60ed9 ff29ec 8eef88 e3737b d9391a",
+    "2300cd 642a26 2c64bc 747dc8 258302 c73e8d 86dbe6 50e19d 7c04af",
+    "731063 d5c1a0 2b4edb d61947 90f628 c6945f 9d2ef1 e15262 9cd573",
+    "478ad9 ba9b2c 884e08 7f0556 53f338 c8c814 fc9b67 5a8bd3 34870f",
+    "2bd89d 26c5ee b779ca 31103d 6db5fe cec81e 867566 8a0c6b 38d148",
+    "88343c bb1c8f 084008 b4ba46 c069ad 3ca672 fd9551 bf7f38 c5e5da",
+    "2c3097 4c99e8 4dc24a 8e8b6e 85679f e5f473 0f0ba4 b75c10 799413",
+    "fc2e32 65b3cc bde308 ad574d eb7313 308a2f c2f803 d68dab 337d8f",
+    "c61c02 75e349 d13768 4797d6 f31238 bafed0 1c7a13 fd0cb3 1e86b6",
+    "8213e3 77f729 247bd5 0423cb 81f5bd 56363a 8de256 c78ce8 5fe47c",
+    "04f00a 7c10a3 14db87 4fe087 7b3fdb 46ba38 c4c7a6 b97134 d41c7c",
+    "a26930 7c1421 c764c1 59cd08 26b4bb 11adba 7a4821 f5f7d6 4949de",
+    "0f8ee7 e5bb0b e18a7f 9a38f3 2c03b0 5371c0 a35eed 39288c 690980",
+    "2c7471 7a952c a11d6f dd2a0c 6bbe04 7eeb66 e7d77a c59fd2 41806c",
+    "941142 18d3fb e8abae 73c6e3 9cb3d4 d80c42 6d13b3 fa1708 b38a50",
+    "cec25f 6473d7 94f734 853b59 0ca5d5 65cfbc 212c00 a6602f b9af20",
+    "eb2a97 755670 8d8727 38166c 0c54d8 32367d cc565e 76266b 9700b3",
+    "b76730 cb7016 9c2298 3aaf71 dff95c ea16e4 1d8a70 767e9b bb999a",
+    "a908d0 6d19c7 bc57c4 d5e95d 990b12 1984ea c4b16a a5d619 7fdb31",
+    "7d27e6 1b2d1e 604639 dc24e9 680fc5 b55cf8 704f5e c9afbe e9a3c9",
+    "aa41b3 2cc361 026745 1d762a 722e9e c03f2b 2d1ec7 b4586c 29744a",
+    "76e9fe c5818e 0631d6 1bf3ef b07991 fa2830 535b83 78655a 10d650",
+    "3226e1 1f213f 237c3a 6ee295 2ca1cd 368809 639629 da4248 b0e25c",
+    "921723 874b86 340b4e e41de9 f4d06c 4fad96 eca0ad 571be5 4c1c04",
+    "dc0ca0 f4ae6b d4caef 1cb54f 04f3b1 c68268 38d291 42aee5 2f3043",
+    "627a1a a0225a 307806 474351 16e775 94227e 57395e 514d32 0d1d05",
 )
 CHUNK_TABLE_SHA256 = {
-    "json": "5828671bddaa4f4d",
+    "json": "4c7d3de5883be599",
     "csv": "ef403842978f60f2",
     "table": "c5a3520720ae3933",
 }
 CHUNK_TABLE_REPORT_SHA256 = (
-    "419e6e 9df0be 13ad02 642349 335bcf 7cd80e 5b16e2 5fda92 2826a5",
-    "b7218a dc8f93 708a70 e3b13b b04a05 00d360 878395 f91e44 2bcb5b",
-    "645fa3 a1ee4f 392ab7 99a32c 998b3d d2102d 2afbfc 5e68d7 cf7011",
-    "fe9308 46f2fc 6e2a99 202fa0 61178d 47848f 84f817 9f063d 55ece6",
-    "47612c 571dd7 1cc450 72d8bb 708a7a 26a5a9 0d426a 4d8dfb 2fe3a9",
-    "1db969 7f5ea2 06e2d0 3d00e9 98aa51 37053d 1b9e27 fe4a56 990a80",
-    "6af0fb 4ef602 48caa4 0d1345 62ada8 665837 4069af 012b3d ba4814",
-    "6f5005 1a873f 1c5cff f4c1bf be49dc ad0c05 b51aa3 26f647 0c40f3",
-    "a632e7 13bf15 f4d230 97b069 f17abc cce908 6875bd b0bec6 9c1415",
-    "206273 9f7232 a98ba7 2dd305 f9f639 c32681 403ea6 6fcbe0 f54470",
+    "5e4ecf 9df0be 13ad02 e9a78c 335bcf 7cd80e 134496 5fda92 2826a5",
+    "fa5a21 dc8f93 708a70 b45be6 b04a05 00d360 cdd8d4 f91e44 2bcb5b",
+    "f9e0dc a1ee4f 392ab7 982079 998b3d d2102d cb21a0 5e68d7 cf7011",
+    "6448c9 46f2fc 6e2a99 824b61 61178d 47848f b6dee0 9f063d 55ece6",
+    "13c423 571dd7 1cc450 0ce84c 708a7a 26a5a9 8091cf 4d8dfb 2fe3a9",
+    "6416db 7f5ea2 06e2d0 958240 98aa51 37053d 586486 fe4a56 990a80",
+    "49cc89 4ef602 48caa4 d97d88 62ada8 665837 868972 012b3d ba4814",
+    "0555d1 1a873f 1c5cff 0e10f6 be49dc ad0c05 71d0f7 26f647 0c40f3",
+    "82afa7 13bf15 f4d230 446e5e f17abc cce908 c4c8a7 b0bec6 9c1415",
+    "14376d 9f7232 a98ba7 560037 f9f639 c32681 f2ee99 6fcbe0 f54470",
 )
 
 
@@ -447,15 +447,18 @@ def test_pinned_cp4_whose_shards_fall_below_the_gate_is_infeasible():
 
 # For each of the LAYOUT_RULES in order, a pinned layout on the reference
 # config that breaks that rule alone: (config section changes, the one
-# stage's video bucket of 3,200 tokens, (tp, cp, dp)). Only a model whose
-# heads do not divide H, which the model check also names, breaks "tp
-# divides H" without "tp divides num_heads".
+# stage's video bucket, (tp, cp, dp)). Only a model whose heads do not
+# divide H, which the model check also names, breaks "tp divides H" without
+# "tp divides num_heads". A cp that is not a power of two needs a bucket
+# whose 230,400 tokens pass the CP gate, or the gate breaks too.
+_SHORT, _LONG = [1, 29, 320, 320], [1, 253, 720, 1280]
 _RULE_BREAKERS = (
-    ({"model": {"hidden_size": 3076}}, (8, 1, 2)),
-    ({"cluster": {"devices_per_node": 16}}, (16, 1, 2)),
-    ({}, (3, 1, 5)),
-    ({}, (8, 1, 4)),
-    ({}, (8, 2, 1)),
+    ({"model": {"hidden_size": 3076}}, _SHORT, (8, 1, 2)),
+    ({"cluster": {"devices_per_node": 16}}, _SHORT, (16, 1, 2)),
+    ({}, _SHORT, (3, 1, 5)),
+    ({}, _SHORT, (8, 1, 4)),
+    ({}, _LONG, (4, 3, 1)),
+    ({}, _SHORT, (8, 2, 1)),
 )
 
 
@@ -464,11 +467,11 @@ def test_each_layout_rule_rejects_pinned_and_enumerated_alike(rule, tmp_path, ca
     # The enumerator never offers the layout. Pinned, a rule that needs no
     # bucket makes the config malformed (exit 2 naming the rule's message);
     # the CP gate, which reads the bucket, makes an infeasible entry.
-    changes, layout = _RULE_BREAKERS[rule]
+    changes, bucket, layout = _RULE_BREAKERS[rule]
     doc = json.loads(reference_config_path().read_text())
     for section, values in changes.items():
         doc[section].update(values)
-    doc["stages"] = [{"name": "short", "video_bucket": [1, 29, 320, 320]}]
+    doc["stages"] = [{"name": "one", "video_bucket": bucket}]
     config = parse_config(doc)
     arch, cluster = config.model, config.cluster
     tokens = token_count(config.stages[0].video_bucket, arch).tokens_batch
