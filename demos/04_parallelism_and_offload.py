@@ -6,21 +6,23 @@ while the cp/2 shards stay above it), then ZeRO-style data parallelism
 outermost with optimizer states partitioned. A pinned layout passes the
 same rules as an enumerated one.
 Offloading rides PCIe and is throttled by the host write bandwidth that
-all devices of a NUMA domain share. Each comm helper takes the launch
-latency (0.02 ms here, the ``OverlapConfig`` default) explicitly.
+all devices of a NUMA domain share. ``build_comm_plan`` costs a candidate
+from the config records, at the ``OverlapConfig`` defaults here (0.8 fused
+TP-SP overlap, 0.02 ms launch latency); the CP gate takes the latency
+explicitly.
 """
 
 from ditplan import (
     Bucket,
     balance_strategies,
     DTypePolicy,
+    ParallelConfig,
+    build_comm_plan,
     cp_gate_and_comm,
-    dp_comm,
     effective_pcie_bw,
     enumerate_parallel_configs,
     plan_optimizer_offload,
     token_count,
-    tp_sp_layer_comm,
 )
 from ditplan.memory import BUILTIN_CHUNKS, MIB, chunk_retained_bytes
 from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT
@@ -30,8 +32,13 @@ LATENCY_MS = 0.02
 
 print("== TP-SP per-layer collectives (115k tokens, 2-byte activations) ==")
 for tp in (2, 4, 8):
-    raw, exposed = tp_sp_layer_comm(1, 115_200, 3072, tp, 2, 200e9, 0.8, LATENCY_MS)
-    print(f"  tp={tp}: raw {raw:6.2f} ms/layer, exposed {exposed:5.2f} ms at 0.8 fused overlap")
+    comm = build_comm_plan(
+        TABLE2_FIT, REFERENCE_CLUSTER, dtypes, ParallelConfig(tp=tp), 1, 115_200, 13.4e9
+    )
+    print(
+        f"  tp={tp}: raw {comm.tp_sp_raw_ms_per_layer:6.2f} ms/layer, "
+        f"exposed {comm.tp_sp_exposed_ms_per_layer:5.2f} ms at 0.8 fused overlap"
+    )
 
 print()
 print("== the context-parallel gate ==")
@@ -44,10 +51,14 @@ for tokens, cp in ((115_200, 2), (230_400, 2), (230_400, 4)):
 
 print()
 print("== data-parallel collectives, once per optimizer step ==")
-raw, exposed = dp_comm(
-    13.4e9, dtypes, 8, 16, 50e9, LATENCY_MS, first_fwd_window_ms=700, last_bwd_window_ms=700
+comm = build_comm_plan(
+    TABLE2_FIT, REFERENCE_CLUSTER, dtypes, ParallelConfig(tp=8, dp=16), 1, 115_200, 13.4e9,
+    first_fwd_window_ms=700, last_bwd_window_ms=700,
 )
-print(f"  P=13.4e9, tp=8, dp=16: raw {raw:.1f} ms/step, exposed {exposed:.1f} ms under wide windows")
+print(
+    f"  P=13.4e9, tp=8, dp=16: raw {comm.dp_raw_ms_per_step:.1f} ms/step, "
+    f"exposed {comm.dp_exposed_ms_per_step:.1f} ms under wide windows"
+)
 
 print()
 print("== candidate enumeration (tp ascending, then cp) ==")

@@ -18,8 +18,8 @@ from importlib import import_module
 _EXPORTS = {
     "buckets": "Bucket BucketBalanceReport LatentShape check_token_balance latent_shape snap_bucket "
     "token_count",
-    "comm": "CP_TOKEN_GATE CommPlan CpGateResult build_comm_plan cp_gate_and_comm dp_comm "
-    "enumerate_parallel_configs tp_sp_layer_comm",
+    "comm": "CP_TOKEN_GATE CommPlan CpGateResult build_comm_plan cp_gate_and_comm "
+    "enumerate_parallel_configs",
     "config": "ClusterSpec DTypePolicy ModelArch OverlapConfig ParallelConfig ParamCountEstimate "
     "PlanningConfig StageScenario estimate_param_count load_config parse_config resolved_param_count "
     "validate",

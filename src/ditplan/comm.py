@@ -2,14 +2,11 @@
 
 Collectives are costed with the ring model: a degree-k all-gather or
 reduce-scatter moves (k-1)/k of the tensor per rank, plus a small fixed
-launch latency per operation. Context parallelism is priced at inter-node
-bandwidth because TP-SP already occupies the node; the CP gate of
-:data:`~ditplan.config.LAYOUT_RULES` admits it only on ultra-long sequences,
-for pinned and enumerated layouts alike, since cross-node all-to-all is the
-dominant bottleneck otherwise.
-
-Every helper takes the per-operation launch latency explicitly;
-:func:`build_comm_plan` passes ``OverlapConfig.collective_latency_ms``.
+launch latency per operation (``OverlapConfig.collective_latency_ms``).
+Context parallelism is priced at inter-node bandwidth because TP-SP already
+occupies the node; the CP gate, :data:`~ditplan.config.CP_GATE`, admits it
+only on ultra-long sequences, for pinned and enumerated layouts alike, since
+cross-node all-to-all is the dominant bottleneck otherwise.
 """
 
 from __future__ import annotations
@@ -18,44 +15,16 @@ import math
 from typing import NamedTuple
 
 # CP_TOKEN_GATE is re-exported here, as ditplan.comm.CP_TOKEN_GATE.
-from .config import (CP_TOKEN_GATE, LAYOUT_RULES, ClusterSpec, DTypePolicy, ModelArch,
+from .config import (CP_GATE, CP_TOKEN_GATE, LAYOUT_RULES, ClusterSpec, DTypePolicy, ModelArch,
                      OverlapConfig, ParallelConfig)
 from .errors import ConfigError, InfeasibleError
 
-# The CP gate is the last layout rule; it reads only cp and the token count.
-_CP_GATE_PASSES, _CP_GATE_MESSAGE = LAYOUT_RULES[-1]
+# The CP gate reads only cp and the token count.
+_CP_GATE_PASSES, _CP_GATE_MESSAGE = CP_GATE
 
 # Backward mirrors the forward collectives (all-gather and reduce-scatter
 # swap roles), so one micro-step carries two forward-sized comm legs.
 FWD_BWD_COMM_LEGS = 2.0
-
-
-def tp_sp_layer_comm(
-    B: int,
-    S: int,
-    H: int,
-    tp: int,
-    act_bytes: int,
-    intra_bw: float,
-    overlap_fraction: float,
-    collective_latency_ms: float,
-) -> tuple[float, float]:
-    """Per-layer forward TP-SP time in ms: (raw, exposed).
-
-    Two collectives per layer (all-gather of the sequence-sharded input,
-    reduce-scatter of the output), each moving B*S*H*act_bytes*(tp-1)/tp.
-    Fused matmul-collective pipelining hides ``overlap_fraction`` of it.
-    """
-    if tp < 1:
-        raise ConfigError("tp must be >= 1", "parallel.tp")
-    if not 0.0 <= overlap_fraction <= 1.0:
-        raise ConfigError("overlap fraction must be in [0, 1]", "overlap.tp_sp_fraction")
-    if tp == 1:
-        return (0.0, 0.0)
-    volume = 2 * B * S * H * act_bytes * (tp - 1) / tp
-    raw = volume / intra_bw * 1e3 + 2 * collective_latency_ms
-    exposed = raw * (1.0 - overlap_fraction)
-    return (raw, exposed)
 
 
 class CpGateResult(NamedTuple):
@@ -76,8 +45,8 @@ def cp_gate_and_comm(
     inter_bw: float,
     collective_latency_ms: float,
 ) -> CpGateResult:
-    """Gate CP with the CP gate of :data:`~ditplan.config.LAYOUT_RULES` and
-    cost its per-layer transposes.
+    """Gate CP with :data:`~ditplan.config.CP_GATE` and cost its per-layer
+    transposes.
 
     A request the gate rejects is recorded as a violation, the gate's
     message (the plan is rejected downstream); a cp that is not a power of
@@ -94,36 +63,6 @@ def cp_gate_and_comm(
     volume = 2 * B * S * H * act_bytes * (cp - 1) / cp
     time_ms = volume / inter_bw * 1e3 + 2 * collective_latency_ms
     return CpGateResult(time_ms=time_ms)
-
-
-def dp_comm(
-    P: float,
-    dtypes: DTypePolicy,
-    tp: int,
-    dp: int,
-    inter_bw: float,
-    collective_latency_ms: float,
-    first_fwd_window_ms: float = 0.0,
-    last_bwd_window_ms: float = 0.0,
-) -> tuple[float, float]:
-    """Per-optimizer-step data-parallel time in ms: (raw, exposed).
-
-    One parameter all-gather and one gradient reduce-scatter per step
-    (once per accumulation cycle, not per micro-step). The all-gather
-    hides under the first forward micro-step, the reduce-scatter under
-    the last backward micro-step; whatever does not fit is exposed.
-    """
-    if dp < 1 or tp < 1:
-        raise ConfigError("degrees must be >= 1", "parallel")
-    if dp == 1:
-        return (0.0, 0.0)
-    shard = P / tp
-    ring = (dp - 1) / dp
-    ag_ms = shard * dtypes.param_bytes * ring / inter_bw * 1e3 + collective_latency_ms
-    rs_ms = shard * dtypes.grad_bytes * ring / inter_bw * 1e3 + collective_latency_ms
-    raw = ag_ms + rs_ms
-    exposed = max(0.0, ag_ms - first_fwd_window_ms) + max(0.0, rs_ms - last_bwd_window_ms)
-    return (raw, exposed)
 
 
 class CommPlan(NamedTuple):
@@ -166,40 +105,35 @@ def build_comm_plan(
     ``S`` is the full per-sample sequence; CP shards it, so TP-SP inside a
     CP group only sees S/cp tokens. A layout the CP gate rejects raises
     :class:`InfeasibleError` carrying the gate's diagnostic.
+
+    TP-SP runs two collectives per layer (all-gather of the sequence-sharded
+    input, reduce-scatter of the output) over ``intra_node_bw``, each moving
+    B*(S/cp)*H*act_bytes*(tp-1)/tp; fused matmul-collective pipelining hides
+    ``overlap.tp_sp_fraction`` of it. DP runs one parameter all-gather and
+    one gradient reduce-scatter of the P/tp shard per optimizer step (once
+    per accumulation cycle, not per micro-step) over ``inter_node_bw``. The
+    all-gather hides under the first forward micro-step, the reduce-scatter
+    under the last backward micro-step; whatever does not fit is exposed.
     """
-    gate = cp_gate_and_comm(
-        B * S,
-        B,
-        S,
-        arch.hidden_size,
-        par.cp,
-        dtypes.act_bytes,
-        cluster.inter_node_bw,
-        overlap.collective_latency_ms,
-    )
+    latency_ms = overlap.collective_latency_ms
+    gate = cp_gate_and_comm(B * S, B, S, arch.hidden_size, par.cp, dtypes.act_bytes,
+                            cluster.inter_node_bw, latency_ms)
     if gate.violation is not None:
         raise InfeasibleError(gate.violation)
-    s_shard = S // par.cp
-    tp_raw, tp_exposed = tp_sp_layer_comm(
-        B,
-        s_shard,
-        arch.hidden_size,
-        par.tp,
-        dtypes.act_bytes,
-        cluster.intra_node_bw,
-        overlap.tp_sp_fraction,
-        overlap.collective_latency_ms,
-    )
-    dp_raw, dp_exposed = dp_comm(
-        P,
-        dtypes,
-        par.tp,
-        par.dp,
-        cluster.inter_node_bw,
-        overlap.collective_latency_ms,
-        first_fwd_window_ms,
-        last_bwd_window_ms,
-    )
+    tp, dp = par.tp, par.dp
+    tp_raw = tp_exposed = dp_raw = dp_exposed = 0.0
+    if tp > 1:
+        volume = 2 * B * (S // par.cp) * arch.hidden_size * dtypes.act_bytes * (tp - 1) / tp
+        tp_raw = volume / cluster.intra_node_bw * 1e3 + 2 * latency_ms
+        tp_exposed = tp_raw * (1.0 - overlap.tp_sp_fraction)
+    if dp > 1:
+        shard = P / tp
+        ring = (dp - 1) / dp
+        ag_ms = shard * dtypes.param_bytes * ring / cluster.inter_node_bw * 1e3 + latency_ms
+        rs_ms = shard * dtypes.grad_bytes * ring / cluster.inter_node_bw * 1e3 + latency_ms
+        dp_raw = ag_ms + rs_ms
+        dp_exposed = (max(0.0, ag_ms - first_fwd_window_ms)
+                      + max(0.0, rs_ms - last_bwd_window_ms))
     return CommPlan(
         tp_sp_raw_ms_per_layer=tp_raw,
         tp_sp_exposed_ms_per_layer=tp_exposed,

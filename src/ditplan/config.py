@@ -9,7 +9,8 @@ value and offer ``_fields``, ``_asdict()``, ``_replace()`` and ``_make()``,
 which re-run the checks. Cross-object rules are checked by :func:`validate`,
 which returns violations as data instead of raising, so that a report can
 list every problem at once; its layout rules, :data:`LAYOUT_RULES`, are
-also the CP gate's and the candidate enumerator's.
+also the candidate enumerator's, and the last of them, :data:`CP_GATE`, is
+the CP gate's.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Any, Mapping, NamedTuple
 
 from .errors import (_PARSERS, _REQUIRED, ConfigError, _field_names, _parse_record, _Record,
-                     _require_mapping, integer_value, read_json)
+                     integer_value, read_json)
 
 ADALN_MODES = ("shared-weights", "per-block-dedicated")
 ZERO_STAGES = ("none", "optimizer-partitioned")
@@ -71,13 +72,10 @@ def _parse_stages(entries: Any, path: str) -> tuple[StageScenario, ...]:
         raise ConfigError("expected an array of stages", path)
     stages: list[StageScenario] = []
     for i, entry in enumerate(entries):
-        where = f"{path}[{i}]"
-        name = _require_mapping(entry, where).get("name")
-        if not isinstance(name, str):
-            raise ConfigError("stage needs a string name", f"{where}.name")
-        if any(stage.name == name for stage in stages):
-            raise ConfigError(f"duplicate stage name {name!r}", f"{where}.name")
-        stages.append(_parse_record(StageScenario, entry, where))
+        stage = _parse_record(StageScenario, entry, f"{path}[{i}]")
+        if any(other.name == stage.name for other in stages):
+            raise ConfigError(f"duplicate stage name {stage.name!r}", f"{path}[{i}].name")
+        stages.append(stage)
     return tuple(stages)
 
 
@@ -181,6 +179,15 @@ class StageScenario(_Record):
 # The CP gate's threshold: cp=2 needs a bucket's batch above this many tokens.
 CP_TOKEN_GATE = 200_000
 
+# The CP gate, a layout rule as below: cp=2 needs the batch above CP_TOKEN_GATE
+# and each further doubling the cp/2 shards above it, so CP stays minimally viable.
+CP_GATE = (
+    lambda m, c, tp, cp, dp, n: n is None or cp == 1 or n / (cp // 2) > CP_TOKEN_GATE,
+    lambda m, c, tp, cp, dp, n:
+    f"cp={cp} rejected: {n} tokens{f' split {cp // 2} ways' if cp >= 4 else ''} is below "
+    f"the {CP_TOKEN_GATE} ultra-long-sequence threshold",
+)
+
 # The layout rules, in order: (passes, message) pairs called with (model,
 # cluster, tp, cp, dp, tokens_batch), tokens_batch None when no bucket is
 # given. Each is monotone in cp: a layout that breaks one breaks it at twice
@@ -199,13 +206,7 @@ LAYOUT_RULES = (
      f"device overcommit: tp*cp*dp = {tp * cp * dp} exceeds cluster total {c.total_devices}"),
     (lambda m, c, tp, cp, dp, n: cp & (cp - 1) == 0,
      lambda m, c, tp, cp, dp, n: f"cp is not a power of two (cp={cp})"),
-    # The CP gate, kept last for comm.cp_gate_and_comm: cp=2 needs the batch above
-    # CP_TOKEN_GATE and each further doubling the cp/2 shards above it, so CP stays
-    # minimally viable.
-    (lambda m, c, tp, cp, dp, n: n is None or cp == 1 or n / (cp // 2) > CP_TOKEN_GATE,
-     lambda m, c, tp, cp, dp, n:
-     f"cp={cp} rejected: {n} tokens{f' split {cp // 2} ways' if cp >= 4 else ''} is below "
-     f"the {CP_TOKEN_GATE} ultra-long-sequence threshold"),
+    CP_GATE,
 )
 
 

@@ -637,7 +637,7 @@ def test_package_exports_are_lazy():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["loaded_by_import"] == []
-    assert result["names"] == 67 and result["unique"]
+    assert result["names"] == 65 and result["unique"]
     assert result["not_home"] == [] and result["not_starred"] == [] and result["not_in_dir"] == []
     assert "no_such_name" in result["missing"]
 

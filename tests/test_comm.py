@@ -3,13 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ditplan.buckets import Bucket, token_count
-from ditplan.comm import (
-    build_comm_plan,
-    cp_gate_and_comm,
-    dp_comm,
-    enumerate_parallel_configs,
-    tp_sp_layer_comm,
-)
+from ditplan.comm import build_comm_plan, cp_gate_and_comm, enumerate_parallel_configs
 from ditplan.config import DTypePolicy, OverlapConfig, ParallelConfig, validate
 from ditplan.errors import ConfigError, InfeasibleError
 from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT
@@ -17,46 +11,64 @@ from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT
 DT = DTypePolicy()
 
 
+def _comm(tp=8, dp=1, S=115_200, fraction=0.0, latency_ms=0.0, windows=(0.0, 0.0), cp=1):
+    """build_comm_plan on the reference model and cluster (H=3072, 2-byte
+    activations, 200 GB/s inside a node, 50 GB/s across) for one sample of S
+    tokens and P=13.4e9."""
+    overlap = OverlapConfig(tp_sp_fraction=fraction, collective_latency_ms=latency_ms)
+    par = ParallelConfig(tp=tp, cp=cp, dp=dp)
+    return build_comm_plan(TABLE2_FIT, REFERENCE_CLUSTER, DT, par, 1, S, 13.4e9, overlap, *windows)
+
+
 def test_tp1_no_comm():
-    assert tp_sp_layer_comm(1, 115_200, 3072, 1, 2, 200e9, 0.0, 0.02) == (0.0, 0.0)
+    plan = _comm(tp=1, latency_ms=0.02)
+    assert (plan.tp_sp_raw_ms_per_layer, plan.tp_sp_exposed_ms_per_layer) == (0.0, 0.0)
 
 
 def test_tp_sp_reference_volume():
     # 2 collectives * B*S*H*2B * 7/8 = 1,238,630,400 bytes at 200 GB/s
-    raw, exposed = tp_sp_layer_comm(
-        1, 115_200, 3072, 8, 2, 200e9, 0.0, collective_latency_ms=0.0
-    )
+    plan = _comm()
+    raw = plan.tp_sp_raw_ms_per_layer
     expected_ms = 2 * 1 * 115_200 * 3072 * 2 * (7 / 8) / 200e9 * 1e3
     assert raw == pytest.approx(expected_ms)
     assert raw == pytest.approx(6.193152)
-    assert exposed == raw
+    assert plan.tp_sp_exposed_ms_per_layer == raw
 
 
 def test_tp_sp_full_overlap_exposes_nothing():
-    raw, exposed = tp_sp_layer_comm(1, 115_200, 3072, 8, 2, 200e9, 1.0, 0.02)
-    assert raw > 0
-    assert exposed == 0.0
+    plan = _comm(fraction=1.0, latency_ms=0.02)
+    assert plan.tp_sp_raw_ms_per_layer > 0
+    assert plan.tp_sp_exposed_ms_per_layer == 0.0
 
 
 def test_tp_sp_fixed_latency_term():
-    with_lat, _ = tp_sp_layer_comm(1, 1024, 3072, 8, 2, 200e9, 0.0, collective_latency_ms=0.02)
-    without, _ = tp_sp_layer_comm(1, 1024, 3072, 8, 2, 200e9, 0.0, collective_latency_ms=0.0)
+    with_lat = _comm(S=1024, latency_ms=0.02).tp_sp_raw_ms_per_layer
+    without = _comm(S=1024, latency_ms=0.0).tp_sp_raw_ms_per_layer
     assert with_lat == pytest.approx(without + 0.04)
 
 
 @given(frac=st.floats(min_value=0.0, max_value=1.0), frac2=st.floats(min_value=0.0, max_value=1.0))
 def test_exposed_monotone_in_overlap(frac, frac2):
     lo, hi = sorted([frac, frac2])
-    _, exposed_lo = tp_sp_layer_comm(1, 50_000, 3072, 8, 2, 200e9, lo, 0.02)
-    _, exposed_hi = tp_sp_layer_comm(1, 50_000, 3072, 8, 2, 200e9, hi, 0.02)
+    exposed_lo = _comm(S=50_000, fraction=lo, latency_ms=0.02).tp_sp_exposed_ms_per_layer
+    exposed_hi = _comm(S=50_000, fraction=hi, latency_ms=0.02).tp_sp_exposed_ms_per_layer
     assert exposed_hi <= exposed_lo + 1e-12
 
 
 @given(k=st.sampled_from([2, 4, 8]))
 def test_ring_volume_factor(k):
-    raw, _ = tp_sp_layer_comm(1, 10_000, 3072, k, 2, 200e9, 0.0, collective_latency_ms=0.0)
+    raw = _comm(tp=k, S=10_000).tp_sp_raw_ms_per_layer
     base = 2 * 1 * 10_000 * 3072 * 2 / 200e9 * 1e3
     assert raw == pytest.approx(base * (k - 1) / k)
+
+
+def test_tp_sp_under_cp_sees_the_cp_shard():
+    # CP shards the 230,400-token sample, so TP-SP moves S/cp = 115,200 tokens.
+    plan = _comm(cp=2, S=230_400, latency_ms=0.02)
+    assert plan.tp_sp_raw_ms_per_layer == 2 * 1 * 115_200 * 3072 * 2 * 7 / 8 / 200e9 * 1e3 + 2 * 0.02
+    gate = cp_gate_and_comm(230_400, 1, 230_400, 3072, 2, 2, 50e9, 0.02)
+    assert gate.violation is None
+    assert plan.cp_ms_per_layer == gate.time_ms > 0
 
 
 def test_cp_below_gate_rejected():
@@ -81,23 +93,23 @@ def test_cp1_disabled_no_cost():
 
 
 def test_dp1_no_comm():
-    assert dp_comm(13.4e9, DT, 8, 1, 50e9, 0.02) == (0.0, 0.0)
+    plan = _comm(dp=1, latency_ms=0.02)
+    assert (plan.dp_raw_ms_per_step, plan.dp_exposed_ms_per_step) == (0.0, 0.0)
 
 
 def test_dp_reference_volume():
     # 2 collectives * (P/tp) * 2 bytes * 15/16 over 50 GB/s = 125.6 ms
-    raw, exposed = dp_comm(13.4e9, DT, 8, 16, 50e9, collective_latency_ms=0.0)
+    plan = _comm(dp=16)
+    raw = plan.dp_raw_ms_per_step
     assert raw == pytest.approx(2 * (13.4e9 / 8) * 2 * (15 / 16) / 50e9 * 1e3)
     assert raw == pytest.approx(125.625)
-    assert exposed == raw  # no overlap windows supplied
+    assert plan.dp_exposed_ms_per_step == raw  # no overlap windows supplied
 
 
 def test_dp_fully_hidden_with_wide_windows():
-    raw, exposed = dp_comm(
-        13.4e9, DT, 8, 16, 50e9, 0.02, first_fwd_window_ms=700.0, last_bwd_window_ms=700.0
-    )
-    assert raw > 0
-    assert exposed == 0.0
+    plan = _comm(dp=16, latency_ms=0.02, windows=(700.0, 700.0))
+    assert plan.dp_raw_ms_per_step > 0
+    assert plan.dp_exposed_ms_per_step == 0.0
 
 
 def test_comm_plan_composition():

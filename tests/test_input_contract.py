@@ -75,6 +75,9 @@ def _run(argv):
         (("chunks", 0, "coeff_bsh"), math.nan),
         (("ref_seqlen",), "long"),
         (("ref_seqlen",), 0),
+        # A stage's name is read as any record key is, before the duplicate check.
+        (("stages", 0, "name"), REMOVE),
+        (("stages", 0, "name"), 7),
     ],
 )
 def test_malformed_number_is_config_error_naming_its_path(keys, value, tmp_path):
