@@ -16,13 +16,13 @@ from importlib import import_module
 
 # Home module -> the names the package exports from it.
 _EXPORTS = {
-    "buckets": "Bucket BucketBalanceReport LatentShape check_token_balance latent_shape snap_bucket "
+    "buckets": "BucketBalanceReport LatentShape check_token_balance latent_shape snap_bucket "
     "token_count",
     "comm": "CP_TOKEN_GATE CommPlan CpGateResult build_comm_plan cp_gate_and_comm "
     "enumerate_parallel_configs",
-    "config": "ClusterSpec DTypePolicy ModelArch OverlapConfig ParallelConfig ParamCountEstimate "
-    "PlanningConfig StageScenario estimate_param_count load_config parse_config resolved_param_count "
-    "validate",
+    "config": "Bucket ClusterSpec DTypePolicy ModelArch OverlapConfig ParallelConfig "
+    "ParamCountEstimate PlanningConfig StageScenario estimate_param_count load_config parse_config "
+    "resolved_param_count validate",
     "errors": "ConfigError DimensionError InfeasibleError MalformedTimelineError PlanningError",
     "inference": "CacheSchedule TilePlan WindowPlan plan_cache plan_temporal_windows plan_vae_tiles",
     "memory": "BUILTIN_CHUNKS MIB ChunkSpec ChunkTable MemoryBreakdown TimelineEvent "

@@ -10,28 +10,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .config import _AT_LEAST_ONE, VAE_SPATIAL_RATIO, VAE_TEMPORAL_RATIO, ModelArch
-from .errors import _REQUIRED, ConfigError, DimensionError, _field_names, _Record
+# Bucket is re-exported here, as ditplan.buckets.Bucket.
+from .config import VAE_SPATIAL_RATIO, VAE_TEMPORAL_RATIO, Bucket, ModelArch
+from .errors import ConfigError, DimensionError
 
-
-class Bucket(_Record):
-    """One shape class of training samples: ``batch``, ``frames``, ``height``, ``width``.
-
-    ``frames`` must be a count the causal VAE takes; height and width may be
-    any size, as :func:`snap_bucket` rounds them before a bucket is planned.
-    """
-
-    _schema = ("bucket", (
-        ("batch", "int", _REQUIRED, _AT_LEAST_ONE),
-        ("frames", "int", _REQUIRED, _AT_LEAST_ONE,
-         (f"(v - 1) % {VAE_TEMPORAL_RATIO} == 0",
-          f"frames-1 must be divisible by the temporal ratio {VAE_TEMPORAL_RATIO}")),
-        ("height width", "int", _REQUIRED, _AT_LEAST_ONE),
-    ))
-    __slots__ = _field_names(_schema)
-
-    def label(self) -> str:
-        return f"{{{self.batch},{self.frames},{self.height},{self.width}}}"
+# Input size cap, like the inference planners' caps: check_token_balance compares
+# every pair of buckets, and plan train writes a warning per flagged pair, so an
+# unbounded count would exhaust memory. 256 buckets give at most 32,640 pairs.
+MAX_BUCKETS = 256
 
 
 class LatentShape(NamedTuple):
@@ -129,10 +115,13 @@ def check_token_balance(
 
     Relative deviation of a pair is |a-b| / min(a,b), so ``tolerance``
     must be >= 0. Non-divisible spatial dims are snapped to the nearest
-    compatible size first (the snapped shape is reported next to the original).
+    compatible size first (the snapped shape is reported next to the
+    original). More than ``MAX_BUCKETS`` buckets are rejected.
     """
     if tolerance < 0:
         raise ConfigError(f"must be >= 0, got {tolerance}", "tolerance")
+    if len(buckets) > MAX_BUCKETS:
+        raise ConfigError(f"{len(buckets)} buckets exceed the cap of {MAX_BUCKETS}", "buckets")
     entries = []
     for bucket in buckets:
         snapped = snap_bucket(bucket, arch)

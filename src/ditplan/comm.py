@@ -22,10 +22,6 @@ from .errors import ConfigError, InfeasibleError
 # The CP gate reads only cp and the token count.
 _CP_GATE_PASSES, _CP_GATE_MESSAGE = CP_GATE
 
-# Backward mirrors the forward collectives (all-gather and reduce-scatter
-# swap roles), so one micro-step carries two forward-sized comm legs.
-FWD_BWD_COMM_LEGS = 2.0
-
 
 class CpGateResult(NamedTuple):
     """Outcome of the context-parallel gate plus the per-layer all-to-all cost.
@@ -66,26 +62,14 @@ def cp_gate_and_comm(
 
 
 class CommPlan(NamedTuple):
-    """Assembled communication picture for one (bucket, parallel config) pair."""
+    """Each collective's time for one (bucket, layout) pair: TP-SP and CP per layer
+    and leg, DP per optimizer step. :func:`~ditplan.simulate.estimate_step` adds them up."""
 
     tp_sp_raw_ms_per_layer: float
     tp_sp_exposed_ms_per_layer: float
     cp_ms_per_layer: float
     dp_raw_ms_per_step: float
     dp_exposed_ms_per_step: float
-    num_layers: int
-
-    @property
-    def exposed_ms_per_microstep(self) -> float:
-        # Both classes pay a forward and a backward leg per layer; CP
-        # all-to-alls sit on the critical path around attention.
-        per_layer = (
-            self.tp_sp_exposed_ms_per_layer + self.cp_ms_per_layer
-        ) * FWD_BWD_COMM_LEGS
-        return per_layer * self.num_layers
-
-    def exposed_ms_per_step(self, grad_accum: int) -> float:
-        return self.exposed_ms_per_microstep * grad_accum + self.dp_exposed_ms_per_step
 
 
 def build_comm_plan(
@@ -140,7 +124,6 @@ def build_comm_plan(
         cp_ms_per_layer=gate.time_ms,
         dp_raw_ms_per_step=dp_raw,
         dp_exposed_ms_per_step=dp_exposed,
-        num_layers=arch.num_layers,
     )
 
 

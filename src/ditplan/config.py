@@ -1,16 +1,16 @@
 """Static input descriptions: model, cluster, dtype policy, parallel layout, stages.
 
-Every config record (the classes below and ``buckets.Bucket``) is an
-immutable ``__slots__`` :class:`~ditplan.errors._Record` whose fields,
-defaults and construction checks (positive counts, known enum values) come
-from the schema rows it declares. The same rows drive JSON parsing
-(unknown-key, missing-key and type errors). Records compare and hash by
-value and offer ``_fields``, ``_asdict()``, ``_replace()`` and ``_make()``,
-which re-run the checks. Cross-object rules are checked by :func:`validate`,
-which returns violations as data instead of raising, so that a report can
-list every problem at once; its layout rules, :data:`LAYOUT_RULES`, are
-also the candidate enumerator's, and the last of them, :data:`CP_GATE`, is
-the CP gate's.
+Every config record below is an immutable ``__slots__``
+:class:`~ditplan.errors._Record` whose fields, defaults and construction
+checks (positive counts, known enum values) come from the schema rows it
+declares. The same rows drive JSON parsing (unknown-key, missing-key and
+type errors). Records compare and hash by value and offer ``_fields``,
+``_asdict()``, ``_replace()`` and ``_make()``, which re-run the checks.
+Cross-object rules are checked by :func:`validate`, which returns
+violations as data instead of raising, so that a report can list every
+problem at once; its layout rules, :data:`LAYOUT_RULES`, are also the
+candidate enumerator's, and the last of them, :data:`CP_GATE`, is the CP
+gate's.
 """
 
 from __future__ import annotations
@@ -44,24 +44,38 @@ _ZERO = (f"v in {ZERO_STAGES}", f"zero_stage must be one of {ZERO_STAGES}")
 _AT_LEAST_ONE = ("v >= 1", "must be >= 1")
 
 
-_Bucket: Any = None  # buckets.Bucket, resolved on the first parse: buckets imports this module
+class Bucket(_Record):
+    """One shape class of training samples: ``batch``, ``frames``, ``height``, ``width``.
+
+    ``frames`` must be a count the causal VAE takes; height and width may be
+    any size, as :func:`ditplan.buckets.snap_bucket` rounds them before a
+    bucket is planned.
+    """
+
+    _schema = ("bucket", (
+        ("batch", "int", _REQUIRED, _AT_LEAST_ONE),
+        ("frames", "int", _REQUIRED, _AT_LEAST_ONE,
+         (f"(v - 1) % {VAE_TEMPORAL_RATIO} == 0",
+          f"frames-1 must be divisible by the temporal ratio {VAE_TEMPORAL_RATIO}")),
+        ("height width", "int", _REQUIRED, _AT_LEAST_ONE),
+    ))
+    __slots__ = _field_names(_schema)
+
+    def label(self) -> str:
+        return f"{{{self.batch},{self.frames},{self.height},{self.width}}}"
 
 
-def _parse_bucket(entry: Any, path: str) -> "Bucket":
-    global _Bucket
-    if _Bucket is None:
-        from .buckets import Bucket as _Bucket
-
+def _parse_bucket(entry: Any, path: str) -> Bucket:
     if not isinstance(entry, (list, tuple)) or len(entry) != 4:
         raise ConfigError("bucket must be [batch, frames, height, width]", path)
     values = [integer_value(v, f"{path}[{i}]") for i, v in enumerate(entry)]
     try:
-        return _Bucket(*values)
+        return Bucket(*values)
     except ConfigError as exc:
         raise ConfigError(str(exc), path) from exc
 
 
-def _parse_buckets(entries: Any, path: str) -> tuple["Bucket", ...]:
+def _parse_buckets(entries: Any, path: str) -> tuple[Bucket, ...]:
     if not isinstance(entries, (list, tuple)):
         raise ConfigError("expected an array of buckets", path)
     return tuple(_parse_bucket(entry, f"{path}[{i}]") for i, entry in enumerate(entries))
@@ -167,7 +181,7 @@ class StageScenario(_Record):
     ))
     __slots__ = _field_names(_schema)
 
-    def buckets(self) -> list[tuple[str, "Bucket"]]:
+    def buckets(self) -> list[tuple[str, Bucket]]:
         out = []
         if self.image_bucket is not None:
             out.append(("image", self.image_bucket))

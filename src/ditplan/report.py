@@ -285,6 +285,13 @@ def _plan_shape(run: _Run, B: int, S: int) -> tuple[list[dict[str, Any]], list[d
     return [entry for _, entry in ranked], infeasible
 
 
+def _infeasible_reason(stage_doc: dict[str, Any], entry: dict[str, Any]) -> str:
+    """Why one candidate of a stage doc is infeasible, as its warning reads."""
+    par = entry["parallel"]
+    return (f"{stage_doc['stage']}/{stage_doc['bucket_kind']} tp={par['tp']} cp={par['cp']} "
+            f"dp={par['dp']}: {entry['diagnostic']}")
+
+
 def _copy(value: Any) -> Any:
     """A copy of nested dicts and lists that shares no mutable object with ``value``."""
     if type(value) is dict:
@@ -346,20 +353,10 @@ def run_train_plan(
                 plans, infeasible = shapes[key] = _plan_shape(run, *key)
             else:
                 plans, infeasible = map(_copy, planned)
-            for entry in infeasible:
-                warnings.append(
-                    f"{stage.name}/{kind} tp={entry['parallel']['tp']} cp={entry['parallel']['cp']} "
-                    f"dp={entry['parallel']['dp']}: {entry['diagnostic']}"
-                )
-            stage_docs.append(
-                {
-                    "stage": stage.name,
-                    "bucket_kind": kind,
-                    "bucket": list(bucket),
-                    "plans": plans,
-                    "infeasible": infeasible,
-                }
-            )
+            stage_doc = {"stage": stage.name, "bucket_kind": kind, "bucket": list(bucket),
+                         "plans": plans, "infeasible": infeasible}
+            stage_docs.append(stage_doc)
+            warnings.extend(_infeasible_reason(stage_doc, entry) for entry in infeasible)
 
     return {
         "input": _echo_input(config, chunks, run.P),
@@ -482,8 +479,8 @@ def render(document: dict[str, Any], format: str = "json") -> str:
 
 
 def require_feasible(document: dict[str, Any]) -> None:
-    """Raise :class:`InfeasibleError` when no candidate plan fits."""
+    """Raise :class:`InfeasibleError`, naming five infeasible candidates, when no plan fits."""
     if not any(stage["plans"] for stage in document["stages"]):
-        raise InfeasibleError(
-            "no feasible plan; diagnostics: " + "; ".join(document["warnings"][:5])
-        )
+        reasons = [_infeasible_reason(stage, entry)
+                   for stage in document["stages"] for entry in stage["infeasible"]]
+        raise InfeasibleError("no feasible plan; diagnostics: " + "; ".join(reasons[:5]))

@@ -11,7 +11,8 @@ overhead, not model throughput).
 
 One function, ``_cost_step``, costs a step: arithmetic over the chosen
 recompute and offload sets that reports the peak and checks nothing about
-capacity. The plan evaluator sizes and rescales each chunk once per
+capacity, and the one place where per-layer, per-micro-step and per-step
+terms add up. The plan evaluator sizes and rescales each chunk once per
 (shape, cp shard), covers the memory deficit with offload and recompute
 and calls it directly, so the plans it ranks fit device memory by
 construction. Public ``estimate_step`` derives the forward ms, rescaled
@@ -41,24 +42,20 @@ from .recompute import RecomputePlan
 
 BACKWARD_FLOPS_FACTOR = 2.0  # backward = 2x forward, standard
 
+# Backward mirrors the forward collectives (all-gather and reduce-scatter
+# swap roles), so one micro-step carries two forward-sized comm legs.
+FWD_BWD_COMM_LEGS = 2.0
+
 
 class StepEstimate(NamedTuple):
     t_compute_ms: float
     t_recompute_ms: float
     t_exposed_comm_ms: float
     t_exposed_offload_ms: float
+    step_time_ms: float  # the four terms above, summed once
     peak_mem_bytes: float
     memory: MemoryBreakdown
     mfu: float
-
-    @property
-    def step_time_ms(self) -> float:
-        return (
-            self.t_compute_ms
-            + self.t_recompute_ms
-            + self.t_exposed_comm_ms
-            + self.t_exposed_offload_ms
-        )
 
 
 def flops_per_microstep(arch: ModelArch, B: int, S: int) -> float:
@@ -119,7 +116,10 @@ def _cost_step(
     for name in recompute.selected:
         recompute_ms += recompute_costs[name]
     t_recompute = par.grad_accum * (recompute_ms * arch.num_layers)
-    t_comm = comm.exposed_ms_per_step(par.grad_accum) if comm is not None else 0.0
+    # TP-SP and CP: both legs of every layer of every micro-step; DP once a step.
+    t_comm = 0.0 if comm is None else (
+        (comm.tp_sp_exposed_ms_per_layer + comm.cp_ms_per_layer) * FWD_BWD_COMM_LEGS
+        * arch.num_layers * par.grad_accum + comm.dp_exposed_ms_per_step)
     t_offload = par.grad_accum * activation_exposed_ms_per_microstep + optimizer_exposed_ms
     memory = MemoryBreakdown(resident.params, resident.grads, resident.master, resident.moments,
                              resident.ema, float(retained_per_layer * arch.num_layers))
@@ -128,7 +128,8 @@ def _cost_step(
     # MFU = model-FLOP throughput over aggregate peak = the compute time at
     # peak over the step time, which keeps the identity case exactly 1.0.
     mfu = t_compute * efficiency / step_ms if step_ms > 0 else 0.0
-    return StepEstimate(t_compute, t_recompute, t_comm, t_offload, memory.total, memory, mfu)
+    return StepEstimate(t_compute, t_recompute, t_comm, t_offload, step_ms, memory.total, memory,
+                        mfu)
 
 
 def estimate_step(

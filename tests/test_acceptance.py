@@ -152,7 +152,7 @@ def test_criterion_8_vae_tiling_grid():
 def test_criterion_9_mfu_properties():
     par = ParallelConfig(tp=8, cp=1, dp=2)
     bucket = Bucket(1, 125, 720, 1280)
-    zero_comm = CommPlan(0.0, 0.0, 0.0, 0.0, 0.0, TABLE2_FIT.num_layers)
+    zero_comm = CommPlan(0.0, 0.0, 0.0, 0.0, 0.0)
     identity = estimate_step(
         TABLE2_FIT, bucket, par, REFERENCE_CLUSTER, DTypePolicy(),
         comm=zero_comm, efficiency=1.0,
@@ -178,7 +178,7 @@ def test_criterion_9_mfu_properties():
     # MFU decreases monotonically as exposed communication grows
     mfus = []
     for extra_ms in (0.0, 2_000.0, 8_000.0, 30_000.0):
-        loaded = CommPlan(0.0, 0.0, 0.0, extra_ms, extra_ms, 1)
+        loaded = CommPlan(0.0, 0.0, 0.0, extra_ms, extra_ms)
         est = estimate_step(
             TABLE2_FIT, bucket, par, REFERENCE_CLUSTER, DTypePolicy(),
             recompute=full_set, comm=loaded, efficiency=0.5,

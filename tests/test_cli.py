@@ -92,6 +92,20 @@ def test_plan_train_infeasible_exit_code(tmp_path):
     assert doc["warnings"]
 
 
+def test_plan_train_infeasible_message_names_infeasible_candidates(tmp_path, capsys):
+    # The reference buckets' imbalance warnings come first in the report;
+    # the exit-3 message skips them and names five infeasible candidates.
+    doc = json.loads(reference_config_path().read_text())
+    doc["cluster"]["device_mem"] = 1e9
+    assert main(["plan", "train", "--config", _write_config(tmp_path, doc)]) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    warnings = json.loads(captured.out)["warnings"]
+    assert warnings[0].startswith("bucket imbalance: ")
+    reasons = [w for w in warnings if not w.startswith("bucket imbalance: ")]
+    assert len(reasons) > 5
+    assert captured.err == f"infeasible: no feasible plan; diagnostics: {'; '.join(reasons[:5])}\n"
+
+
 def test_config_error_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"model": {"hidden_size": 3072}, "cluster": {}, "quantum": 1}')
@@ -663,6 +677,24 @@ def test_plan_vae_tiles_count_cap(capsys):
     argv = ["plan", "vae-tiles", "--latent", f"1,1,{MAX_VAE_TILES + 1}", "--tile", "1,1,1"]
     assert main(argv) == EXIT_CONFIG
     assert "vae.tile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["plan", "train"], ["buckets", "check"], ["simulate"]],
+                         ids=" ".join)
+def test_bucket_count_cap(argv, tmp_path, capsys):
+    from ditplan.buckets import MAX_BUCKETS
+
+    doc = json.loads(reference_config_path().read_text())
+    buckets = doc["buckets"] * (MAX_BUCKETS // len(doc["buckets"]) + 1)
+    doc["buckets"] = buckets[:MAX_BUCKETS]
+    assert main([*argv, "--config", _write_config(tmp_path, doc)]) == EXIT_OK
+    capsys.readouterr()
+    doc["buckets"] = buckets[:MAX_BUCKETS + 1]
+    assert main([*argv, "--config", _write_config(tmp_path, doc)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: buckets: {MAX_BUCKETS + 1} buckets exceed the cap "
+                            f"of {MAX_BUCKETS}\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

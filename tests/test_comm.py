@@ -7,6 +7,7 @@ from ditplan.comm import build_comm_plan, cp_gate_and_comm, enumerate_parallel_c
 from ditplan.config import DTypePolicy, OverlapConfig, ParallelConfig, validate
 from ditplan.errors import ConfigError, InfeasibleError
 from ditplan.presets import REFERENCE_CLUSTER, TABLE2_FIT
+from ditplan.simulate import estimate_step
 
 DT = DTypePolicy()
 
@@ -112,17 +113,37 @@ def test_dp_fully_hidden_with_wide_windows():
     assert plan.dp_exposed_ms_per_step == 0.0
 
 
+def _exposed_comm(par, bucket):
+    """The collectives of ``par`` on ``bucket`` and estimate_step's exposed
+    communication for them, at ``par.grad_accum`` micro-steps."""
+    S = token_count(bucket, TABLE2_FIT).tokens
+    plan = build_comm_plan(TABLE2_FIT, REFERENCE_CLUSTER, DT, par, bucket.batch, S, 13.4e9,
+                           OverlapConfig())
+    est = estimate_step(TABLE2_FIT, bucket, par, REFERENCE_CLUSTER, DT, comm=plan)
+    return plan, est.t_exposed_comm_ms
+
+
 def test_comm_plan_composition():
-    par = ParallelConfig(tp=8, cp=1, dp=2)
-    plan = build_comm_plan(
-        TABLE2_FIT, REFERENCE_CLUSTER, DT, par, 1, 115_200, 13.4e9, OverlapConfig()
-    )
+    # TP-SP pays a forward and a backward leg in every layer of every
+    # micro-step; DP pays once per step.
+    par = ParallelConfig(tp=8, cp=1, dp=2, grad_accum=2)
+    plan, exposed = _exposed_comm(par, Bucket(1, 125, 720, 1280))  # 115,200 tokens
     assert plan.cp_ms_per_layer == 0.0
-    per_micro = plan.tp_sp_exposed_ms_per_layer * 2 * TABLE2_FIT.num_layers
-    assert plan.exposed_ms_per_microstep == pytest.approx(per_micro)
-    assert plan.exposed_ms_per_step(2) == pytest.approx(
-        2 * per_micro + plan.dp_exposed_ms_per_step
-    )
+    assert plan.dp_exposed_ms_per_step > 0.0
+    L = TABLE2_FIT.num_layers
+    assert exposed == plan.tp_sp_exposed_ms_per_layer * 2 * L * 2 + plan.dp_exposed_ms_per_step
+
+
+def test_comm_plan_composition_with_context_parallelism():
+    # Above the CP gate the all-to-alls join TP-SP on every leg of every
+    # layer and micro-step; dp=1 leaves no DP term.
+    par = ParallelConfig(tp=8, cp=2, dp=1, grad_accum=2)
+    plan, exposed = _exposed_comm(par, Bucket(1, 125, 960, 1920))  # 230,400 tokens
+    assert plan.cp_ms_per_layer > 0.0 and plan.tp_sp_exposed_ms_per_layer > 0.0
+    assert plan.dp_exposed_ms_per_step == 0.0
+    L = TABLE2_FIT.num_layers
+    assert exposed == ((plan.tp_sp_exposed_ms_per_layer + plan.cp_ms_per_layer) * 2 * L * 2
+                       + plan.dp_exposed_ms_per_step)
 
 
 def test_comm_plan_rejects_cp_below_gate():

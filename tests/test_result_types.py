@@ -68,7 +68,7 @@ CONTRACT = {
     CpGateResult: (dict(time_ms=0.0, violation="below the gate"), dict(violation=None)),
     CommPlan: (
         dict(tp_sp_raw_ms_per_layer=1.0, tp_sp_exposed_ms_per_layer=0.2, cp_ms_per_layer=0.0,
-             dp_raw_ms_per_step=3.0, dp_exposed_ms_per_step=0.5, num_layers=4),
+             dp_raw_ms_per_step=3.0, dp_exposed_ms_per_step=0.5),
         {},
     ),
     ActivationOffloadPlan: (
@@ -82,7 +82,7 @@ CONTRACT = {
     ),
     StepEstimate: (
         dict(t_compute_ms=10.0, t_recompute_ms=1.0, t_exposed_comm_ms=2.0, t_exposed_offload_ms=0.5,
-             peak_mem_bytes=15.0, memory=BREAKDOWN, mfu=0.4),
+             step_time_ms=13.5, peak_mem_bytes=15.0, memory=BREAKDOWN, mfu=0.4),
         {},
     ),
     ParamCountEstimate: (dict(total=10.0, transformer=7.0, adaln=2.0, embedding_head=1.0), {}),

@@ -29,8 +29,7 @@ DT = DTypePolicy()
 REF_BUCKET = Bucket(1, 125, 720, 1280)  # 115,200 tokens
 
 
-def _zero_comm(layers: int) -> CommPlan:
-    return CommPlan(0.0, 0.0, 0.0, 0.0, 0.0, layers)
+ZERO_COMM = CommPlan(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_flops_attention_dominates_linear():
@@ -71,7 +70,7 @@ def test_identity_case_mfu_is_exactly_one():
         DT,
         recompute=None,
         offload=NO_OFFLOAD,
-        comm=_zero_comm(TABLE2_FIT.num_layers),
+        comm=ZERO_COMM,
         efficiency=1.0,
     )
     assert est.mfu == 1.0
@@ -87,11 +86,11 @@ def test_exposed_comm_equal_to_compute_halves_mfu():
         par,
         REFERENCE_CLUSTER,
         DT,
-        comm=_zero_comm(TABLE2_FIT.num_layers),
+        comm=ZERO_COMM,
         efficiency=1.0,
     )
     # hand the entire compute time back as exposed communication
-    loaded = CommPlan(0.0, 0.0, 0.0, base.t_compute_ms, base.t_compute_ms, 1)
+    loaded = CommPlan(0.0, 0.0, 0.0, base.t_compute_ms, base.t_compute_ms)
     est = estimate_step(
         TABLE2_FIT,
         REF_BUCKET,
@@ -114,7 +113,7 @@ def test_recompute_latency_scales_with_layer_count():
         REFERENCE_CLUSTER,
         DT,
         recompute=plan,
-        comm=_zero_comm(TABLE2_FIT.num_layers),
+        comm=ZERO_COMM,
         efficiency=1.0,
     )
     # selected chunk latencies at the reference shape, once per layer
@@ -129,7 +128,7 @@ def test_recompute_gelu_layernorm_pair_per_microstep():
     pair = RecomputePlan(("gelu", "layernorm_scale_shift"), 0, 1.22, True)
     est = estimate_step(
         TABLE2_FIT, REF_BUCKET, par, REFERENCE_CLUSTER, DT,
-        recompute=pair, comm=_zero_comm(54), efficiency=1.0,
+        recompute=pair, comm=ZERO_COMM, efficiency=1.0,
     )
     assert est.t_recompute_ms == pytest.approx(54 * 1.22, rel=1e-9)
 
@@ -141,11 +140,11 @@ def test_recompute_latency_rescales_with_sequence():
     half = Bucket(1, 125, 720, 640)  # 57,600 tokens: half the reference S
     est_gelu = estimate_step(
         TABLE2_FIT, half, par, REFERENCE_CLUSTER, DT, recompute=gelu_only,
-        comm=_zero_comm(54), efficiency=1.0,
+        comm=ZERO_COMM, efficiency=1.0,
     )
     est_attn = estimate_step(
         TABLE2_FIT, half, par, REFERENCE_CLUSTER, DT, recompute=attn_only,
-        comm=_zero_comm(54), efficiency=1.0,
+        comm=ZERO_COMM, efficiency=1.0,
     )
     # IO-bound chunks scale linearly in S, attention quadratically
     assert est_gelu.t_recompute_ms == pytest.approx(54 * 0.64 * 0.5, rel=1e-9)
@@ -158,11 +157,11 @@ def test_adding_recompute_chunk_never_faster_or_bigger():
     larger = RecomputePlan(("gelu", "gate"), 0, 1.0, True)
     a = estimate_step(
         TABLE2_FIT, REF_BUCKET, par, REFERENCE_CLUSTER, DT, recompute=smaller,
-        comm=_zero_comm(54),
+        comm=ZERO_COMM,
     )
     b = estimate_step(
         TABLE2_FIT, REF_BUCKET, par, REFERENCE_CLUSTER, DT, recompute=larger,
-        comm=_zero_comm(54),
+        comm=ZERO_COMM,
     )
     assert b.step_time_ms >= a.step_time_ms
     assert b.peak_mem_bytes <= a.peak_mem_bytes
@@ -175,7 +174,7 @@ def test_step_time_monotone_in_sequence():
         bucket = Bucket(1, 125, 720, width)
         est = estimate_step(
             TABLE2_FIT, bucket, par, REFERENCE_CLUSTER, DT,
-            comm=_zero_comm(54),
+            comm=ZERO_COMM,
         )
         times.append(est.step_time_ms)
     assert times == sorted(times)
@@ -200,7 +199,6 @@ def test_mfu_invariant_under_joint_rescaling():
         comm.cp_ms_per_layer / 2,
         comm.dp_raw_ms_per_step / 2,
         comm.dp_exposed_ms_per_step / 2,
-        comm.num_layers,
     )
     chunks2 = BUILTIN_CHUNKS.__class__(
         chunks=tuple(
@@ -276,6 +274,8 @@ def test_estimate_step_matches_every_reference_plan():
                              "t_exposed_offload_ms", "step_time_ms"):
                     got = getattr(est, name)
                     assert abs(got - timing[name]) <= 0.002, (entry["parallel"], name, got)
+                assert est.step_time_ms == (est.t_compute_ms + est.t_recompute_ms
+                                            + est.t_exposed_comm_ms + est.t_exposed_offload_ms)
                 assert round(est.peak_mem_bytes / 1e9, 3) == entry["memory"]["peak_gb"]
                 assert round(est.mfu, 3) == entry["mfu"]
                 checked += 1
