@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .config import ClusterSpec
 from .errors import ConfigError, InfeasibleError
 from .memory import MIB, ChunkTable
-from .recompute import RecomputePlan, cover
+from .recompute import _NOTHING, RecomputePlan, cover
 
 # Tensors below this size are not worth an offload round trip.
 OFFLOAD_THRESHOLD_BYTES = 64 * MIB
@@ -107,8 +107,7 @@ def balance_strategies(
     deficit exceeds what offload and recompute can save together.
     """
     if deficit <= 0:
-        # What the general path returns here, without its sorting and pool.
-        return cover((), 0), ActivationOffloadPlan((), 0, 0.0)
+        return _NOTHING, ActivationOffloadPlan((), 0, 0.0)
     offloaded: set[str] = set()
     offload_bytes = 0
     exposed_ms = 0.0
@@ -129,9 +128,10 @@ def balance_strategies(
             offload_bytes -= neg_size
         exposed_ms = 2 * max(0.0, offload_bytes / bw * 1e3 - block_compute_ms)
 
-    pool = [(sizes[c.name], c.fwd_latency_ms, c.name)
-            for c in chunks.chunks if c.recomputable and c.name not in offloaded]
-    recompute = cover(pool, max(0, deficit - offload_bytes))
+    remaining = deficit - offload_bytes  # none left: any pool's cover is _NOTHING
+    recompute = _NOTHING if remaining <= 0 else cover(
+        [(sizes[c.name], c.fwd_latency_ms, c.name)
+         for c in chunks.chunks if c.recomputable and c.name not in offloaded], remaining)
     host_needed = offload_bytes * num_layers
     if host_needed > cluster.host_mem:
         raise InfeasibleError(

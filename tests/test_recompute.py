@@ -2,8 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ditplan import recompute
 from ditplan.errors import ConfigError
-from ditplan.memory import BUILTIN_CHUNKS, MIB, ChunkSpec, ChunkTable, chunk_retained_bytes
+from ditplan.memory import (
+    BUILTIN_CHUNKS,
+    MIB,
+    ChunkSpec,
+    ChunkTable,
+    chunk_bytes_numerator,
+    chunk_retained_bytes,
+)
 from ditplan.recompute import cover, memory_latency_ratio, plan_recompute
 
 from helpers import BUILTIN, brute_force_recompute, random_chunk_table, reference_cover
@@ -201,6 +209,24 @@ def test_cover_matches_record_based_reference_on_seeded_pools():
         ]
         required = rng.choice(_required_choices(entries, rng.random()))
         _assert_cover_matches_reference(entries, required)
+    # Integer latencies, as a JSON table gives them, mixed with floats or
+    # alone: an all-int selection keeps its int latency.
+    int_latencies = 0
+    for _ in range(5_000):
+        entries = [
+            (
+                rng.choice([0, 1, 2, 3, 4, 6, 8, 12]) * MIB // 4
+                if rng.random() < 0.5 else rng.randint(0, 2**30),
+                rng.choice([1, 2, 3, 5, 8]) if rng.random() < 0.8 else rng.choice([0.5, 1.5, 2.0]),
+            )
+            for _ in range(rng.randint(1, 8))
+        ]
+        required = rng.choice(_required_choices(entries, rng.random()))
+        _assert_cover_matches_reference(entries, required)
+        int_latencies += type(cover(
+            [(size, lat, f"c{i:02d}") for i, (size, lat) in enumerate(entries)], required
+        ).latency_added_per_layer_ms) is int
+    assert int_latencies > 1_000
 
 
 def test_plan_recompute_is_the_cover_of_its_retained_sizes():
@@ -233,3 +259,67 @@ def test_plan_recompute_is_the_cover_of_its_retained_sizes():
 def test_plan_recompute_rejects_tp_below_one():
     with pytest.raises(ConfigError, match="tp must be >= 1"):
         plan_recompute(BUILTIN_CHUNKS, 0, tp=0)
+
+
+def test_plan_recompute_reuses_its_pool_only_for_the_same_table_and_inputs():
+    # Two equal but distinct tables, shapes one field apart, tp 1/2/8 and
+    # exclusions as a list, a set, a generator and names absent from the
+    # table, interleaved so that the kept pool is reused, missed and
+    # replaced: every answer is the cover of a freshly sized pool.
+    import random
+
+    rng = random.Random("slot")
+    chunks, _ = random_chunk_table(7)
+    tables = [ChunkTable(chunks=tuple(ChunkSpec(**c) for c in chunks)) for _ in range(2)]
+    assert tables[0] == tables[1] and tables[0] is not tables[1]
+    names = tables[0].names()
+    shapes = [(1, 28_800, 3072, 24, 8), (2, 28_800, 3072, 24, 8), (1, 57_600, 3072, 24, 8),
+              (1, 28_800, 2048, 24, 8), (1, 28_800, 3072, 16, 8), (1, 28_800, 3072, 24, 2),
+              (1, 28_800, 3072, 24, 1)]
+    exclusions = [
+        lambda: (), lambda: list(names[:3]), lambda: set(names[:3]),
+        lambda: (name for name in names[:3]), lambda: ["absent"], lambda: {"absent", names[1]},
+    ]
+    reused = 0
+    table, shape, exclude = tables[0], shapes[0], exclusions[0]
+    for _ in range(1_500):
+        if rng.random() < 0.4:
+            table, shape, exclude = rng.choice(tables), rng.choice(shapes), rng.choice(exclusions)
+        excluded = set(exclude())
+        pool = [(chunk_retained_bytes(c, *shape), c.fwd_latency_ms, c.name)
+                for c in table.chunks if c.recomputable and c.name not in excluded]
+        total = sum(size for size, _, _ in pool)
+        required = rng.choice((0, 1, total // 3, total, total + 1, rng.randint(0, total + 1)))
+        kept = recompute._last
+        got = plan_recompute(table, required, *shape, exclude=exclude())
+        reused += recompute._last is kept
+        expected = cover(pool, required)
+        assert got == expected
+        assert [type(v) for v in got] == [type(v) for v in expected]
+    assert 500 < reused < 1_400
+
+
+def test_a_sweep_of_targets_sizes_its_pool_once(monkeypatch):
+    sized = []
+
+    def counting(chunk, *shape):
+        sized.append(chunk.name)
+        return chunk_bytes_numerator(chunk, *shape)
+
+    monkeypatch.setattr(recompute, "chunk_bytes_numerator", counting)
+    chunks, _ = random_chunk_table(1)
+    table = ChunkTable(chunks=tuple(ChunkSpec(**c) for c in chunks))
+    pooled = [c.name for c in table.chunks if c.recomputable]
+    assert len(pooled) < len(table.chunks)
+    total = sum(chunk_retained_bytes(c, **REF) for c in table.chunks if c.recomputable)
+    targets = [round(total * 1.1 * k / 11) for k in range(12)]
+    for target in targets:
+        plan_recompute(table, target, **REF)
+    assert sized == pooled
+    # Another exclusion set sizes the pool again; the same set given as
+    # another iterable does not.
+    sized.clear()
+    for target in targets:
+        plan_recompute(table, target, **REF, exclude=[pooled[0]])
+        plan_recompute(table, target, **REF, exclude=(name for name in [pooled[0]]))
+    assert sized == pooled[1:]
