@@ -80,19 +80,8 @@ def _echo_input(config: PlanningConfig, chunks: ChunkTable, P: float) -> dict[st
     }
 
 
-class _Attempt(NamedTuple):
-    """The memory side of one offload attempt at one layout. ``layer_budget``
-    is the activation bytes a layer may retain, or ``None`` when the
-    resident model states alone exceed device memory, as ``diagnostic`` says.
-    ``states_gb`` is the rounded (params, grads, optimizer) GB on device."""
-
-    offload_optimizer: bool
-    offload_activations: bool
-    optimizer_bytes: float
-    resident: MemoryBreakdown
-    layer_budget: int | None
-    diagnostic: str
-    states_gb: tuple[float, float, float]
+# A layout's model states and, per offload attempt, its resident states and layer budget.
+_Layout = tuple[MemoryBreakdown, tuple[tuple[MemoryBreakdown, int | None], ...]]
 
 
 class _Run(NamedTuple):
@@ -105,11 +94,13 @@ class _Run(NamedTuple):
     P: float
     pcie: float
     attempts: tuple[tuple[bool, bool], ...]
-    layouts: dict[tuple[int, int, str], tuple[_Attempt, ...]]
+    layouts: dict[tuple[int, int, str], _Layout]
 
 
-def _layout_attempts(run: _Run, par: ParallelConfig) -> tuple[_Attempt, ...]:
-    """Each offload attempt's :class:`_Attempt` at ``par``, computed once per
+def _layout_attempts(run: _Run, par: ParallelConfig) -> _Layout:
+    """The model states at ``par`` and, in ``run.attempts`` order, each
+    attempt's resident states and the activation bytes a layer may retain
+    (``None`` when those states alone exceed device memory). Computed once per
     (tp, dp, zero_stage) per report: the model states depend on nothing else."""
     key = (par.tp, par.dp, par.zero_stage)
     layout = run.layouts.get(key)
@@ -118,21 +109,11 @@ def _layout_attempts(run: _Run, par: ParallelConfig) -> tuple[_Attempt, ...]:
         device_mem, L = config.cluster.device_mem, config.model.num_layers
         states = model_states_bytes(run.P, config.dtypes, par)
         attempts = []
-        for opt_off, act_off in run.attempts:
+        for opt_off, _ in run.attempts:
             resident = resident_states(states, opt_off)
             act_budget = device_mem - resident.total
-            layer_budget, diagnostic = math.floor(act_budget / L), ""
-            if act_budget < 0:
-                layer_budget, diagnostic = None, (
-                    f"model states ({resident.total / 1e9:.1f} GB) alone exceed device "
-                    f"memory ({device_mem / 1e9:.1f} GB)"
-                )
-            states_gb = (round(resident.params / 1e9, 3) or 0.0,
-                         round(resident.grads / 1e9, 3) or 0.0,
-                         round(resident.optimizer / 1e9, 3) or 0.0)
-            attempts.append(_Attempt(opt_off, act_off, states.optimizer, resident, layer_budget,
-                                     diagnostic, states_gb))
-        layout = run.layouts[key] = tuple(attempts)
+            attempts.append((resident, math.floor(act_budget / L) if act_budget >= 0 else None))
+        layout = run.layouts[key] = states, tuple(attempts)
     return layout
 
 
@@ -146,7 +127,6 @@ class _Shape(NamedTuple):
     B: int
     S: int
     fwd_flops: float
-    tokens: dict[str, int]
     shards: dict[int, tuple[list[tuple[str, float]], dict[str, float]]]
 
 
@@ -166,7 +146,8 @@ def _evaluate_candidate(
     arch, cluster = config.model, config.cluster
     B, L = shape.B, arch.num_layers
     base = {"parallel": {"tp": par.tp, "cp": par.cp, "dp": par.dp, "zero_stage": par.zero_stage,
-                         "grad_accum": par.grad_accum}, **shape.tokens}
+                         "grad_accum": par.grad_accum},
+            "tokens_per_sample": shape.S, "tokens_per_batch": B * shape.S}
     efficiency = config.overlap.efficiency
     fwd_microstep_ms = forward_ms_per_microstep(shape.fwd_flops, cluster, par, efficiency)
     block_compute_ms = fwd_microstep_ms / L
@@ -188,35 +169,35 @@ def _evaluate_candidate(
     sizes = {name: round(numerator / tp) for name, numerator in numerators}
     full_act = sum(sizes.values())
 
+    states, attempts = _layout_attempts(run, par)
     last_diag = "no strategy attempted"
-    for attempt in _layout_attempts(run, par):
-        if attempt.layer_budget is None:
-            last_diag = attempt.diagnostic
+    for (opt_off, act_off), (resident, layer_budget) in zip(run.attempts, attempts):
+        if layer_budget is None:
+            last_diag = (f"model states ({resident.total / 1e9:.1f} GB) alone exceed device "
+                         f"memory ({cluster.device_mem / 1e9:.1f} GB)")
             continue
-        required = max(0, full_act - attempt.layer_budget)
+        required = max(0, full_act - layer_budget)
         try:
             recompute, act_plan = balance_strategies(
                 required, run.chunks, sizes, cluster, block_compute_ms, L,
-                offload_activations=attempt.offload_activations,
+                offload_activations=act_off,
             )
         except InfeasibleError as exc:
             last_diag = str(exc)
             continue
 
-        opt_off = attempt.offload_optimizer
         opt_exposed = 0.0
         if opt_off:
             opt_exposed = plan_optimizer_offload(
-                attempt.optimizer_bytes, run.pcie, fwd_microstep_ms, bwd_window_ms
+                states.optimizer, run.pcie, fwd_microstep_ms, bwd_window_ms
             )
         act_exposed = act_plan.exposed_ms_per_layer * L
         retained = full_act - recompute.bytes_saved_per_layer - act_plan.bytes_per_layer
         est = _cost_step(
-            arch, par, recompute_costs, fwd_microstep_ms, attempt.resident, retained,
+            arch, par, recompute_costs, fwd_microstep_ms, resident, retained,
             recompute, act_exposed, opt_exposed, comm, efficiency,
         )
-        step_ms = est.step_time_ms
-        params_gb, grads_gb, optimizer_gb = attempt.states_gb
+        step_ms, memory = est.step_time_ms, est.memory
         # Rounded to three decimals, never -0.0. The latency is never
         # negative, and an empty recompute set's int 0 stays an int.
         return {
@@ -241,10 +222,10 @@ def _evaluate_candidate(
                 "activation_exposed_ms_per_microstep": round(act_exposed, 3) or 0.0,
             },
             "memory": {
-                "params_gb": params_gb,
-                "grads_gb": grads_gb,
-                "optimizer_gb": optimizer_gb,
-                "activations_gb": round(est.memory.activations_peak / 1e9, 3) or 0.0,
+                "params_gb": round(memory.params / 1e9, 3) or 0.0,
+                "grads_gb": round(memory.grads / 1e9, 3) or 0.0,
+                "optimizer_gb": round(memory.optimizer / 1e9, 3) or 0.0,
+                "activations_gb": round(memory.activations_peak / 1e9, 3) or 0.0,
                 "peak_gb": round(est.peak_mem_bytes / 1e9, 3) or 0.0,
             },
             "timing": {
@@ -264,15 +245,13 @@ def _plan_shape(run: _Run, B: int, S: int) -> tuple[list[dict[str, Any]], list[d
     entries by rank, and its infeasible entries by (cp, tp, dp)."""
     config = run.config
     arch = config.model
-    tokens_batch = B * S
     pinned = config.parallel.pinned
     if pinned is not None:
         pars = [pinned]
     else:
-        pars = enumerate_parallel_configs(arch, config.cluster, tokens_batch,
+        pars = enumerate_parallel_configs(arch, config.cluster, B * S,
                                           config.parallel.zero_stage, config.parallel.grad_accum)
-    tokens = {"tokens_per_sample": S, "tokens_per_batch": tokens_batch}
-    shape = _Shape(B, S, flops_per_microstep(arch, B, S), tokens, {})
+    shape = _Shape(B, S, flops_per_microstep(arch, B, S), {})
     ranked, infeasible = [], []
     for par in pars:
         entry, step_ms = _evaluate_candidate(run, shape, par)

@@ -16,8 +16,8 @@ from ditplan import ChunkSpec, ChunkTable, parse_config
 from ditplan.buckets import Bucket, token_count
 from ditplan.cli import EXIT_CONFIG, EXIT_INFEASIBLE, main
 from ditplan.comm import cp_gate_and_comm, enumerate_parallel_configs
-from ditplan.config import LAYOUT_RULES, load_config
-from ditplan.memory import BUILTIN_CHUNKS
+from ditplan.config import LAYOUT_RULES, ParallelConfig, load_config, resolved_param_count
+from ditplan.memory import BUILTIN_CHUNKS, model_states_bytes, resident_states
 from ditplan.presets import reference_config_path
 from ditplan.report import OFFLOAD_MODES, dump, render, run_train_plan
 
@@ -240,6 +240,40 @@ def test_uncovered_deficit_reads_alike_without_activation_offload():
     assert deficits > 0
 
 
+# Per mode, the model states (GB) each layout keeps on device at 20 GB of
+# device memory, where those states alone exceed it.
+STATES_EXCEED_GB = {
+    "auto": {1: 53.6, 2: 26.8},
+    "off": {1: 67.0, 2: 40.2, 4: 26.8, 8: 20.1},
+    "optimizer-only": {1: 53.6, 2: 26.8},
+}
+
+
+@pytest.mark.parametrize("mode", OFFLOAD_MODES)
+def test_states_exceeding_device_memory_name_their_resident_total(mode):
+    # A layout whose resident model states alone overflow the device reads
+    # their total under the mode's last attempt, which offloads the optimizer
+    # in every mode but off, and warns with that diagnostic.
+    doc = json.loads(reference_config_path().read_text())
+    doc["cluster"]["device_mem"] = 20e9
+    config = parse_config(doc)
+    P = resolved_param_count(config.model)
+    report = run_train_plan(config, offload_mode=mode)
+    seen = {}
+    for stage in report["stages"]:
+        for entry in stage["infeasible"]:
+            if "alone exceed" not in entry["diagnostic"]:
+                continue
+            par = ParallelConfig(**entry["parallel"])
+            resident = resident_states(model_states_bytes(P, config.dtypes, par), mode != "off")
+            assert entry["diagnostic"] == (f"model states ({resident.total / 1e9:.1f} GB) alone "
+                                           "exceed device memory (20.0 GB)")
+            assert (f"{stage['stage']}/{stage['bucket_kind']} tp={par.tp} cp={par.cp} "
+                    f"dp={par.dp}: {entry['diagnostic']}") in report["warnings"]
+            seen[par.tp] = round(resident.total / 1e9, 1)
+    assert seen == STATES_EXCEED_GB[mode]
+
+
 def test_feasible_plans_fit_device_memory_with_disjoint_sets():
     # The step costing checks neither capacity nor overlap: the evaluator's
     # deficit arithmetic and its offload-then-recompute split guarantee both.
@@ -317,21 +351,25 @@ def _shape_groups(config, report):
 
 def test_bucket_and_run_quantities_computed_once(monkeypatch):
     # The token shape is per bucket, the forward FLOPs per distinct (batch,
-    # tokens) shape and the param count per run: none of them is recomputed
-    # for each candidate layout, and the enumerator reads the evaluator's
-    # token count instead of its own.
-    names = ("token_count", "flops_per_microstep", "resolved_param_count")
+    # tokens) shape, the model states per (tp, dp, zero_stage) layout and the
+    # param count per run: none of them is recomputed for each candidate
+    # layout, and the enumerator reads the evaluator's token count instead of
+    # its own.
+    names = ("token_count", "flops_per_microstep", "resolved_param_count", "model_states_bytes")
     counters = {name: _count_calls(monkeypatch, ("report", "comm"), name) for name in names}
     repeated = 0
-    for seed in range(4):
+    for seed in range(6):
         before = {name: count() for name, count in counters.items()}
         config = parse_config(sweep_config(seed))
         report = run_train_plan(config)
         calls = {name: count() - before[name] for name, count in counters.items()}
         buckets, shapes = len(report["stages"]), len(_shape_groups(config, report))
+        layouts = len({(e["parallel"]["tp"], e["parallel"]["dp"], e["parallel"]["zero_stage"])
+                       for s in report["stages"] for e in s["plans"] + s["infeasible"]})
         repeated += buckets - shapes
         assert sum(len(s["plans"]) + len(s["infeasible"]) for s in report["stages"]) > buckets
-        assert calls == dict(token_count=buckets, flops_per_microstep=shapes, resolved_param_count=1)
+        assert calls == dict(token_count=buckets, flops_per_microstep=shapes, resolved_param_count=1,
+                             model_states_bytes=layouts)
     assert repeated > 0  # the seeds include stages that share a shape
 
 

@@ -277,6 +277,12 @@ def test_estimate_step_matches_every_reference_plan():
                 assert est.step_time_ms == (est.t_compute_ms + est.t_recompute_ms
                                             + est.t_exposed_comm_ms + est.t_exposed_offload_ms)
                 assert round(est.peak_mem_bytes / 1e9, 3) == entry["memory"]["peak_gb"]
+                # The whole memory block has the step's MemoryBreakdown as its one source.
+                for name, field in (("params_gb", "params"), ("grads_gb", "grads"),
+                                    ("optimizer_gb", "optimizer"),
+                                    ("activations_gb", "activations_peak")):
+                    got = round(getattr(est.memory, field) / 1e9, 3) or 0.0
+                    assert got == entry["memory"][name], (entry["parallel"], name, got)
                 assert round(est.mfu, 3) == entry["mfu"]
                 checked += 1
     assert checked == 154
